@@ -62,24 +62,18 @@ class BandwidthOutcome:
 
 def resolve_omega(omega, k: int) -> np.ndarray:
     """Materialize an omega spec ("ones", "zero-first", or explicit) for k rows."""
-    if isinstance(omega, str):
-        if omega == "ones":
-            return np.ones(k)
-        if omega == "zero-first":
-            if k < 2:
-                raise ValueError('omega preset "zero-first" needs k >= 2 (weights must not be all zero)')
-            out = np.ones(k)
-            out[0] = 0.0
-            return out
-        raise ValueError(f"unknown omega preset {omega!r}; presets: {OMEGA_PRESETS}")
-    out = np.atleast_1d(np.asarray(omega, dtype=float))
-    if out.shape != (k,):
-        raise ValueError(f"omega has length {out.size}, expected k = {k}")
-    if np.any(out < 0):
-        raise ValueError("omega weights must be nonnegative")
-    if not np.any(out > 0):
-        raise ValueError("omega weights must not be all zero")
-    return out
+    omega = _validate_omega_field(omega)
+    if omega == "ones":
+        return np.ones(k)
+    if omega == "zero-first":
+        if k < 2:
+            raise ValueError('omega preset "zero-first" needs k >= 2 (weights must not be all zero)')
+        out = np.ones(k)
+        out[0] = 0.0
+        return out
+    if len(omega) != k:
+        raise ValueError(f"omega has length {len(omega)}, expected k = {k}")
+    return np.array(omega)
 
 
 def _validate_omega_field(omega):

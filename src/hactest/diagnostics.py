@@ -73,11 +73,17 @@ class DiagnosticsReport:
 
 
 def _kernel_hits_kink(kernel, m_value: float, m: int) -> bool:
-    """Does some lag ratio i / M land on a nondifferentiable point of kappa?"""
+    """Does some lag ratio i / M, 1 <= i < m, land on a nondifferentiable point of kappa?
+
+    |i / M - d| is convex in i, so the lag nearest d * M, clipped to [1, m),
+    is the only one to test.
+    """
+    if m < 2:
+        return False
     for d in kernel.nondifferentiable_points:
-        for i in range(1, m):
-            if abs(i / m_value - d) <= 1e-9 * max(1.0, d):
-                return True
+        i = min(max(round(d * m_value), 1), m - 1)
+        if abs(i / m_value - d) <= 1e-9 * max(1.0, d):
+            return True
     return False
 
 

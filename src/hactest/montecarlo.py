@@ -8,10 +8,11 @@ simulated statistic array per family member (common random numbers), which
 makes the empirical size exactly nonincreasing in C and the search a clean
 bisection.
 
-Replication ``idx`` of a run seeded ``s`` always draws from
-``default_rng(SeedSequence((s, idx)))``: rates are bitwise reproducible and
-independent of any chunked execution order, and two runs with the same seed
-share innovations across family members.
+The innovations of replication ``idx`` of a run seeded ``s`` depend only
+on ``(s, idx)``: they come from ``default_rng(SeedSequence((s, idx)))``, so
+rates are bitwise reproducible and every family member and alternative sees
+the same draws.  Each replication is drawn once per member and shared by
+every alternative evaluated on it.
 
 Calibrating the *unadjusted* test is refused (CalibrationNotApplicableError)
 unless both boundary directions lie harmlessly inside the regression span:
@@ -64,7 +65,6 @@ class McConfig:
     seed: int = 0
     family: CovarianceFamily = field(default_factory=lambda: AR1Grid(DEFAULT_RHO_GRID))
     sigma: float = 1.0
-    parallel_chunks: int = 1
     beta_alternatives: tuple = ()
 
     def __post_init__(self):
@@ -74,11 +74,8 @@ class McConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not (isinstance(self.parallel_chunks, (int, np.integer)) and self.parallel_chunks >= 1):
-            raise ValueError(f"parallel_chunks must be an integer >= 1, got {self.parallel_chunks}")
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "parallel_chunks", int(self.parallel_chunks))
         object.__setattr__(self, "beta_alternatives", tuple(self.beta_alternatives))
 
 
@@ -183,6 +180,38 @@ def _resolve_target(target, est_config: EstimatorConfig | None):
     raise ValueError(f"target must be a RegressionProblem or AdjustedProblem, got {type(target).__name__}")
 
 
+def _check_beta(beta, k: int) -> np.ndarray:
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (k,):
+        raise ValueError(f"beta must have length {k}, got shape {beta.shape}")
+    return beta
+
+
+def _statistics(engine, sim_problem, cov, betas, reps: int, seed: int, sigma: float) -> np.ndarray:
+    """Statistic values, one row per beta, over ``reps`` draws of y = X beta + sigma * u.
+
+    Replication idx draws u once, from ``default_rng(SeedSequence((seed,
+    idx)))``, and every beta is evaluated on that same u.
+    """
+    mus = [sim_problem.X @ beta for beta in betas]
+    sampler = _make_sampler(cov, sim_problem.n)
+    out = np.empty((len(mus), reps))
+    for idx in range(reps):
+        u = sigma * sampler(np.random.default_rng(np.random.SeedSequence((seed, idx))))
+        for j, mu in enumerate(mus):
+            out[j, idx] = engine.result(mu + u).t_value
+    return out
+
+
+def _family_statistics(engine, sim_problem, mc: McConfig, betas):
+    """(label, rho-or-None, statistic rows per beta) for each family member."""
+    return [
+        (label, rho, _statistics(engine, sim_problem, cov, betas,
+                                 mc.replications, mc.seed, mc.sigma))
+        for label, rho, cov in _family_members(mc.family)
+    ]
+
+
 def simulate_statistics(
     target,
     *,
@@ -207,20 +236,8 @@ def simulate_statistics(
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (sim_problem.k,):
-        raise ValueError(
-            f"beta must have length {sim_problem.k}, got shape {beta.shape}"
-        )
-    n = sim_problem.n
-    mu = sim_problem.X @ beta
-    sampler = _make_sampler(cov, n)
-    out = np.empty(int(reps))
-    for idx in range(int(reps)):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), idx)))
-        y = mu + sigma * sampler(rng)
-        out[idx] = engine.result(y).t_value
-    return out
+    beta = _check_beta(beta, sim_problem.k)
+    return _statistics(engine, sim_problem, cov, [beta], int(reps), int(seed), sigma)[0]
 
 
 def _binomial_ci(rate: float, reps: int) -> float:
@@ -246,18 +263,12 @@ def rejection_probability(
 ):
     """Monte Carlo P(T >= C) under one covariance member; returns (rate, ci)."""
     _check_reported_reps(mc.replications)
-    _, sim_problem = _resolve_target(target, est_config)
+    engine, sim_problem = _resolve_target(target, est_config)
     if beta is None:
         beta = null_point(sim_problem).beta0
-    stats = simulate_statistics(
-        target,
-        cov=cov,
-        beta=beta,
-        reps=mc.replications,
-        seed=mc.seed,
-        sigma=mc.sigma,
-        est_config=est_config,
-    )
+    beta = _check_beta(beta, sim_problem.k)
+    stats = _statistics(engine, sim_problem, cov, [beta],
+                        mc.replications, mc.seed, mc.sigma)[0]
     rate = float(np.mean(stats >= critical_value))
     return rate, _binomial_ci(rate, mc.replications)
 
@@ -270,30 +281,9 @@ def empirical_size(
     est_config: EstimatorConfig | None = None,
 ) -> SizeReport:
     """Worst-case null rejection rate over the whole covariance family."""
-    _check_reported_reps(mc.replications)
-    _, sim_problem = _resolve_target(target, est_config)
-    beta0 = null_point(sim_problem).beta0
-    points = []
-    for label, rho, cov in _family_members(mc.family):
-        stats = simulate_statistics(
-            target,
-            cov=cov,
-            beta=beta0,
-            reps=mc.replications,
-            seed=mc.seed,
-            sigma=mc.sigma,
-            est_config=est_config,
-        )
-        rate = float(np.mean(stats >= critical_value))
-        points.append(
-            CurvePoint(label=label, rho=rho, distance=0.0,
-                       rate=rate, ci=_binomial_ci(rate, mc.replications))
-        )
-    curve = SizePowerCurve(tuple(points))
-    worst = max(points, key=lambda p: p.rate)
+    curve = power_curve(target, mc, critical_value, (0.0,), est_config=est_config)
+    worst = max(curve.points, key=lambda p: p.rate)
     return SizeReport(max_rate=worst.rate, argmax_label=worst.label, curve=curve)
-
-
 def _refuse_unadjusted(problem: RegressionProblem) -> None:
     """Raise unless the unadjusted test is calibratable on this design."""
     try:
@@ -343,22 +333,12 @@ def calibrate_critical_value(
     _check_reported_reps(mc.replications)
     if isinstance(target, RegressionProblem):
         _refuse_unadjusted(target)
-    _, sim_problem = _resolve_target(target, est_config)
+    engine, sim_problem = _resolve_target(target, est_config)
     beta0 = null_point(sim_problem).beta0
-
-    members = _family_members(mc.family)
-    sorted_stats = {}
-    for label, _rho, cov in members:
-        stats = simulate_statistics(
-            target,
-            cov=cov,
-            beta=beta0,
-            reps=mc.replications,
-            seed=mc.seed,
-            sigma=mc.sigma,
-            est_config=est_config,
-        )
-        sorted_stats[label] = np.sort(stats)
+    sorted_stats = {
+        label: np.sort(rows[0])
+        for label, _rho, rows in _family_statistics(engine, sim_problem, mc, [beta0])
+    }
     reps = mc.replications
 
     def rate_at(label: str, c: float) -> float:
@@ -377,17 +357,9 @@ def calibrate_critical_value(
             c_hi=0.0, delta=float(delta), tol=float(tol),
         )
 
-    # reference start: a high quantile under the white member (rho = 0)
-    ref_label = f"{0.0:g}"
-    if ref_label in sorted_stats:
-        ref = sorted_stats[ref_label]
-    else:
-        ref = np.sort(
-            simulate_statistics(
-                target, cov=0.0, beta=beta0, reps=reps,
-                seed=mc.seed, sigma=mc.sigma, est_config=est_config,
-            )
-        )
+    # starting bracket: a high quantile under the white member (rho = 0),
+    # or under the first member when the family has no white one
+    ref = sorted_stats.get(f"{0.0:g}", next(iter(sorted_stats.values())))
     c_hi = float(np.quantile(ref, 1.0 - delta / 10.0))
     if c_hi <= 0.0:
         c_hi = 1.0
@@ -427,7 +399,7 @@ def power_curve(
     labeled by their own standardized distances.
     """
     _check_reported_reps(mc.replications)
-    _, sim_problem = _resolve_target(target, est_config)
+    engine, sim_problem = _resolve_target(target, est_config)
     q = sim_problem.q
     beta0 = null_point(sim_problem).beta0
     alternatives = []
@@ -435,7 +407,7 @@ def power_curve(
         if not mc.beta_alternatives:
             raise ValueError("provide distances or set beta_alternatives in McConfig")
         for beta in mc.beta_alternatives:
-            beta = np.asarray(beta, dtype=float)
+            beta = _check_beta(beta, sim_problem.k)
             gap = sim_problem.R @ beta - sim_problem.r
             alternatives.append((float(np.linalg.norm(gap)) / mc.sigma, beta))
     else:
@@ -459,17 +431,9 @@ def power_curve(
             alternatives.append((d, beta0 + d * mc.sigma * pull))
 
     points = []
-    for label, rho, cov in _family_members(mc.family):
-        for d, beta in alternatives:
-            stats = simulate_statistics(
-                target,
-                cov=cov,
-                beta=beta,
-                reps=mc.replications,
-                seed=mc.seed,
-                sigma=mc.sigma,
-                est_config=est_config,
-            )
+    members = _family_statistics(engine, sim_problem, mc, [beta for _d, beta in alternatives])
+    for label, rho, rows in members:
+        for (d, _beta), stats in zip(alternatives, rows):
             rate = float(np.mean(stats >= critical_value))
             points.append(
                 CurvePoint(label=label, rho=rho, distance=d,

@@ -118,24 +118,25 @@ class OmegaOutcome:
         return self.status == WELL_DEFINED
 
 
-class _VarFitter:
-    """Per-(problem, p) precomputation for repeated step-1 fits."""
+class OmegaEngine:
+    """Assembles the covariance estimate repeatedly for one (problem, config).
 
-    def __init__(self, problem: RegressionProblem, p: int):
-        if not (isinstance(p, (int, np.integer)) and p >= 1):
-            raise ValueError(f"VAR order p must be an integer >= 1, got {p}")
-        if p * (problem.k + 1) > problem.n:
-            raise ValueError(
-                f"p must satisfy 1 <= p <= n/(k+1); got p = {p} with "
-                f"n = {problem.n}, k = {problem.k}"
-            )
+    Precomputes everything that depends only on the design so Monte Carlo
+    loops pay per response vector only for the data-dependent steps.
+    """
+
+    def __init__(self, problem: RegressionProblem, config: EstimatorConfig):
+        config.validate_for(problem)
         self.problem = problem
-        self.p = int(p)
-        X = problem.X
+        self.config = config
+        X, R = problem.X, problem.R
         n, k = problem.n, problem.k
         xtx = X.T @ X
         self.beta_op = np.linalg.solve(xtx, X.T)  # (X'X)^{-1} X'
         self.annihilator = np.eye(n) - X @ self.beta_op
+        # R (X'X)^{-1}, q x k; a separate right-hand side, because stacking
+        # it onto X' changes the solve's rounding
+        self.g = np.linalg.solve(xtx, R.T).T
         self._eye_k = np.eye(k)
         # below this, an OLS residual norm is indistinguishable from the
         # roundoff of projecting a vector that lies in span(X)
@@ -145,9 +146,13 @@ class _VarFitter:
         return self.beta_op @ y
 
     def fit(self, y: np.ndarray) -> PrewhitenFit | None:
-        """Run step 1 at y; None means the VAR regressor matrix is rank deficient."""
+        """Run step 1 at y; None means the VAR regressor matrix is rank deficient.
+
+        The zero-score case ``y in span(X)`` lands there because the
+        residual, hence every score, vanishes.
+        """
         X = self.problem.X
-        n, k, p = self.problem.n, self.problem.k, self.p
+        n, k, p = self.problem.n, self.problem.k, self.config.p
         u = self.annihilator @ y
         if np.linalg.norm(u) <= self._resid_tol * np.linalg.norm(y):
             return None  # y in span(X): scores are exactly zero
@@ -165,32 +170,10 @@ class _VarFitter:
         Z = Vp - A @ V1
         return PrewhitenFit(V=V, V1=V1, Vp=Vp, A=A, Z=Z, recolor=recolor)
 
-
-class OmegaEngine:
-    """Assembles the covariance estimate repeatedly for one (problem, config).
-
-    Precomputes everything that depends only on the design so Monte Carlo
-    loops pay per response vector only for the data-dependent steps.
-    """
-
-    def __init__(self, problem: RegressionProblem, config: EstimatorConfig):
-        config.validate_for(problem)
-        self.problem = problem
-        self.config = config
-        self._fitter = _VarFitter(problem, config.p)
-        xtx = problem.X.T @ problem.X
-        self.g = np.linalg.solve(xtx, problem.R.T).T  # R (X'X)^{-1}, q x k
-
-    def beta_hat(self, y: np.ndarray) -> np.ndarray:
-        return self._fitter.beta_hat(y)
-
-    def fit(self, y: np.ndarray) -> PrewhitenFit | None:
-        return self._fitter.fit(y)
-
     def outcome(self, y: np.ndarray) -> OmegaOutcome:
         problem, config = self.problem, self.config
         n, p = problem.n, config.p
-        fit = self._fitter.fit(y)
+        fit = self.fit(y)
         if fit is None:
             return OmegaOutcome.not_defined(VAR_RANK_DEFICIENT)
         if fit.recolor is None:
@@ -222,17 +205,6 @@ def _kernel_lag_sum(Z: np.ndarray, kernel: KernelSpec, m_value: float) -> np.nda
             s = Z[:, lag:] @ Z[:, : m - lag].T
             psi += w[i] * (s + s.T)
     return psi / m
-
-
-def fit_var_ols(problem: RegressionProblem, y, p: int) -> PrewhitenFit | None:
-    """Step 1 alone: fit the VAR(p) to the score series of y.
-
-    Returns None when the VAR regressor matrix is rank deficient at the
-    numeric tolerance (undefinedness condition (I)); the zero-score case
-    ``y in span(X)`` lands there because the residual — hence every score —
-    vanishes.
-    """
-    return _VarFitter(problem, p).fit(np.asarray(y, dtype=float))
 
 
 def compute_gamma(Z: np.ndarray, i: int) -> np.ndarray:

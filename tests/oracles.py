@@ -219,3 +219,12 @@ def toeplitz_statistic_oracle(problem, outcome, kernel_fn):
                 W[a][b] = float(kernel_fn(abs(a - b) / mv))
     W = np.array(W)
     return (n / m) * B @ W @ B.T
+
+
+def kernel_hits_kink_oracle(kernel, m_value, m):
+    """Scan every lag i = 1 .. m-1 for a ratio i / M on a kink of kappa."""
+    for d in kernel.nondifferentiable_points:
+        for i in range(1, m):
+            if abs(i / m_value - d) <= 1e-9 * max(1.0, d):
+                return True
+    return False

@@ -13,6 +13,7 @@ from hactest import (
     TRIVIAL_BREAKDOWN,
     EstimatorConfig,
     FixedBRule,
+    KernelSpec,
     RegressionProblem,
     alternating_vector,
     constant_vector,
@@ -25,6 +26,7 @@ from hactest import test_statistic as evaluate
 from hactest.diagnostics import _kernel_hits_kink
 
 from .conftest import random_problem
+from .oracles import kernel_hits_kink_oracle
 
 FIXED_B = FixedBRule(b=1.0)
 
@@ -205,6 +207,23 @@ class TestGradientExists:
         assert _kernel_hits_kink(BARTLETT, 2.5, 5) is False
         # qs is smooth everywhere
         assert _kernel_hits_kink(QUADRATIC_SPECTRAL, 2.0, 5) is False
+        # the nearest-lag closed form agrees with scanning every lag: exact
+        # kinks, near-misses on both sides of the tolerance, huge M (where
+        # the nearest lag is clipped to m - 1 or to 1) and m in {0, 1}
+        kinky = KernelSpec("kinky", BARTLETT.evaluate, (1e-9, 0.25, 0.5, 1.0, 2.0, 3.7), True)
+        m_values = [0.3, 0.7, 5e8, 1e9, 2e9, 1e12]
+        for d in kinky.nondifferentiable_points:
+            for i in range(1, 13):
+                for rel in (0.0, 1e-10, -1e-10, 1e-8, -1e-8):
+                    m_values.append(i / d * (1.0 + rel))
+        hits = 0
+        for kernel in (BARTLETT, kinky):
+            for m in (0, 1, 2, 3, 5, 17, 40):
+                for m_value in m_values:
+                    want = kernel_hits_kink_oracle(kernel, m_value, m)
+                    assert _kernel_hits_kink(kernel, m_value, m) is want, (kernel.name, m_value, m)
+                    hits += want
+        assert 0 < hits < 2 * 7 * len(m_values)
 
 
 class TestWitnessDesign:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import hactest.montecarlo
+import hactest.testing
 from hactest import (
     BARTLETT,
     AR1Grid,
@@ -12,10 +14,12 @@ from hactest import (
     McConfig,
     RegressionProblem,
     alternating_vector,
+    ar1_matrix,
     build_adjusted,
     calibrate_critical_value,
     constant_vector,
     empirical_size,
+    null_point,
     power_curve,
     rejection_probability,
     simulate_statistics,
@@ -133,8 +137,6 @@ class TestRates:
             McConfig(replications=100, seed=-1)
         with pytest.raises(ValueError, match="sigma"):
             McConfig(replications=100, sigma=0.0)
-        with pytest.raises(ValueError, match="parallel_chunks"):
-            McConfig(replications=100, parallel_chunks=0)
         mc = McConfig(replications=100, beta_alternatives=[np.zeros(2)])
         assert isinstance(mc.beta_alternatives, tuple)
 
@@ -163,6 +165,30 @@ class TestCalibration:
         low = empirical_size(problem, mc, c / 2.0, est_config=CONFIG).max_rate
         high = empirical_size(problem, mc, 2.0 * c, est_config=CONFIG).max_rate
         assert low >= result.size >= high
+
+    @pytest.mark.parametrize("family", [
+        AR1Grid((0.6, 0.9)),
+        ExplicitList((ar1_matrix(0.3, 12), ar1_matrix(-0.5, 12))),
+    ])
+    def test_families_without_a_white_member_simulate_each_member_once(
+        self, rng, monkeypatch, family
+    ):
+        # the starting bracket comes from statistics already simulated, not
+        # from one more run at rho = 0
+        calls = []
+        result = hactest.testing.TestEngine.result
+
+        def counted(self, y, *args, **kwargs):
+            calls.append(1)
+            return result(self, y, *args, **kwargs)
+
+        monkeypatch.setattr(hactest.testing.TestEngine, "result", counted)
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=200, seed=12, family=family)
+        delta = 0.2
+        cal = calibrate_critical_value(problem, mc, delta, est_config=CONFIG)
+        assert len(calls) == 2 * mc.replications
+        assert delta - cal.tol <= cal.size <= delta
 
     def test_trivial_level_calibrates_to_zero(self, rng):
         problem = calibratable_problem(rng)
@@ -225,6 +251,40 @@ class TestPowerCurve:
         assert by_distance[4.0] > by_distance[0.0]
         assert curve.max_rate == max(by_distance.values())
 
+    def test_each_replication_is_drawn_once_per_member(self, rng, monkeypatch):
+        paths = []
+        ar1_path = hactest.montecarlo._ar1_path
+
+        def counted(rho, z):
+            paths.append(rho)
+            return ar1_path(rho, z)
+
+        monkeypatch.setattr(hactest.montecarlo, "_ar1_path", counted)
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=13, family=AR1Grid((0.0, 0.5)))
+        power_curve(problem, mc, 3.0, (0.0, 1.0, 2.0), est_config=CONFIG)
+        assert len(paths) == 2 * mc.replications
+
+    def test_points_equal_single_member_rates(self, rng):
+        # shared draws change no rate: each point is the rate of its own
+        # member and beta simulated alone
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=14, family=AR1Grid((-0.5, 0.0, 0.8)), sigma=1.5)
+        beta0 = null_point(problem).beta0
+        pull = problem.R.T @ np.linalg.solve(problem.R @ problem.R.T, np.ones(1))
+        distances = (0.0, 0.5, 2.0)
+        curve = power_curve(problem, mc, 2.0, distances, est_config=CONFIG)
+        points = iter(curve.points)
+        for rho in mc.family.rhos:
+            for d in distances:
+                stats = simulate_statistics(
+                    problem, cov=rho, beta=beta0 + d * mc.sigma * pull,
+                    reps=mc.replications, seed=mc.seed, sigma=mc.sigma, est_config=CONFIG,
+                )
+                point = next(points)
+                assert (point.rho, point.distance) == (rho, d)
+                assert point.rate == np.mean(stats >= 2.0)
+
     def test_points_iterate_member_major(self, rng):
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=9, family=AR1Grid((0.0, 0.5)))
@@ -275,3 +335,7 @@ class TestPowerCurve:
             power_curve(
                 problem, mc, 3.0, (1.0,), est_config=CONFIG, direction=np.ones(2)
             )
+        short = McConfig(replications=100, seed=11, family=AR1Grid((0.0,)),
+                         beta_alternatives=(np.zeros(2),))
+        with pytest.raises(ValueError, match="beta"):
+            power_curve(problem, short, 3.0, est_config=CONFIG)

@@ -13,7 +13,6 @@ from hactest import (
     classify_definiteness,
     compute_gamma,
     default_rule,
-    fit_var_ols,
     get_kernel,
     kernel_eval,
 )
@@ -33,6 +32,12 @@ from hactest.prewhiten import (
 
 from .conftest import config_grid, random_problem
 from .oracles import gamma_oracle, kernel_lag_sum_oracle, toeplitz_statistic_oracle
+
+
+def fit_var_ols(problem, y, p):
+    """Step 1 alone, through the engine that runs it inside the pipeline."""
+    config = EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p)
+    return OmegaEngine(problem, config).fit(np.asarray(y, dtype=float))
 
 
 def location_model():
