@@ -213,7 +213,7 @@ def _mc_options(fn):
     return fn
 
 
-def _problem_from(x_spec, restriction_spec, target_spec, header, y=None):
+def _problem_from(x_spec, restriction_spec, target_spec, header):
     X = _parse_matrix(x_spec, header)
     k = X.shape[1]
     if restriction_spec is None:
@@ -221,7 +221,7 @@ def _problem_from(x_spec, restriction_spec, target_spec, header, y=None):
     else:
         R = _parse_matrix(restriction_spec, header)
     r = np.zeros(R.shape[0]) if target_spec is None else _parse_vector(target_spec)
-    return RegressionProblem(X, R, r, y=y)
+    return RegressionProblem(X, R, r)
 
 
 def _family_from(rho_grid):

@@ -32,6 +32,8 @@ from .bandwidth import RULE_NAMES, FixedBRule
 from .model import (
     RegressionProblem,
     alternating_vector,
+    check_finite,
+    check_response,
     constant_vector,
     null_point,
 )
@@ -152,8 +154,8 @@ def gradient_exists(
 
     Raises ValueError when the statistic is undefined at y.
     """
+    y = check_response(problem, y)
     engine = TestEngine(problem, config)
-    y = np.asarray(y, dtype=float)
     result = engine.result(y)
     if not result.defined:
         raise ValueError("gradient check requires the statistic to be defined at y")
@@ -185,12 +187,12 @@ def diagnose(
     power-zero certificate, and finally the benign case where both boundary
     directions lie harmlessly inside the span.
     """
-    critical_value = float(critical_value)
-    if not (np.isfinite(critical_value) and critical_value > 0):
-        raise ValueError(f"critical value must be finite and > 0, got {critical_value}")
+    critical_value = float(check_finite("critical value", critical_value))
+    if not critical_value > 0:
+        raise ValueError(f"critical value must be > 0, got {critical_value}")
     engine = TestEngine(problem, config)
     n, k, q, p = problem.n, problem.k, problem.q, config.p
-    mu0 = null_point(problem).mu0
+    mu0 = problem.X @ null_point(problem)
     e_plus = constant_vector(n)
     e_minus = alternating_vector(n)
     res_plus = engine.result(mu0 + e_plus, critical_value)

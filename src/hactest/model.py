@@ -20,11 +20,12 @@ import numpy as np
 from ._linalg import numeric_rank, readonly
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Coerce ``None`` / int / SeedSequence / Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def check_finite(name: str, a) -> np.ndarray:
+    """``a`` as a float array; ValueError naming it if any entry is NaN or inf."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf entries)")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,20 +40,19 @@ class RegressionProblem:
         Restriction matrix with full row rank, 1 <= q <= k.
     r : (q,) ndarray
         Restriction value.
-    y : (n,) ndarray, optional
-        Observed response; most operations take y separately so one problem
-        can be evaluated at many response vectors.
+
+    Every entry must be finite.  The response y is not part of the problem:
+    operations take it separately, so one problem serves many responses.
     """
 
     X: np.ndarray
     R: np.ndarray
     r: np.ndarray
-    y: np.ndarray | None = None
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        r = np.atleast_1d(np.asarray(self.r, dtype=float))
+        X = np.atleast_2d(check_finite("X", self.X))
+        R = np.atleast_2d(check_finite("R", self.R))
+        r = np.atleast_1d(check_finite("r", self.r))
         n, k = X.shape
         if n <= 2:
             raise ValueError(f"need n > 2 observations, got n = {n}")
@@ -72,11 +72,6 @@ class RegressionProblem:
         object.__setattr__(self, "X", readonly(X))
         object.__setattr__(self, "R", readonly(R))
         object.__setattr__(self, "r", readonly(r))
-        if self.y is not None:
-            y = np.atleast_1d(np.asarray(self.y, dtype=float))
-            if y.shape != (n,):
-                raise ValueError(f"y has length {y.size}, expected n = {n}")
-            object.__setattr__(self, "y", readonly(y))
 
     @property
     def n(self) -> int:
@@ -91,12 +86,12 @@ class RegressionProblem:
         return self.R.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class NullPoint:
-    """A point ``mu0 = X beta0`` in the null set (``R beta0 = r``)."""
-
-    mu0: np.ndarray
-    beta0: np.ndarray
+def check_response(problem: RegressionProblem, y) -> np.ndarray:
+    """A response vector for ``problem``: finite, of length n."""
+    y = np.atleast_1d(check_finite("y", y))
+    if y.shape != (problem.n,):
+        raise ValueError(f"y has length {y.size}, expected n = {problem.n}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -212,44 +207,15 @@ def _ar1_path(rho: float, z: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def sample_gaussian_ar1(rho: float, sigma: float, mu, n: int, seed) -> np.ndarray:
-    """Draw ``y = mu + sigma * u`` with u a stationary Gaussian AR(1) path.
+def null_point(problem: RegressionProblem) -> np.ndarray:
+    """The minimum-norm null coefficients beta0 = R'(RR')^{-1} r.
 
-    Parameters
-    ----------
-    rho : float
-        AR(1) parameter, |rho| < 1.
-    sigma : float
-        Error scale, > 0.
-    mu : float or (n,) ndarray
-        Mean vector (scalar broadcasts).
-    n : int
-        Length of the path.
-    seed : int, SeedSequence, Generator or None
-        Source of randomness; identical seeds yield identical draws.
-    """
-    rho = float(rho)
-    if not abs(rho) < 1.0:
-        raise ValueError(f"AR(1) parameter must satisfy |rho| < 1, got {rho}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    rng = as_generator(seed)
-    u = _ar1_path(rho, rng.standard_normal(int(n)))
-    return np.asarray(mu, dtype=float) + float(sigma) * u
-
-
-def null_point(problem: RegressionProblem) -> NullPoint:
-    """The minimum-norm null point: beta0 = R'(RR')^{-1} r, mu0 = X beta0.
-
-    Any null point is equivalent for the statistic (it is invariant under
-    shifts inside the null set), so the minimum-norm choice is just a
-    canonical representative.
+    The null mean is ``mu0 = X beta0``.  Any null point is equivalent for
+    the statistic (it is invariant under shifts inside the null set), so
+    the minimum-norm choice is just a canonical representative.
     """
     R, r = problem.R, problem.r
-    if numeric_rank(R) < problem.q:
-        raise ValueError("hypothesis is degenerate: R must have full row rank q")
-    beta0 = R.T @ np.linalg.solve(R @ R.T, r)
-    return NullPoint(mu0=readonly(problem.X @ beta0), beta0=readonly(beta0))
+    return readonly(R.T @ np.linalg.solve(R @ R.T, r))
 
 
 def ma_closure_matrix(alpha, n: int) -> np.ndarray:

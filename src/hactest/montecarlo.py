@@ -32,6 +32,7 @@ from .model import (
     ExplicitList,
     RegressionProblem,
     _ar1_path,
+    check_finite,
     null_point,
 )
 from .prewhiten import EstimatorConfig
@@ -65,7 +66,6 @@ class McConfig:
     seed: int = 0
     family: CovarianceFamily = field(default_factory=lambda: AR1Grid(DEFAULT_RHO_GRID))
     sigma: float = 1.0
-    beta_alternatives: tuple = ()
 
     def __post_init__(self):
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
@@ -76,7 +76,6 @@ class McConfig:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "beta_alternatives", tuple(self.beta_alternatives))
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,9 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class SizePowerCurve:
+    """Rejection rates per (member, distance); at distance 0 alone,
+    ``max_rate`` is the empirical size."""
+
     points: tuple
 
     @property
@@ -111,15 +113,6 @@ class SizePowerCurve:
         ]
 
 
-@dataclass(frozen=True)
-class SizeReport:
-    """Worst-case null rejection rate over the family, with the full curve."""
-
-    max_rate: float
-    argmax_label: str
-    curve: SizePowerCurve
-
-
 @dataclass(frozen=True, eq=False)
 class CalibrationResult:
     """Calibrated critical value and the sizes backing it up."""
@@ -132,14 +125,20 @@ class CalibrationResult:
     tol: float
 
 
+def _rho_label(rho: float) -> str:
+    """``f"{rho:g}"`` when it reads back as rho, else the round-tripping repr."""
+    label = f"{rho:g}"
+    return label if float(label) == rho else repr(rho)
+
+
 def _family_members(family: CovarianceFamily):
     """Yield (label, rho-or-None, sampler-spec) per family member.
 
     The sampler spec is a float rho for AR(1) members and a covariance
-    matrix for explicit ones.
+    matrix for explicit ones.  Distinct members get distinct labels.
     """
     if isinstance(family, (AR1Grid, AR1Restricted)):
-        return [(f"{rho:g}", float(rho), float(rho)) for rho in family.rhos]
+        return [(_rho_label(rho), float(rho), float(rho)) for rho in family.rhos]
     if isinstance(family, ExplicitList):
         return [
             (f"matrix{i}", None, mat) for i, mat in enumerate(family.matrices)
@@ -178,13 +177,6 @@ def _resolve_target(target, est_config: EstimatorConfig | None):
             raise ValueError("est_config is required when the target is a bare problem")
         return TestEngine(target, est_config), target
     raise ValueError(f"target must be a RegressionProblem or AdjustedProblem, got {type(target).__name__}")
-
-
-def _check_beta(beta, k: int) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (k,):
-        raise ValueError(f"beta must have length {k}, got shape {beta.shape}")
-    return beta
 
 
 def _statistics(engine, sim_problem, cov, betas, reps: int, seed: int, sigma: float) -> np.ndarray:
@@ -236,7 +228,9 @@ def simulate_statistics(
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    beta = _check_beta(beta, sim_problem.k)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (sim_problem.k,):
+        raise ValueError(f"beta must have length {sim_problem.k}, got shape {beta.shape}")
     return _statistics(engine, sim_problem, cov, [beta], int(reps), int(seed), sigma)[0]
 
 
@@ -252,38 +246,6 @@ def _check_reported_reps(reps: int) -> None:
         )
 
 
-def rejection_probability(
-    target,
-    mc: McConfig,
-    critical_value: float,
-    *,
-    cov,
-    beta=None,
-    est_config: EstimatorConfig | None = None,
-):
-    """Monte Carlo P(T >= C) under one covariance member; returns (rate, ci)."""
-    _check_reported_reps(mc.replications)
-    engine, sim_problem = _resolve_target(target, est_config)
-    if beta is None:
-        beta = null_point(sim_problem).beta0
-    beta = _check_beta(beta, sim_problem.k)
-    stats = _statistics(engine, sim_problem, cov, [beta],
-                        mc.replications, mc.seed, mc.sigma)[0]
-    rate = float(np.mean(stats >= critical_value))
-    return rate, _binomial_ci(rate, mc.replications)
-
-
-def empirical_size(
-    target,
-    mc: McConfig,
-    critical_value: float,
-    *,
-    est_config: EstimatorConfig | None = None,
-) -> SizeReport:
-    """Worst-case null rejection rate over the whole covariance family."""
-    curve = power_curve(target, mc, critical_value, (0.0,), est_config=est_config)
-    worst = max(curve.points, key=lambda p: p.rate)
-    return SizeReport(max_rate=worst.rate, argmax_label=worst.label, curve=curve)
 def _refuse_unadjusted(problem: RegressionProblem) -> None:
     """Raise unless the unadjusted test is calibratable on this design."""
     try:
@@ -334,22 +296,21 @@ def calibrate_critical_value(
     if isinstance(target, RegressionProblem):
         _refuse_unadjusted(target)
     engine, sim_problem = _resolve_target(target, est_config)
-    beta0 = null_point(sim_problem).beta0
-    sorted_stats = {
-        label: np.sort(rows[0])
-        for label, _rho, rows in _family_statistics(engine, sim_problem, mc, [beta0])
-    }
+    # (label, rho-or-None, sorted null statistics) per member, in family order
+    members = [
+        (label, rho, np.sort(rows[0]))
+        for label, rho, rows in _family_statistics(engine, sim_problem, mc, [null_point(sim_problem)])
+    ]
     reps = mc.replications
 
-    def rate_at(label: str, c: float) -> float:
-        arr = sorted_stats[label]
+    def rate_at(arr: np.ndarray, c: float) -> float:
         return float(reps - np.searchsorted(arr, c, side="left")) / reps
 
     def size_at(c: float) -> float:
-        return max(rate_at(label, c) for label in sorted_stats)
+        return max(rate_at(arr, c) for _label, _rho, arr in members)
 
     def rates_at(c: float) -> dict:
-        return {label: rate_at(label, c) for label in sorted_stats}
+        return {label: rate_at(arr, c) for label, _rho, arr in members}
 
     if size_at(0.0) <= delta:
         return CalibrationResult(
@@ -359,12 +320,19 @@ def calibrate_critical_value(
 
     # starting bracket: a high quantile under the white member (rho = 0),
     # or under the first member when the family has no white one
-    ref = sorted_stats.get(f"{0.0:g}", next(iter(sorted_stats.values())))
-    c_hi = float(np.quantile(ref, 1.0 - delta / 10.0))
-    if c_hi <= 0.0:
+    ref = next((arr for _label, rho, arr in members if rho == 0.0), members[0][2])
+    with np.errstate(invalid="ignore"):  # inf - inf when the top statistics are infinite
+        c_hi = float(np.quantile(ref, 1.0 - delta / 10.0))
+    if not 0.0 < c_hi < np.inf:
         c_hi = 1.0
     while size_at(c_hi) > delta:
         c_hi *= 2.0
+        if c_hi == np.inf:
+            raise CalibrationNotApplicableError(
+                f"more than a delta = {delta:g} share of some member's "
+                f"simulated statistics is infinite; no finite critical value "
+                f"controls size"
+            )
 
     lo, hi = 0.0, c_hi
     while size_at(hi) < delta - tol:
@@ -385,7 +353,7 @@ def power_curve(
     target,
     mc: McConfig,
     critical_value: float,
-    distances=None,
+    distances,
     *,
     est_config: EstimatorConfig | None = None,
     direction=None,
@@ -393,47 +361,35 @@ def power_curve(
     """Rejection rates across the family at alternatives R beta - r = d sigma u.
 
     ``distances`` are the standardized violation lengths d (0 reproduces the
-    null); ``direction`` picks the unit vector u in restriction space
-    (default: equal weights).  When ``distances`` is omitted, the explicit
-    coefficient vectors in ``mc.beta_alternatives`` are used instead and
-    labeled by their own standardized distances.
+    null, so ``distances=(0.0,)`` gives the empirical size as ``max_rate``);
+    ``direction`` picks the unit vector u in restriction space (default:
+    equal weights).
     """
+    check_finite("critical value", critical_value)
     _check_reported_reps(mc.replications)
     engine, sim_problem = _resolve_target(target, est_config)
     q = sim_problem.q
-    beta0 = null_point(sim_problem).beta0
-    alternatives = []
-    if distances is None:
-        if not mc.beta_alternatives:
-            raise ValueError("provide distances or set beta_alternatives in McConfig")
-        for beta in mc.beta_alternatives:
-            beta = _check_beta(beta, sim_problem.k)
-            gap = sim_problem.R @ beta - sim_problem.r
-            alternatives.append((float(np.linalg.norm(gap)) / mc.sigma, beta))
+    if direction is None:
+        u = np.ones(q) / np.sqrt(q)
     else:
-        if direction is None:
-            u = np.ones(q) / np.sqrt(q)
-        else:
-            u = np.asarray(direction, dtype=float)
-            if u.shape != (q,):
-                raise ValueError(f"direction must have length {q}, got shape {u.shape}")
-            norm = float(np.linalg.norm(u))
-            if norm == 0.0:
-                raise ValueError("direction must be nonzero")
-            u = u / norm
-        pull = sim_problem.R.T @ np.linalg.solve(
-            sim_problem.R @ sim_problem.R.T, u
-        )
-        for d in distances:
-            d = float(d)
-            if d < 0:
-                raise ValueError(f"distances must be nonnegative, got {d}")
-            alternatives.append((d, beta0 + d * mc.sigma * pull))
+        u = np.asarray(direction, dtype=float)
+        if u.shape != (q,):
+            raise ValueError(f"direction must have length {q}, got shape {u.shape}")
+        norm = float(np.linalg.norm(u))
+        if norm == 0.0:
+            raise ValueError("direction must be nonzero")
+        u = u / norm
+    pull = sim_problem.R.T @ np.linalg.solve(sim_problem.R @ sim_problem.R.T, u)
+    beta0 = null_point(sim_problem)
+    distances = [float(d) for d in distances]
+    for d in distances:
+        if d < 0:
+            raise ValueError(f"distances must be nonnegative, got {d}")
+    betas = [beta0 + d * mc.sigma * pull for d in distances]
 
     points = []
-    members = _family_statistics(engine, sim_problem, mc, [beta for _d, beta in alternatives])
-    for label, rho, rows in members:
-        for (d, _beta), stats in zip(alternatives, rows):
+    for label, rho, rows in _family_statistics(engine, sim_problem, mc, betas):
+        for d, stats in zip(distances, rows):
             rate = float(np.mean(stats >= critical_value))
             points.append(
                 CurvePoint(label=label, rho=rho, distance=d,

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import EPS, solve_well_conditioned, symmetrize
+from ._linalg import EPS, numeric_rank, solve_well_conditioned, symmetrize
 from .bandwidth import BandwidthOutcome, BandwidthRule, compute_bandwidth
 from .kernels import KernelSpec
-from .model import RegressionProblem
+from .model import RegressionProblem, check_response
 
 #: OmegaOutcome.status values
 WELL_DEFINED = "well-defined"
@@ -159,8 +159,7 @@ class OmegaEngine:
         V = X.T * u
         V1 = np.vstack([V[:, p - l : n - l] for l in range(1, p + 1)])
         Vp = V[:, p:]
-        s = np.linalg.svd(V1, compute_uv=False)
-        if s[0] == 0.0 or np.count_nonzero(s > max(V1.shape) * EPS * s[0]) < k * p:
+        if numeric_rank(V1) < k * p:
             return None
         # normal equations, not an SVD solve: structurally-zero cross
         # products must give an exactly zero coefficient block
@@ -207,23 +206,9 @@ def _kernel_lag_sum(Z: np.ndarray, kernel: KernelSpec, m_value: float) -> np.nda
     return psi / m
 
 
-def compute_gamma(Z: np.ndarray, i: int) -> np.ndarray:
-    """Sample autocovariance ``Gamma_i = (n-p)^{-1} sum_{j>i} Z_j Z_{j-i}'``.
-
-    Negative lags are the transposes of the positive ones.
-    """
-    Z = np.asarray(Z, dtype=float)
-    k, m = Z.shape
-    ai = abs(int(i))
-    if ai > m - 1:
-        raise ValueError(f"lag must satisfy |i| <= {m - 1}, got {i}")
-    s = Z[:, ai:] @ Z[:, : m - ai].T / m
-    return s if i >= 0 else s.T
-
-
 def assemble_omega(problem: RegressionProblem, y, config: EstimatorConfig) -> OmegaOutcome:
     """Run the full three-step pipeline at one response vector."""
-    return OmegaEngine(problem, config).outcome(np.asarray(y, dtype=float))
+    return OmegaEngine(problem, config).outcome(check_response(problem, y))
 
 
 def classify_definiteness(outcome: OmegaOutcome) -> str:
@@ -243,10 +228,9 @@ def classify_definiteness(outcome: OmegaOutcome) -> str:
     if not outcome.well_defined:
         raise ValueError("classification requires a well-defined covariance outcome")
     B = outcome.B
-    s = np.linalg.svd(B, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    rank = numeric_rank(B)
+    if rank == 0:
         return ZERO
-    rank = int(np.count_nonzero(s > max(B.shape) * EPS * s[0]))
     if outcome.fit is not None:
         m = outcome.fit.Z.shape[1]
         kp = outcome.fit.V1.shape[0]

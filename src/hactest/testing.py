@@ -24,7 +24,13 @@ import numpy as np
 
 from ._linalg import EPS, numeric_rank
 from .bandwidth import FixedBRule, resolve_omega
-from .model import RegressionProblem, alternating_vector, constant_vector
+from .model import (
+    RegressionProblem,
+    alternating_vector,
+    check_finite,
+    check_response,
+    constant_vector,
+)
 from .prewhiten import (
     POSITIVE_DEFINITE,
     EstimatorConfig,
@@ -98,7 +104,6 @@ class AdjustedProblem:
     problem: RegressionProblem
     config: EstimatorConfig
     original: RegressionProblem
-    original_config: EstimatorConfig
 
     @property
     def kbar(self) -> int:
@@ -163,7 +168,15 @@ def test_statistic(
     critical_value: float | None = None,
 ) -> TestResult:
     """Evaluate the statistic once; use TestEngine for repeated evaluation."""
-    return TestEngine(problem, config).result(y, critical_value)
+    return _evaluate_once(problem, config, y, critical_value)
+
+
+def _evaluate_once(problem, config, y, critical_value, scenario=None) -> TestResult:
+    """Validate one response vector and critical value, then evaluate."""
+    y = check_response(problem, y)
+    if critical_value is not None:
+        check_finite("critical value", critical_value)
+    return TestEngine(problem, config).result(y, critical_value, scenario)
 
 
 def _span_geometry(problem: RegressionProblem, e: np.ndarray):
@@ -292,7 +305,6 @@ def build_adjusted(problem: RegressionProblem, config: EstimatorConfig) -> Adjus
         problem=adjusted_problem,
         config=adjusted_config,
         original=problem,
-        original_config=config,
     )
 
 
@@ -302,5 +314,5 @@ def adjusted_statistic(
     critical_value: float | None = None,
 ) -> TestResult:
     """Evaluate the adjusted statistic T-bar at one response vector."""
-    engine = TestEngine(adjusted.problem, adjusted.config)
-    return engine.result(y, critical_value, scenario=adjusted.scenario)
+    return _evaluate_once(adjusted.problem, adjusted.config, y, critical_value,
+                          adjusted.scenario)

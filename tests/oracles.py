@@ -3,11 +3,14 @@
 Everything here is deliberately written with explicit Python loops over
 scalars (plus `math`), independent of the package's vectorized numpy
 routines, so that agreement between the two is evidence of correctness
-rather than shared code.
+rather than shared code.  The one exception is the seeded AR(1) sampler at
+the end, a convenience that only tests need.
 """
 import math
 
 import numpy as np
+
+from hactest.model import _ar1_path
 
 
 def am_bandwidth_oracle(Z, omega, j, c1, c2, n):
@@ -228,3 +231,25 @@ def kernel_hits_kink_oracle(kernel, m_value, m):
             if abs(i / m_value - d) <= 1e-9 * max(1.0, d):
                 return True
     return False
+
+
+def as_generator(seed) -> np.random.Generator:
+    """Coerce ``None`` / int / SeedSequence / Generator into a Generator."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)
+
+
+def sample_gaussian_ar1(rho, sigma, mu, n, seed):
+    """Draw ``y = mu + sigma * u`` with u a stationary Gaussian AR(1) path.
+
+    ``mu`` is a scalar or an (n,) mean; ``seed`` is None, an int, a
+    SeedSequence or a Generator, and identical seeds give identical draws.
+    """
+    rho = float(rho)
+    if not abs(rho) < 1.0:
+        raise ValueError(f"AR(1) parameter must satisfy |rho| < 1, got {rho}")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    u = _ar1_path(rho, as_generator(seed).standard_normal(int(n)))
+    return np.asarray(mu, dtype=float) + float(sigma) * u

@@ -39,9 +39,9 @@ from hactest import (
     constant_vector,
     default_rule,
     diagnose,
-    empirical_size,
     kernel_eval,
     null_point,
+    power_curve,
     select_scenario,
     simulate_statistics,
     toeplitz_weights,
@@ -129,7 +129,7 @@ def test_statistic_invariant_under_null_preserving_maps():
     for i in range(500):
         problem, y = random_problem(rng)
         config = grid[i % len(grid)]
-        mu0 = null_point(problem).mu0
+        mu0 = problem.X @ null_point(problem)
         shift = _null_space_shift(rng, problem.R, problem.X)
         alpha = alphas[i % len(alphas)]
         y2 = alpha * (y - mu0) + mu0 + shift
@@ -144,7 +144,7 @@ def test_statistic_invariant_under_null_preserving_maps():
     problem = RegressionProblem(X, np.array([[1.0, 0.0]]), np.array([0.7]))
     adjusted = build_adjusted(problem, NW_BARTLETT)
     xbar, rbar = adjusted.problem.X, adjusted.problem.R
-    mu0 = null_point(adjusted.problem).mu0
+    mu0 = adjusted.problem.X @ null_point(adjusted.problem)
     adjusted_defined = 0
     for i in range(500):
         y = rng.standard_normal(20)
@@ -364,8 +364,8 @@ def test_adjusted_test_calibrates_controls_size_and_recovers_power():
     assert cal.size <= 0.05
 
     mc_val = McConfig(replications=REPS, seed=20260572, family=AR1Grid(DEFAULT_RHO_GRID))
-    validation = empirical_size(adjusted, mc_val, cal.critical_value)
-    for point in validation.curve.points:
+    validation = power_curve(adjusted, mc_val, cal.critical_value, (0.0,))
+    for point in validation.points:
         assert point.rate <= 0.05 + 2.0 * point.ci, (
             f"size {point.rate:.4f} at rho={point.label} exceeds "
             f"0.05 + 2*{point.ci:.4f}"

@@ -150,6 +150,15 @@ class TestTest:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_response_exits_two(self, runner, bad):
+        y = ",".join(LOCATION_Y.split(",")[:-1] + [bad])
+        result = runner.invoke(main, [
+            "test", "--x", LOCATION_X, "--y", y, "--R", "1", "--rule", "fixed-b",
+        ])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
 
 class TestAdjust:
     def test_scenario_one_payload(self, runner, design_files):

@@ -173,6 +173,13 @@ class TestGradientExists:
         with pytest.raises(ValueError, match="defined"):
             gradient_exists(problem, np.ones(8), config)
 
+    def test_rejects_a_non_finite_response(self, rng):
+        problem, y = random_problem(rng, n=12, k=2)
+        config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
+        y[0] = np.nan
+        with pytest.raises(ValueError, match="y must be finite"):
+            gradient_exists(problem, y, config)
+
     def test_fixed_b_is_always_differentiable(self, rng):
         problem, y = random_problem(rng, n=12, k=2)
         config = EstimatorConfig(BARTLETT, FIXED_B, p=1)

@@ -11,11 +11,10 @@ from hactest import (
     constant_vector,
     ma_closure_matrix,
     null_point,
-    sample_gaussian_ar1,
 )
-from hactest.model import _ar1_path
+from hactest.model import _ar1_path, check_response
 
-from .oracles import ar1_cov_oracle, ar1_transfer_matrix
+from .oracles import ar1_cov_oracle, ar1_transfer_matrix, sample_gaussian_ar1
 
 
 class TestRegressionProblem:
@@ -57,8 +56,23 @@ class TestRegressionProblem:
             RegressionProblem(X, np.eye(2), np.zeros(3))
         with pytest.raises(ValueError):
             RegressionProblem(X[:2], np.eye(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            RegressionProblem(X, np.eye(2), np.zeros(2), y=np.zeros(9))
+        # the response is checked against the problem where it is passed in
+        problem = RegressionProblem(X, np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="y has length 9, expected n = 10"):
+            check_response(problem, np.zeros(9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["X", "R", "r"])
+    def test_rejects_non_finite_entries(self, rng, field, bad):
+        args = {"X": rng.standard_normal((10, 2)), "R": np.eye(2), "r": np.zeros(2)}
+        args[field][-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            RegressionProblem(**args)
+        problem = RegressionProblem(rng.standard_normal((10, 2)), np.eye(2), np.zeros(2))
+        y = np.zeros(10)
+        y[3] = bad
+        with pytest.raises(ValueError, match="^y must be finite"):
+            check_response(problem, y)
 
     def test_rejects_wide_design(self, rng):
         X = rng.standard_normal((3, 4))
@@ -72,16 +86,15 @@ class TestNullPoint:
 
         for _ in range(20):
             problem, _ = random_problem(rng)
-            point = null_point(problem)
-            assert np.allclose(problem.R @ point.beta0, problem.r, atol=1e-10)
-            assert np.allclose(point.mu0, problem.X @ point.beta0)
+            beta0 = null_point(problem)
+            assert np.allclose(problem.R @ beta0, problem.r, atol=1e-10)
+            assert not beta0.flags.writeable
 
     def test_identity_restriction_recovers_target(self, rng):
         X = rng.standard_normal((10, 2))
         r = np.array([1.5, -2.0])
         problem = RegressionProblem(X, np.eye(2), r)
-        point = null_point(problem)
-        assert np.allclose(point.beta0, r)
+        assert np.allclose(null_point(problem), r)
 
 
 class TestBoundaryVectors:
@@ -133,7 +146,9 @@ class TestAr1:
         a = sample_gaussian_ar1(0.9, 1.0, np.zeros(8), 8, seed=3)
         b = sample_gaussian_ar1(0.9, 1.0, np.zeros(8), 8, seed=3)
         c = sample_gaussian_ar1(0.9, 1.0, np.zeros(8), 8, seed=4)
+        d = sample_gaussian_ar1(0.9, 1.0, np.zeros(8), 8, seed=np.random.default_rng(3))
         assert np.array_equal(a, b)
+        assert np.array_equal(a, d)
         assert not np.array_equal(a, c)
 
     def test_sampler_scale_and_shift(self):

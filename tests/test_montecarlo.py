@@ -7,6 +7,7 @@ from hactest import (
     BARTLETT,
     AR1Grid,
     AR1Restricted,
+    DEFAULT_RHO_GRID,
     CalibrationNotApplicableError,
     EstimatorConfig,
     ExplicitList,
@@ -18,10 +19,8 @@ from hactest import (
     build_adjusted,
     calibrate_critical_value,
     constant_vector,
-    empirical_size,
     null_point,
     power_curve,
-    rejection_probability,
     simulate_statistics,
 )
 
@@ -106,29 +105,31 @@ class TestRates:
         problem = calibratable_problem(rng)
         mc = McConfig(replications=99, family=AR1Grid((0.0,)))
         with pytest.raises(ValueError, match="at least 100"):
-            rejection_probability(problem, mc, 1.0, cov=0.0, est_config=CONFIG)
-        with pytest.raises(ValueError, match="at least 100"):
-            empirical_size(problem, mc, 1.0, est_config=CONFIG)
+            power_curve(problem, mc, 1.0, (0.0,), est_config=CONFIG)
         with pytest.raises(ValueError, match="at least 100"):
             calibrate_critical_value(problem, mc, 0.2, est_config=CONFIG)
 
     def test_everything_rejects_at_critical_value_zero(self, rng):
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=1)
-        rate, ci = rejection_probability(problem, mc, 0.0, cov=0.0, est_config=CONFIG)
-        assert rate == 1.0 and ci == 0.0
+        curve = power_curve(problem, mc, 0.0, (0.0, 1.0), est_config=CONFIG)
+        assert all(p.rate == 1.0 and p.ci == 0.0 for p in curve.points)
 
     def test_empirical_size_reports_the_worst_member(self, rng):
+        # the empirical size is the null curve's max_rate; each member's rate
+        # is its one-member curve
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=2, family=AR1Grid((0.0, 0.9)))
-        rate_white, _ = rejection_probability(problem, mc, 3.0, cov=0.0, est_config=CONFIG)
-        rate_persistent, _ = rejection_probability(problem, mc, 3.0, cov=0.9, est_config=CONFIG)
-        report = empirical_size(problem, mc, 3.0, est_config=CONFIG)
-        assert report.max_rate == max(rate_white, rate_persistent)
-        expected = "0" if rate_white >= rate_persistent else "0.9"
-        assert report.argmax_label == expected
-        assert [p.label for p in report.curve.points] == ["0", "0.9"]
-        assert all(p.distance == 0.0 for p in report.curve.points)
+        curve = power_curve(problem, mc, 3.0, (0.0,), est_config=CONFIG)
+        alone = [
+            power_curve(problem, McConfig(replications=100, seed=2, family=AR1Grid((rho,))),
+                        3.0, (0.0,), est_config=CONFIG).max_rate
+            for rho in (0.0, 0.9)
+        ]
+        assert [p.rate for p in curve.points] == alone
+        assert curve.max_rate == max(alone)
+        assert [p.label for p in curve.points] == ["0", "0.9"]
+        assert all(p.distance == 0.0 for p in curve.points)
 
     def test_mcconfig_validation(self):
         with pytest.raises(ValueError, match="replications"):
@@ -137,8 +138,6 @@ class TestRates:
             McConfig(replications=100, seed=-1)
         with pytest.raises(ValueError, match="sigma"):
             McConfig(replications=100, sigma=0.0)
-        mc = McConfig(replications=100, beta_alternatives=[np.zeros(2)])
-        assert isinstance(mc.beta_alternatives, tuple)
 
 
 class TestCalibration:
@@ -154,16 +153,16 @@ class TestCalibration:
         assert set(result.rates) == {"-0.6", "0", "0.6"}
         assert max(result.rates.values()) == result.size
         # the reported size is reproducible through the public rate API
-        report = empirical_size(problem, mc, result.critical_value, est_config=CONFIG)
-        assert report.max_rate == result.size
+        null = power_curve(problem, mc, result.critical_value, (0.0,), est_config=CONFIG)
+        assert null.max_rate == result.size
 
     def test_size_is_monotone_in_the_critical_value(self, rng):
         problem = calibratable_problem(rng)
         mc = McConfig(replications=150, seed=4, family=AR1Grid((0.0, 0.9)))
         result = calibrate_critical_value(problem, mc, 0.1, est_config=CONFIG)
         c = result.critical_value
-        low = empirical_size(problem, mc, c / 2.0, est_config=CONFIG).max_rate
-        high = empirical_size(problem, mc, 2.0 * c, est_config=CONFIG).max_rate
+        low = power_curve(problem, mc, c / 2.0, (0.0,), est_config=CONFIG).max_rate
+        high = power_curve(problem, mc, 2.0 * c, (0.0,), est_config=CONFIG).max_rate
         assert low >= result.size >= high
 
     @pytest.mark.parametrize("family", [
@@ -189,6 +188,49 @@ class TestCalibration:
         cal = calibrate_critical_value(problem, mc, delta, est_config=CONFIG)
         assert len(calls) == 2 * mc.replications
         assert delta - cal.tol <= cal.size <= delta
+
+    def test_near_unit_root_members_each_report_a_rate(self, rng):
+        # both rhos print as "0.999999" under "%g"; each keeps its own rate
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=16, family=AR1Grid((0.9999991, 0.9999992)))
+        cal = calibrate_critical_value(problem, mc, 0.1, est_config=CONFIG)
+        assert set(cal.rates) == {"0.9999991", "0.9999992"}
+        assert max(cal.rates.values()) == cal.size
+
+    def test_default_grid_labels_are_short_and_round_trip(self):
+        members = hactest.montecarlo._family_members(AR1Grid(DEFAULT_RHO_GRID))
+        assert [label for label, _rho, _cov in members] == [f"{r:g}" for r in DEFAULT_RHO_GRID]
+
+    @staticmethod
+    def _fake_statistics(infinite_share):
+        """Statistics 1, 2, ..., reps per member, the top share of each set to +inf."""
+        def fake(engine, sim_problem, cov, betas, reps, seed, sigma):
+            out = np.tile(np.arange(1.0, reps + 1.0), (len(betas), 1))
+            out[:, reps - round(infinite_share[cov] * reps):] = np.inf
+            return out
+        return fake
+
+    @pytest.mark.parametrize("white_share", [1.0, 0.0])
+    def test_infinite_statistics_stop_the_bracket_search(self, rng, monkeypatch, white_share):
+        # more than a delta share of +inf statistics leaves no finite cutoff;
+        # with a finite white member the doubling starts finite and overflows
+        fake = self._fake_statistics({0.0: white_share, 0.5: 0.3})
+        monkeypatch.setattr(hactest.montecarlo, "_statistics", fake)
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=17, family=AR1Grid((0.0, 0.5)))
+        with pytest.raises(CalibrationNotApplicableError, match="infinite"):
+            calibrate_critical_value(problem, mc, 0.2, est_config=CONFIG)
+
+    def test_a_few_infinite_statistics_still_calibrate(self, rng, monkeypatch):
+        # the starting quantile is infinite, but a delta share of infinities
+        # leaves a finite cutoff to find
+        fake = self._fake_statistics({0.0: 0.05, 0.5: 0.1})
+        monkeypatch.setattr(hactest.montecarlo, "_statistics", fake)
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=17, family=AR1Grid((0.0, 0.5)))
+        cal = calibrate_critical_value(problem, mc, 0.2, est_config=CONFIG)
+        assert np.isfinite(cal.critical_value) and np.isfinite(cal.c_hi)
+        assert 0.2 - cal.tol <= cal.size <= 0.2
 
     def test_trivial_level_calibrates_to_zero(self, rng):
         problem = calibratable_problem(rng)
@@ -270,7 +312,7 @@ class TestPowerCurve:
         # member and beta simulated alone
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=14, family=AR1Grid((-0.5, 0.0, 0.8)), sigma=1.5)
-        beta0 = null_point(problem).beta0
+        beta0 = null_point(problem)
         pull = problem.R.T @ np.linalg.solve(problem.R @ problem.R.T, np.ones(1))
         distances = (0.0, 0.5, 2.0)
         curve = power_curve(problem, mc, 2.0, distances, est_config=CONFIG)
@@ -306,25 +348,9 @@ class TestPowerCurve:
         assert set(as_json) == {"rho", "distance", "rate", "ci"}
         assert as_json["rho"] == "0"
 
-    def test_explicit_alternatives_take_over_when_distances_omitted(self, rng):
-        problem = calibratable_problem(rng)
-        beta_alt = np.array([0.0, 0.0, 2.0])
-        mc = McConfig(
-            replications=100,
-            seed=10,
-            family=AR1Grid((0.0,)),
-            beta_alternatives=(beta_alt,),
-        )
-        curve = power_curve(problem, mc, 3.0, est_config=CONFIG)
-        (point,) = curve.points
-        # labeled by the standardized violation length |R beta - r| / sigma
-        assert point.distance == pytest.approx(2.0)
-
     def test_direction_and_distance_validation(self, rng):
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=11, family=AR1Grid((0.0,)))
-        with pytest.raises(ValueError, match="distances or"):
-            power_curve(problem, mc, 3.0, est_config=CONFIG)
         with pytest.raises(ValueError, match="nonnegative"):
             power_curve(problem, mc, 3.0, (-1.0,), est_config=CONFIG)
         with pytest.raises(ValueError, match="direction"):
@@ -335,7 +361,14 @@ class TestPowerCurve:
             power_curve(
                 problem, mc, 3.0, (1.0,), est_config=CONFIG, direction=np.ones(2)
             )
-        short = McConfig(replications=100, seed=11, family=AR1Grid((0.0,)),
-                         beta_alternatives=(np.zeros(2),))
-        with pytest.raises(ValueError, match="beta"):
-            power_curve(problem, short, 3.0, est_config=CONFIG)
+        # a NaN cutoff used to compare false everywhere and report rate 0
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="critical value must be finite"):
+                power_curve(problem, mc, bad, (0.0,), est_config=CONFIG)
+
+    def test_near_unit_root_members_keep_distinct_labels(self, rng):
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=15, family=AR1Grid((0.9999991, 0.9999992)))
+        curve = power_curve(problem, mc, 3.0, (0.0,), est_config=CONFIG)
+        assert [p.label for p in curve.points] == ["0.9999991", "0.9999992"]
+        assert [float(p.label) for p in curve.points] == [p.rho for p in curve.points]

@@ -12,3 +12,20 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
     assert "fit_var_ols" not in hactest.__all__
     fields = {f.name for f in dataclasses.fields(hactest.McConfig)}
     assert "parallel_chunks" not in fields
+
+
+def test_single_path_names_and_dead_fields_stay_gone():
+    # the empirical size is power_curve(..., (0.0,)).max_rate; null_point
+    # returns beta0; the AR(1) sampler and Gamma_i live in tests/oracles.py
+    for name in ("rejection_probability", "empirical_size", "SizeReport",
+                 "NullPoint", "sample_gaussian_ar1", "compute_gamma"):
+        assert not hasattr(hactest, name), name
+        assert name not in hactest.__all__, name
+    assert len(hactest.__all__) == 75
+
+    def field_names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert field_names(hactest.McConfig) == {"replications", "seed", "family", "sigma"}
+    assert "y" not in field_names(hactest.RegressionProblem)
+    assert "original_config" not in field_names(hactest.AdjustedProblem)

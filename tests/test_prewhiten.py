@@ -11,7 +11,6 @@ from hactest import (
     RegressionProblem,
     assemble_omega,
     classify_definiteness,
-    compute_gamma,
     default_rule,
     get_kernel,
     kernel_eval,
@@ -120,25 +119,6 @@ class TestVarFit:
         assert fit is None
 
 
-class TestGamma:
-    def test_matches_oracle(self, rng):
-        Z = rng.standard_normal((2, 7))
-        for lag in range(-6, 7):
-            got = compute_gamma(Z, lag)
-            assert np.allclose(got, gamma_oracle(Z, lag), rtol=1e-12, atol=1e-14)
-
-    def test_negative_lag_is_transpose(self, rng):
-        Z = rng.standard_normal((3, 9))
-        assert np.array_equal(compute_gamma(Z, -2), compute_gamma(Z, 2).T)
-
-    def test_rejects_out_of_range_lag(self, rng):
-        Z = rng.standard_normal((2, 5))
-        with pytest.raises(ValueError, match="lag"):
-            compute_gamma(Z, 5)
-        with pytest.raises(ValueError, match="lag"):
-            compute_gamma(Z, -5)
-
-
 class TestKernelLagSum:
     @pytest.mark.parametrize("m_value", [0.0, 1.5, 2.5, 7.0])
     def test_matches_double_loop_oracle(self, rng, m_value):
@@ -151,16 +131,16 @@ class TestKernelLagSum:
         Z = rng.standard_normal((3, 8))
         kernel = get_kernel("qs")
         m_value = 3.25
-        want = compute_gamma(Z, 0)
+        want = gamma_oracle(Z, 0)
         for i in range(1, 8):
             w = kernel_eval(kernel, i / m_value)
-            want = want + w * (compute_gamma(Z, i) + compute_gamma(Z, i).T)
+            want = want + w * (gamma_oracle(Z, i) + gamma_oracle(Z, -i))
         got = _kernel_lag_sum(Z, kernel, m_value)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_zero_bandwidth_keeps_lag_zero_only(self, rng):
         Z = rng.standard_normal((2, 6))
-        assert np.allclose(_kernel_lag_sum(Z, BARTLETT, 0.0), compute_gamma(Z, 0))
+        assert np.allclose(_kernel_lag_sum(Z, BARTLETT, 0.0), gamma_oracle(Z, 0))
 
 
 class TestOmegaOutcome:
@@ -172,6 +152,15 @@ class TestOmegaOutcome:
         assert out.psi[0, 0] == pytest.approx(1.0 / 7.0, rel=1e-15)
         assert out.omega[0, 0] == pytest.approx(1.0 / 56.0, rel=1e-14)
         assert classify_definiteness(out) == POSITIVE_DEFINITE
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_response_is_rejected(self, bad):
+        # an inf used to be reported as VarRankDeficient
+        problem, y, config = location_model()
+        y = np.array(y, dtype=float)
+        y[2] = bad
+        with pytest.raises(ValueError, match="y must be finite"):
+            assemble_omega(problem, y, config)
 
     def test_span_response_is_var_rank_deficient(self, rng):
         problem, _ = random_problem(rng, n=10, k=2)

@@ -84,7 +84,7 @@ class TestInvariance:
         # T(alpha (y - mu0) + mu0 + X delta0) = T(y) whenever R delta0 = 0
         for config in config_grid()[:6]:
             problem, y = random_problem(rng, n=15, k=3, q=2)
-            mu0 = null_point(problem).mu0
+            mu0 = problem.X @ null_point(problem)
             # delta0 in the null space of R
             _, _, vt = np.linalg.svd(problem.R)
             delta0 = vt[2:].T @ rng.standard_normal(1)
@@ -243,7 +243,38 @@ class TestAdjustedStatistic:
         problem, y = random_problem(rng, n=16, k=2, q=1)
         config = EstimatorConfig(BARTLETT, default_rule("andrews", "bartlett"), p=1)
         adjusted = build_adjusted(problem, config)
-        mu0 = null_point(adjusted.problem).mu0
+        mu0 = adjusted.problem.X @ null_point(adjusted.problem)
         base = adjusted_statistic(adjusted, y)
         moved = adjusted_statistic(adjusted, -3.0 * (y - mu0) + mu0)
         assert moved.t_value == pytest.approx(base.t_value, rel=1e-8)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_single_y_entry_points_reject_non_finite_responses(self, rng, bad):
+        # an inf used to come back as VarRankDeficient, a NaN as LinAlgError
+        problem, y = random_problem(rng, n=14, k=2, q=1)
+        config = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)
+        adjusted = build_adjusted(problem, config)
+        y[5] = bad
+        with pytest.raises(ValueError, match="y must be finite"):
+            evaluate(problem, y, config)
+        with pytest.raises(ValueError, match="y must be finite"):
+            adjusted_statistic(adjusted, y)
+
+    def test_single_y_entry_points_reject_wrong_length_responses(self, rng):
+        problem, y = random_problem(rng, n=14, k=2, q=1)
+        config = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)
+        with pytest.raises(ValueError, match="y has length 13, expected n = 14"):
+            evaluate(problem, y[:-1], config)
+        with pytest.raises(ValueError, match="y has length 13, expected n = 14"):
+            adjusted_statistic(build_adjusted(problem, config), y[:-1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_critical_value_is_rejected(self, rng, bad):
+        problem, y = random_problem(rng, n=14, k=2, q=1)
+        config = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)
+        with pytest.raises(ValueError, match="critical value must be finite"):
+            evaluate(problem, y, config, bad)
+        with pytest.raises(ValueError, match="critical value must be finite"):
+            adjusted_statistic(build_adjusted(problem, config), y, bad)
