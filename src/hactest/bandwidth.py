@@ -11,7 +11,8 @@ Three rules are provided:
   the residual length (``M = b * (n - p)``) or an explicit constant.
 
 The data-driven rules can be *undefined* at degenerate inputs (an exact-zero
-denominator, a unit AR(1) root); that is reported as a typed
+denominator, a unit AR(1) root, or a plug-in value that over- or underflows
+to a non-finite number at extreme scales); that is reported as a typed
 :class:`BandwidthOutcome` rather than an exception, because undefinedness of
 the estimator at specific response vectors is part of the object under study.
 Zero-denominator detection is exact-zero on the computed floating-point sums,
@@ -33,6 +34,7 @@ RHO_UNDEFINED = "RhoUndefined"
 RHO_UNIT = "RhoUnit"
 SIGMA_ALL_ZERO = "SigmaAllZero"
 DENOMINATOR_ZERO = "DenominatorZero"
+PLUG_IN_NOT_FINITE = "PlugInNotFinite"
 
 #: omega presets accepted wherever a weight vector is expected
 OMEGA_PRESETS = ("ones", "zero-first")
@@ -268,7 +270,7 @@ def bandwidth_am(Z: np.ndarray, rule: AndrewsRule, n: int) -> BandwidthOutcome:
     else:
         num_alpha = float(omega @ (4.0 * rho**2 * s4 / one_minus**8))
     alpha = num_alpha / den_alpha
-    return BandwidthOutcome.of(rule.c1 * (alpha * n) ** rule.c2)
+    return _plug_in(rule.c1 * (alpha * n) ** rule.c2)
 
 
 def rectangular_cutoff(n: int) -> int:
@@ -304,17 +306,26 @@ def bandwidth_nw(Z: np.ndarray, rule: NeweyWestRule, n: int) -> BandwidthOutcome
     omega = resolve_omega(rule.omega, k)
 
     s = omega @ Z
-    sbar = np.empty(m)
-    for i in range(m):
-        sbar[i] = s[i:] @ s[: m - i] / m
     w = _nw_weights(rule, m, n)
+    # only weighted lags contribute; the rest stay exact zeros, which leave
+    # both dot products below bitwise unchanged
+    sbar = np.zeros(m)
+    for i in np.flatnonzero(w):
+        sbar[i] = s[i:] @ s[: m - i] / m
     lags = np.arange(m)
     # the |i| sums run over negative and positive lags; sbar is even in the lag
     den = float(w[0] * sbar[0] + 2.0 * (w[1:] @ sbar[1:]))
     if den == 0.0:
         return BandwidthOutcome.undefined(DENOMINATOR_ZERO)
     num = float(2.0 * ((lags[1:] ** rule.cbar1 * w[1:]) @ sbar[1:]))
-    return BandwidthOutcome.of(rule.cbar2 * ((num / den) ** 2 * n) ** rule.cbar3)
+    return _plug_in(rule.cbar2 * ((num / den) ** 2 * n) ** rule.cbar3)
+
+
+def _plug_in(m: float) -> BandwidthOutcome:
+    """A plug-in bandwidth, or PlugInNotFinite when its sums over- or underflowed."""
+    if not math.isfinite(m):
+        return BandwidthOutcome.undefined(PLUG_IN_NOT_FINITE)
+    return BandwidthOutcome.of(m)
 
 
 def bandwidth_kv(rule: FixedBRule, n: int, p: int) -> BandwidthOutcome:

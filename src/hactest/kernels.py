@@ -122,11 +122,11 @@ def get_kernel(name: str) -> KernelSpec:
         ) from None
 
 
-def toeplitz_weights(kernel: KernelSpec, m: int, bandwidth: float) -> np.ndarray:
-    """The m x m Toeplitz matrix with entries kappa((i-j)/bandwidth).
+def lag_weights(kernel: KernelSpec, m: int, bandwidth: float) -> np.ndarray:
+    """The weights kappa(i/bandwidth) at lags i = 0 .. m-1.
 
-    A zero bandwidth means "keep only lag zero": off-diagonal weights are 0
-    and the result is the identity.
+    The kernel is evaluated at lags 1 .. m-1 only; lag 0 weighs exactly 1.0.
+    A zero bandwidth means "keep only lag zero": every other weight is 0.
     """
     m = int(m)
     if m < 1:
@@ -134,11 +134,22 @@ def toeplitz_weights(kernel: KernelSpec, m: int, bandwidth: float) -> np.ndarray
     bandwidth = float(bandwidth)
     if bandwidth < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
-    if bandwidth == 0.0:
-        return np.eye(m)
-    vals = kernel.evaluate(np.arange(m) / bandwidth)
-    idx = np.arange(m)
-    return vals[np.abs(idx[:, None] - idx[None, :])]
+    w = np.zeros(m)
+    w[0] = 1.0
+    if bandwidth > 0.0 and m > 1:
+        w[1:] = kernel.evaluate(np.arange(1, m) / bandwidth)
+    return w
+
+
+def toeplitz_weights(kernel: KernelSpec, m: int, bandwidth: float) -> np.ndarray:
+    """The m x m Toeplitz matrix with entries kappa((i-j)/bandwidth).
+
+    Built from :func:`lag_weights`, so the diagonal is exactly 1.0 and a zero
+    bandwidth gives the identity.
+    """
+    w = lag_weights(kernel, m, bandwidth)
+    idx = np.arange(w.size)
+    return w[np.abs(idx[:, None] - idx[None, :])]
 
 
 def register_kernel(kernel: KernelSpec, *, trials: int = 100, seed: int = 0) -> KernelSpec:

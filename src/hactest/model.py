@@ -41,7 +41,8 @@ class RegressionProblem:
     r : (q,) ndarray
         Restriction value.
 
-    Every entry must be finite.  The response y is not part of the problem:
+    Every entry must be finite.  The problem keeps read-only copies, so the
+    caller's arrays stay its own.  The response y is not part of the problem:
     operations take it separately, so one problem serves many responses.
     """
 
@@ -69,9 +70,9 @@ class RegressionProblem:
             raise ValueError("R must have full row rank q")
         if r.shape != (q,):
             raise ValueError(f"r has length {r.size}, expected q = {q}")
-        object.__setattr__(self, "X", readonly(X))
-        object.__setattr__(self, "R", readonly(R))
-        object.__setattr__(self, "r", readonly(r))
+        object.__setattr__(self, "X", readonly(X.copy()))
+        object.__setattr__(self, "R", readonly(R.copy()))
+        object.__setattr__(self, "r", readonly(r.copy()))
 
     @property
     def n(self) -> int:

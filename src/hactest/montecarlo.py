@@ -58,6 +58,11 @@ class CalibrationNotApplicableError(ValueError):
     """No critical value can control the size of this (unadjusted) test."""
 
 
+def _check_sigma(sigma) -> None:
+    if not check_finite("sigma", sigma) > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Replication count, seeding, and the covariance family of a study."""
@@ -72,8 +77,7 @@ class McConfig:
             raise ValueError(f"replications must be an integer >= 1, got {self.replications}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _check_sigma(self.sigma)
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -226,9 +230,8 @@ def simulate_statistics(
         raise ValueError(f"reps must be an integer >= 1, got {reps}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    beta = np.asarray(beta, dtype=float)
+    _check_sigma(sigma)
+    beta = check_finite("beta", beta)
     if beta.shape != (sim_problem.k,):
         raise ValueError(f"beta must have length {sim_problem.k}, got shape {beta.shape}")
     return _statistics(engine, sim_problem, cov, [beta], int(reps), int(seed), sigma)[0]
@@ -372,7 +375,7 @@ def power_curve(
     if direction is None:
         u = np.ones(q) / np.sqrt(q)
     else:
-        u = np.asarray(direction, dtype=float)
+        u = check_finite("direction", direction)
         if u.shape != (q,):
             raise ValueError(f"direction must have length {q}, got shape {u.shape}")
         norm = float(np.linalg.norm(u))
@@ -381,7 +384,7 @@ def power_curve(
         u = u / norm
     pull = sim_problem.R.T @ np.linalg.solve(sim_problem.R @ sim_problem.R.T, u)
     beta0 = null_point(sim_problem)
-    distances = [float(d) for d in distances]
+    distances = [float(d) for d in check_finite("distances", distances)]
     for d in distances:
         if d < 0:
             raise ValueError(f"distances must be nonnegative, got {d}")

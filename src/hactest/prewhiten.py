@@ -6,7 +6,9 @@ OLS residuals ``u``:
 1. fit a VAR(p) to ``V`` by least squares, keeping coefficient blocks
    ``A = (A_1, ..., A_p)`` and residuals ``Z``;
 2. smooth the sample autocovariances of ``Z`` with kernel weights
-   ``kappa(i / M)`` at a (possibly data-driven) bandwidth ``M``;
+   ``kappa(i / M)`` at a (possibly data-driven) bandwidth ``M``, computed
+   in its Toeplitz form ``Z W Z' / (n-p)`` with ``W`` the kernel Toeplitz
+   weight matrix ``[kappa((i-j)/M)]``, never built as a matrix;
 3. "recolor" through ``D = I - sum_l A_l``:  ``Psi = D^{-1} Psi_white D^{-T}``,
    and form ``Omega = n R (X'X)^{-1} Psi (X'X)^{-1} R'``.
 
@@ -16,12 +18,12 @@ bandwidth undefined (III).  Those outcomes are data, not errors: they are
 returned as typed :class:`OmegaOutcome` values, classified in the fixed
 precedence (I) -> (II) -> (III).
 
-``Omega`` also has an exact Toeplitz representation
-``Omega = (n/(n-p)) * B W B'`` with ``B = R (X'X)^{-1} D^{-1} Z`` and ``W`` the
-kernel Toeplitz weight matrix; this module assembles ``Omega`` from the lag
-sums of step 2, leaving the representation as an independent cross-check
-(see the test suite), and exposes ``B`` because the definiteness of ``Omega``
-is exactly the row rank of ``B``.
+Step 2 forms ``Z W`` by one convolution per row of ``Z`` rather than a loop
+over the ``n - p`` lags; its lag-by-lag expansion
+``sum_{|i| < n-p} kappa(i / M) Gamma_i`` is kept as the test suite's oracle.
+The same form gives ``Omega = (n/(n-p)) * B W B'`` with
+``B = R (X'X)^{-1} D^{-1} Z``; ``B`` is exposed because the definiteness of
+``Omega`` is exactly the row rank of ``B``.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from ._linalg import EPS, numeric_rank, solve_well_conditioned, symmetrize
 from .bandwidth import BandwidthOutcome, BandwidthRule, compute_bandwidth
-from .kernels import KernelSpec
+from .kernels import KernelSpec, lag_weights
 from .model import RegressionProblem, check_response
 
 #: OmegaOutcome.status values
@@ -190,20 +192,19 @@ class OmegaEngine:
 
 
 def _kernel_lag_sum(Z: np.ndarray, kernel: KernelSpec, m_value: float) -> np.ndarray:
-    """Step 2: sum_{|i| < m} kappa(i / M) Gamma_i, with the M = 0 convention.
+    """Step 2: sum_{|i| < m} kappa(i / M) Gamma_i = Z W Z' / m, with the M = 0 convention.
 
-    At M = 0 only the lag-zero term survives (off-lag weights are zero by
-    convention), so the sum collapses to Gamma_0.
+    ``Z W`` is one convolution per row of ``Z`` with the symmetric weights
+    cut to the last weighted lag, so a compact kernel at a small M costs
+    O(k m M), not O(k m^2).  At M = 0 only the lag-zero term survives (W is
+    the identity), so the sum collapses to Gamma_0.
     """
-    k, m = Z.shape
-    psi = Z @ Z.T
-    if m_value > 0.0 and m > 1:
-        w = kernel.evaluate(np.arange(1, m) / m_value)
-        for i in np.nonzero(w)[0]:
-            lag = int(i) + 1
-            s = Z[:, lag:] @ Z[:, : m - lag].T
-            psi += w[i] * (s + s.T)
-    return psi / m
+    m = Z.shape[1]
+    w = lag_weights(kernel, m, m_value)
+    reach = int(np.flatnonzero(w)[-1])
+    v = np.concatenate((w[reach:0:-1], w[: reach + 1]))
+    ZW = np.array([np.convolve(row, v)[reach : reach + m] for row in Z])
+    return ZW @ Z.T / m
 
 
 def assemble_omega(problem: RegressionProblem, y, config: EstimatorConfig) -> OmegaOutcome:

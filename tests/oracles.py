@@ -3,8 +3,10 @@
 Everything here is deliberately written with explicit Python loops over
 scalars (plus `math`), independent of the package's vectorized numpy
 routines, so that agreement between the two is evidence of correctness
-rather than shared code.  The one exception is the seeded AR(1) sampler at
-the end, a convenience that only tests need.
+rather than shared code.  The exceptions are the full-lag Newey-West
+bandwidth, which pins a bitwise equality and so keeps numpy's arithmetic,
+and the seeded AR(1) sampler at the end, a convenience that only tests
+need.
 """
 import math
 
@@ -105,6 +107,29 @@ def nw_bandwidth_oracle(Z, omega, cbar1, cbar2, cbar3, weights, n):
     for i in range(1, lmax + 1):
         num += 2.0 * i**cbar1 * weights[i] * sbar(i)
     return "ok", cbar2 * ((num / den) ** 2 * n) ** cbar3
+
+
+def nw_bandwidth_full_lag_oracle(Z, omega, weights, cbar1, cbar2, cbar3, n):
+    """The Newey-West bandwidth with an autocovariance at every lag 0 .. m-1.
+
+    Unlike the scalar oracles this one keeps the library's numpy arithmetic
+    (``weights`` is the resolved length-m weight vector): the library
+    computes autocovariances only at weighted lags, and agreement with this
+    full-lag form must be bitwise.  Returns M, or None for DenominatorZero.
+    """
+    Z = np.asarray(Z, dtype=float)
+    m = Z.shape[1]
+    s = np.asarray(omega, dtype=float) @ Z
+    sbar = np.empty(m)
+    for i in range(m):
+        sbar[i] = s[i:] @ s[: m - i] / m
+    w = np.asarray(weights, dtype=float)
+    lags = np.arange(m)
+    den = float(w[0] * sbar[0] + 2.0 * (w[1:] @ sbar[1:]))
+    if den == 0.0:
+        return None
+    num = float(2.0 * ((lags[1:] ** cbar1 * w[1:]) @ sbar[1:]))
+    return cbar2 * ((num / den) ** 2 * n) ** cbar3
 
 
 def rectangular_cutoff_oracle(n):

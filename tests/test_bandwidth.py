@@ -20,11 +20,13 @@ from hactest.bandwidth import (
     RHO_UNDEFINED,
     RHO_UNIT,
     SIGMA_ALL_ZERO,
+    _nw_weights,
 )
 
 from .oracles import (
     am_bandwidth_oracle,
     am_sigma2_oracle,
+    nw_bandwidth_full_lag_oracle,
     nw_bandwidth_oracle,
     rectangular_cutoff_oracle,
 )
@@ -229,6 +231,33 @@ class TestNeweyWestBandwidth:
             status, want = nw_bandwidth_oracle(Z, np.ones(k), cbar1, cbar2, cbar3, wlist, n)
             assert status == "ok" and got.is_defined
             assert got.m == pytest.approx(want, rel=1e-12)
+
+    def test_weighted_lags_only_is_bitwise_the_full_lag_sum(self, rng):
+        # zero-weight lags contributed exact zeros to both sums, so skipping
+        # their autocovariances leaves M bitwise unchanged
+        for trial in range(240):
+            k = int(rng.integers(1, 5))
+            m = int(rng.integers(2, 121))
+            n = m + int(rng.integers(1, 4))
+            Z = rng.standard_normal((k, m))
+            if trial % 3 == 0:
+                weights = None
+            elif trial % 3 == 1:
+                weights = int(rng.integers(0, m + 2))
+            else:
+                w = rng.uniform(0.0, 1.0, size=int(rng.integers(1, m + 3)))
+                w[rng.random(w.size) < 0.5] = 0.0  # interior zeros
+                w[0] = 1.0
+                weights = tuple(w)
+            omega = rng.uniform(0.0, 2.0, size=k)
+            omega[int(rng.integers(0, k))] = 1.0
+            rule = NeweyWestRule(cbar1=int(rng.integers(1, 3)), cbar2=float(rng.uniform(0.5, 3.0)),
+                                 cbar3=float(rng.uniform(0.1, 0.6)), omega=tuple(omega),
+                                 weights=weights)
+            got = bandwidth_nw(Z, rule, n)
+            want = nw_bandwidth_full_lag_oracle(Z, omega, _nw_weights(rule, m, n),
+                                                rule.cbar1, rule.cbar2, rule.cbar3, n)
+            assert got.is_defined and got.m == want
 
     def test_omega_projection_changes_the_series(self, rng):
         Z = rng.standard_normal((2, 12))

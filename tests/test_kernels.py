@@ -96,6 +96,28 @@ class TestToeplitzWeights:
         want = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
+    def test_unit_diagonal_and_one_evaluation_per_off_lag(self, kernel, rng):
+        seen = []
+
+        def evaluate(x):
+            seen.append(np.array(x))
+            return kernel.evaluate(x)
+
+        counting = KernelSpec(kernel.name, evaluate, kernel.nondifferentiable_points,
+                              kernel.compact_support)
+        for m in (1, 2, 5, 40, 97):
+            bw = float(rng.uniform(0.01, 2.0 * m))
+            seen.clear()
+            w = toeplitz_weights(counting, m, bw)
+            assert np.all(np.diag(w) == 1.0)
+            if m == 1:
+                assert seen == []
+                continue
+            assert len(seen) == 1 and np.array_equal(seen[0], np.arange(1, m) / bw)
+            assert np.array_equal(w[0, 1:], kernel.evaluate(np.arange(1, m) / bw))
+            assert np.array_equal(w, w.T)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             toeplitz_weights(BARTLETT, 0, 1.0)

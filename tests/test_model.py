@@ -32,6 +32,17 @@ class TestRegressionProblem:
         with pytest.raises(ValueError):
             problem.R[0, 0] = 5.0
 
+    def test_callers_arrays_stay_writable_and_detached(self, rng):
+        # the problem used to freeze the caller's own arrays in place
+        X, R, r = rng.standard_normal((10, 2)), np.eye(2), np.zeros(2)
+        problem = RegressionProblem(X, R, r)
+        kept = [problem.X.copy(), problem.R.copy(), problem.r.copy()]
+        X[0, 0] = 1.0e3
+        R[1, 0] = 7.0
+        r[0] = -2.0
+        for got, want in zip((problem.X, problem.R, problem.r), kept):
+            assert np.array_equal(got, want)
+
     def test_rejects_rank_deficient_design(self, rng):
         z = rng.standard_normal(10)
         X = np.column_stack([z, 2.0 * z])

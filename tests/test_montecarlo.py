@@ -90,6 +90,21 @@ class TestSimulateStatistics:
         with pytest.raises(ValueError, match="est_config"):
             simulate_statistics(problem, cov=0.0, beta=np.zeros(2), reps=5, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_is_rejected(self, rng, bad):
+        # used to reach the statistic and raise LinAlgError
+        problem, _ = random_problem(rng, n=10, k=2)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            simulate_statistics(problem, cov=0.0, beta=np.zeros(2), reps=5, seed=0,
+                                sigma=bad, est_config=CONFIG)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_beta_is_rejected(self, rng, bad):
+        problem, _ = random_problem(rng, n=10, k=2)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            simulate_statistics(problem, cov=0.0, beta=np.array([bad, 0.0]), reps=5, seed=0,
+                                est_config=CONFIG)
+
     def test_adjusted_target_simulates_from_the_original_design(self, rng):
         problem, _ = random_problem(rng, n=12, k=2, q=1, r_zero=True)
         adjusted = build_adjusted(problem, CONFIG)
@@ -138,6 +153,12 @@ class TestRates:
             McConfig(replications=100, seed=-1)
         with pytest.raises(ValueError, match="sigma"):
             McConfig(replications=100, sigma=0.0)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mcconfig_rejects_non_finite_sigma(self, bad):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            McConfig(replications=100, sigma=bad)
 
 
 class TestCalibration:
@@ -365,6 +386,21 @@ class TestPowerCurve:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="critical value must be finite"):
                 power_curve(problem, mc, bad, (0.0,), est_config=CONFIG)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_direction_is_rejected(self, rng, bad):
+        # a NaN direction used to pass the zero-norm test
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=11, family=AR1Grid((0.0,)))
+        with pytest.raises(ValueError, match="direction must be finite"):
+            power_curve(problem, mc, 3.0, (1.0,), est_config=CONFIG, direction=np.array([bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distance_is_rejected(self, rng, bad):
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=11, family=AR1Grid((0.0,)))
+        with pytest.raises(ValueError, match="distances must be finite"):
+            power_curve(problem, mc, 3.0, (0.0, bad), est_config=CONFIG)
 
     def test_near_unit_root_members_keep_distinct_labels(self, rng):
         problem = calibratable_problem(rng)

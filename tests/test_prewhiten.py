@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from hactest import (
     get_kernel,
     kernel_eval,
 )
-from hactest.bandwidth import DENOMINATOR_ZERO
+from hactest.bandwidth import DENOMINATOR_ZERO, PLUG_IN_NOT_FINITE
 from hactest.prewhiten import (
     BANDWIDTH_UNDEFINED,
     POSITIVE_DEFINITE,
@@ -120,12 +122,16 @@ class TestVarFit:
 
 
 class TestKernelLagSum:
-    @pytest.mark.parametrize("m_value", [0.0, 1.5, 2.5, 7.0])
+    # M = 0, M < 1 (lag zero only for compact kernels), M inside and past the order
+    @pytest.mark.parametrize("m_value", [0.0, 0.6, 1.5, 2.5, 7.0, 150.0])
     def test_matches_double_loop_oracle(self, rng, m_value):
-        Z = rng.standard_normal((2, 6))
-        got = _kernel_lag_sum(Z, BARTLETT, m_value)
-        want = kernel_lag_sum_oracle(Z, lambda x: kernel_eval(BARTLETT, x), m_value)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        for kernel in (BARTLETT, get_kernel("parzen"), get_kernel("qs")):
+            weight = functools.lru_cache(maxsize=None)(lambda x: kernel_eval(kernel, x))
+            for m in (1, 2, 6, 17, 97):
+                Z = rng.standard_normal((2, m))
+                got = _kernel_lag_sum(Z, kernel, m_value)
+                want = kernel_lag_sum_oracle(Z, weight, m_value)
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_matches_gamma_expansion(self, rng):
         Z = rng.standard_normal((3, 8))
@@ -193,6 +199,23 @@ class TestOmegaOutcome:
         assert out.reason == BANDWIDTH_UNDEFINED
         assert out.bandwidth is not None
         assert out.bandwidth.reason == DENOMINATOR_ZERO
+
+    @pytest.mark.parametrize("kind, kernel, scale", [
+        ("andrews", "qs", 1e-160), ("andrews", "qs", 1e80), ("andrews", "qs", 1e120),
+        ("newey-west", "bartlett", 1e-160),
+    ])
+    def test_non_finite_plug_in_bandwidth_is_a_typed_reason(self, kind, kernel, scale):
+        # the plug-in sums over- or underflow at these scales; the bandwidth
+        # used to raise "defined bandwidth must be finite"
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((30, 2))
+        y = rng.standard_normal(30)
+        problem = RegressionProblem(X, np.array([[1.0, 0.0]]), np.zeros(1))
+        config = EstimatorConfig(get_kernel(kernel), default_rule(kind, kernel), p=1)
+        with np.errstate(all="ignore"):
+            out = assemble_omega(problem, y * scale, config)
+        assert out.reason == BANDWIDTH_UNDEFINED
+        assert out.bandwidth.reason == PLUG_IN_NOT_FINITE
 
     def test_well_defined_pieces_fit_together(self, rng):
         for config in config_grid():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,15 @@ from hactest import (
     build_adjusted,
     constant_vector,
     default_rule,
+    get_kernel,
+    kernel_eval,
     null_point,
     select_scenario,
 )
 from hactest import TestEngine as Engine
+from hactest import prewhiten
 from hactest import test_statistic as evaluate
+from hactest.model import _ar1_path
 from hactest.testing import (
     REASON_ADJUSTMENT_UNNECESSARY,
     REASON_HYPOTHESIS_INVOLVES_INTERCEPT,
@@ -27,6 +33,7 @@ from hactest.testing import (
 )
 
 from .conftest import config_grid, random_problem
+from .oracles import kernel_lag_sum_oracle
 from .test_prewhiten import location_model
 
 
@@ -76,6 +83,34 @@ class TestStatistic:
         a = engine.result(y)
         b = evaluate(problem, y, config)
         assert a.t_value == b.t_value and a.defined == b.defined
+
+    @pytest.mark.parametrize("design_seed, n, kind, kernel, p", [
+        (20260507, 40, "newey-west", "bartlett", 1),  # the calibrate benchmark design
+        (20260508, 100, "andrews", "qs", 2),  # the study benchmark design
+    ])
+    def test_benchmark_designs_match_the_lag_expansion(self, monkeypatch, design_seed, n,
+                                                       kind, kernel, p):
+        X = np.random.default_rng(design_seed).standard_normal((n, 2))
+        problem = RegressionProblem(X, np.array([[1.0, 0.0]]), np.zeros(1))
+        config = EstimatorConfig(get_kernel(kernel), default_rule(kind, kernel), p=p)
+        adjusted = build_adjusted(problem, config)
+        engine = Engine(adjusted.problem, adjusted.config)
+        mu0 = X @ null_point(problem)
+        draws = np.random.default_rng(design_seed + 1).standard_normal((3, n))
+        ys = [mu0 + d * X[:, 0] + _ar1_path(rho, z)
+              for rho in (-0.9, 0.3, 0.99, 0.9999) for d, z in zip((0.0, 2.0, 5.0), draws)]
+        ys += [constant_vector(n), alternating_vector(n), X @ np.array([1.0, -2.0])]
+        got = [engine.result(y) for y in ys]
+
+        weight = functools.lru_cache(maxsize=None)(lambda x: kernel_eval(config.kernel, x))
+        monkeypatch.setattr(prewhiten, "_kernel_lag_sum",
+                            lambda Z, _kernel, m_value: kernel_lag_sum_oracle(Z, weight, m_value))
+        want = [engine.result(y) for y in ys]
+        assert any(w.defined for w in want) and any(not w.defined for w in want)
+        for g, w in zip(got, want):
+            assert (g.defined, g.omega.status, g.omega.reason) == (w.defined, w.omega.status,
+                                                                    w.omega.reason)
+            assert abs(g.t_value - w.t_value) <= 1e-12 * max(1.0, w.t_value)
 
 
 class TestInvariance:
