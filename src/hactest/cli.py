@@ -68,6 +68,17 @@ def _parse_floats(text: str) -> tuple:
 
 
 def _build_rule(rule_name, kernel_name, omega, b_frac, m_value, c1, c2, c3, j_exp):
+    reads = {
+        "fixed-b": ("--b", "--m"),
+        "andrews": ("--j", "--c1", "--c2"),
+        "newey-west": ("--c1", "--c2", "--c3"),
+    }[rule_name]
+    given = {"--b": b_frac, "--m": m_value, "--c1": c1, "--c2": c2, "--c3": c3, "--j": j_exp}
+    unread = [flag for flag, v in given.items() if v is not None and flag not in reads]
+    if unread:
+        raise ValueError(f"the {rule_name} rule does not read {', '.join(unread)}")
+    if b_frac is not None and m_value is not None:
+        raise ValueError("pass one of --b and --m, not both")
     omega_val = _parse_omega(omega)
     if rule_name == "fixed-b":
         if m_value is not None:

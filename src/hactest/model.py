@@ -95,6 +95,17 @@ def check_response(problem: RegressionProblem, y) -> np.ndarray:
     return y
 
 
+def _check_rhos(rhos, epsilon: float = 0.0) -> tuple[float, ...]:
+    """``rhos`` as a non-empty tuple of floats, each in (-1 + epsilon, 1)."""
+    rhos = tuple(float(v) for v in rhos)
+    if not rhos:
+        raise ValueError("rho grid must be non-empty")
+    for v in rhos:
+        if not -1.0 + epsilon < v < 1.0:
+            raise ValueError(f"AR(1) parameter rho must lie in ({-1.0 + epsilon}, 1), got {v}")
+    return rhos
+
+
 @dataclass(frozen=True)
 class AR1Grid:
     """Covariance family {Lambda(rho) : rho in rhos}, each rho in (-1, 1)."""
@@ -102,13 +113,7 @@ class AR1Grid:
     rhos: tuple[float, ...]
 
     def __post_init__(self):
-        rhos = tuple(float(v) for v in self.rhos)
-        if not rhos:
-            raise ValueError("rho grid must be non-empty")
-        for v in rhos:
-            if not abs(v) < 1.0:
-                raise ValueError(f"AR(1) parameter must satisfy |rho| < 1, got {v}")
-        object.__setattr__(self, "rhos", rhos)
+        object.__setattr__(self, "rhos", _check_rhos(self.rhos))
 
 
 @dataclass(frozen=True)
@@ -122,17 +127,8 @@ class AR1Restricted:
         eps = float(self.epsilon)
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
-        rhos = tuple(float(v) for v in self.rhos)
-        if not rhos:
-            raise ValueError("rho grid must be non-empty")
-        for v in rhos:
-            if not (-1.0 + eps < v < 1.0):
-                raise ValueError(
-                    f"rho = {v} outside the restricted range (-1+epsilon, 1) "
-                    f"with epsilon = {eps}"
-                )
         object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "rhos", rhos)
+        object.__setattr__(self, "rhos", _check_rhos(self.rhos, eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +142,7 @@ class ExplicitList:
         if len(self.matrices) == 0:
             raise ValueError("explicit covariance family must be non-empty")
         for i, m in enumerate(self.matrices):
-            m = np.atleast_2d(np.asarray(m, dtype=float))
+            m = np.atleast_2d(check_finite(f"covariance matrix {i}", m))
             if m.shape[0] != m.shape[1]:
                 raise ValueError(f"covariance matrix {i} is not square")
             if not np.allclose(m, m.T):
@@ -182,9 +178,7 @@ def ar1_matrix(rho: float, n: int) -> np.ndarray:
     n : int
         Dimension, n >= 1.
     """
-    rho = float(rho)
-    if not abs(rho) < 1.0:
-        raise ValueError(f"AR(1) parameter must satisfy |rho| < 1, got {rho}")
+    (rho,) = _check_rhos((rho,))
     n = int(n)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")

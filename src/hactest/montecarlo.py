@@ -10,9 +10,9 @@ bisection.
 
 The innovations of replication ``idx`` of a run seeded ``s`` depend only
 on ``(s, idx)``: they come from ``default_rng(SeedSequence((s, idx)))``, so
-rates are bitwise reproducible and every family member and alternative sees
-the same draws.  Each replication is drawn once per member and shared by
-every alternative evaluated on it.
+rates are bitwise reproducible.  Each replication is drawn once per call and
+shared by every family member and every alternative: each member maps the
+same standard normal draw to its own errors.
 
 Calibrating the *unadjusted* test is refused (CalibrationNotApplicableError)
 unless both boundary directions lie harmlessly inside the regression span:
@@ -58,11 +58,6 @@ class CalibrationNotApplicableError(ValueError):
     """No critical value can control the size of this (unadjusted) test."""
 
 
-def _check_sigma(sigma) -> None:
-    if not check_finite("sigma", sigma) > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-
-
 @dataclass(frozen=True)
 class McConfig:
     """Replication count, seeding, and the covariance family of a study."""
@@ -77,7 +72,8 @@ class McConfig:
             raise ValueError(f"replications must be an integer >= 1, got {self.replications}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        _check_sigma(self.sigma)
+        if not check_finite("sigma", self.sigma) > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -151,20 +147,13 @@ def _family_members(family: CovarianceFamily):
 
 
 def _make_sampler(cov, n: int):
-    """Turn a rho or covariance matrix into a draw of u ~ N(0, Sigma)."""
-    if isinstance(cov, (int, float, np.floating, np.integer)):
-        rho = float(cov)
-        if not abs(rho) < 1:
-            raise ValueError(f"AR(1) parameter must satisfy |rho| < 1, got {rho}")
-        return lambda rng: _ar1_path(rho, rng.standard_normal(n))
-    mat = np.asarray(cov, dtype=float)
-    if mat.shape != (n, n):
-        raise ValueError(f"covariance matrix must be {n} x {n}, got {mat.shape}")
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance matrix is not positive definite") from exc
-    return lambda rng: chol @ rng.standard_normal(n)
+    """Map a standard normal n-vector z to u ~ N(0, Sigma) for a validated family member."""
+    if np.ndim(cov) == 0:
+        return lambda z: _ar1_path(cov, z)
+    if cov.shape != (n, n):
+        raise ValueError(f"covariance matrix must be {n} x {n}, got {cov.shape}")
+    chol = np.linalg.cholesky(cov)
+    return lambda z: chol @ z
 
 
 def _resolve_target(target, est_config: EstimatorConfig | None):
@@ -183,29 +172,25 @@ def _resolve_target(target, est_config: EstimatorConfig | None):
     raise ValueError(f"target must be a RegressionProblem or AdjustedProblem, got {type(target).__name__}")
 
 
-def _statistics(engine, sim_problem, cov, betas, reps: int, seed: int, sigma: float) -> np.ndarray:
-    """Statistic values, one row per beta, over ``reps`` draws of y = X beta + sigma * u.
-
-    Replication idx draws u once, from ``default_rng(SeedSequence((seed,
-    idx)))``, and every beta is evaluated on that same u.
-    """
-    mus = [sim_problem.X @ beta for beta in betas]
-    sampler = _make_sampler(cov, sim_problem.n)
-    out = np.empty((len(mus), reps))
-    for idx in range(reps):
-        u = sigma * sampler(np.random.default_rng(np.random.SeedSequence((seed, idx))))
-        for j, mu in enumerate(mus):
-            out[j, idx] = engine.result(mu + u).t_value
-    return out
-
-
 def _family_statistics(engine, sim_problem, mc: McConfig, betas):
-    """(label, rho-or-None, statistic rows per beta) for each family member."""
-    return [
-        (label, rho, _statistics(engine, sim_problem, cov, betas,
-                                 mc.replications, mc.seed, mc.sigma))
-        for label, rho, cov in _family_members(mc.family)
-    ]
+    """(label, rho-or-None, statistic rows per beta) for each family member.
+
+    Replication idx draws one z from ``default_rng(SeedSequence((seed,
+    idx)))``; each member maps it to its own u, and every beta is evaluated
+    on y = X beta + sigma * u.
+    """
+    members = _family_members(mc.family)
+    samplers = [_make_sampler(cov, sim_problem.n) for _label, _rho, cov in members]
+    mus = [sim_problem.X @ beta for beta in betas]
+    out = np.empty((len(members), len(mus), mc.replications))
+    for idx in range(mc.replications):
+        rng = np.random.default_rng(np.random.SeedSequence((mc.seed, idx)))
+        z = rng.standard_normal(sim_problem.n)
+        for i, sampler in enumerate(samplers):
+            u = mc.sigma * sampler(z)
+            for j, mu in enumerate(mus):
+                out[i, j, idx] = engine.result(mu + u).t_value
+    return [(label, rho, rows) for (label, rho, _cov), rows in zip(members, out)]
 
 
 def simulate_statistics(
@@ -220,21 +205,20 @@ def simulate_statistics(
 ) -> np.ndarray:
     """Statistic values over ``reps`` draws of y = X beta + sigma * u.
 
-    ``cov`` is an AR(1) rho or an explicit covariance matrix.  Replication
-    idx draws from ``default_rng(SeedSequence((seed, idx)))``, so equal seeds
-    give bitwise-equal arrays and equal (seed, idx) pairs share innovations
-    across covariance members and alternatives.
+    ``cov`` is an AR(1) rho or an explicit covariance matrix: the simulation
+    is that of a one-member family.  Replication idx draws from
+    ``default_rng(SeedSequence((seed, idx)))``, so equal seeds give
+    bitwise-equal arrays and equal (seed, idx) pairs share innovations across
+    covariance members and alternatives.
     """
+    family = AR1Grid((cov,)) if np.ndim(cov) == 0 else ExplicitList((cov,))
+    mc = McConfig(replications=reps, seed=seed, family=family, sigma=sigma)
     engine, sim_problem = _resolve_target(target, est_config)
-    if not (isinstance(reps, (int, np.integer)) and reps >= 1):
-        raise ValueError(f"reps must be an integer >= 1, got {reps}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    _check_sigma(sigma)
     beta = check_finite("beta", beta)
     if beta.shape != (sim_problem.k,):
         raise ValueError(f"beta must have length {sim_problem.k}, got shape {beta.shape}")
-    return _statistics(engine, sim_problem, cov, [beta], int(reps), int(seed), sigma)[0]
+    ((_label, _rho, rows),) = _family_statistics(engine, sim_problem, mc, [beta])
+    return rows[0]
 
 
 def _binomial_ci(rate: float, reps: int) -> float:

@@ -159,6 +159,35 @@ class TestTest:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("rule, flags", [
+        ("fixed-b", ["--b", "1", "--m", "3"]),
+        ("andrews", ["--b", "1"]),
+        ("andrews", ["--m", "3"]),
+        ("newey-west", ["--b", "1"]),
+        ("newey-west", ["--m", "3"]),
+        ("andrews", ["--c3", "0.9"]),
+        ("newey-west", ["--j", "2"]),
+        ("fixed-b", ["--c1", "1"]),
+        ("fixed-b", ["--c2", "1"]),
+        ("fixed-b", ["--c3", "0.9"]),
+        ("fixed-b", ["--j", "2"]),
+    ])
+    def test_flags_the_rule_does_not_read_exit_two(self, runner, rule, flags):
+        # these used to exit 0 and silently drop the flag
+        args = ["test", "--x", LOCATION_X, "--y", LOCATION_Y, "--R", "1", "--rule", rule]
+        result = runner.invoke(main, args + flags)
+        assert result.exit_code == 2
+        assert flags[-2] in result.output
+
+    @pytest.mark.parametrize("rule, flags", [
+        ("fixed-b", ["--m", "3"]),
+        ("andrews", ["--j", "2", "--c1", "1.1", "--c2", "0.6"]),
+        ("newey-west", ["--c1", "4", "--c2", "0.1", "--c3", "0.9"]),
+    ])
+    def test_flags_the_rule_reads_are_accepted(self, runner, rule, flags):
+        args = ["test", "--x", LOCATION_X, "--y", LOCATION_Y, "--R", "1", "--rule", rule]
+        assert runner.invoke(main, args + flags).exit_code == 0
+
 
 class TestAdjust:
     def test_scenario_one_payload(self, runner, design_files):

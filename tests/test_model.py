@@ -190,6 +190,15 @@ class TestCovarianceFamilies:
             ExplicitList((np.array([[1.0, 2.0], [2.0, 1.0]]),))
         ExplicitList((np.eye(3),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_explicit_list_rejects_non_finite_entries(self, bad):
+        # a symmetric matrix with an inf on the diagonal used to be accepted,
+        # and a power curve over it raised LinAlgError
+        mat = np.eye(3)
+        mat[2, 2] = bad
+        with pytest.raises(ValueError, match="covariance matrix 1 must be finite"):
+            ExplicitList((np.eye(3), mat))
+
 
 class TestMaClosure:
     def test_degenerate_is_identity(self):

@@ -73,7 +73,7 @@ class TestSimulateStatistics:
     def test_validation(self, rng):
         problem, _ = random_problem(rng, n=10, k=2)
         kw = dict(cov=0.0, beta=np.zeros(2), reps=5, seed=0, est_config=CONFIG)
-        with pytest.raises(ValueError, match="reps"):
+        with pytest.raises(ValueError, match="replications"):
             simulate_statistics(problem, **{**kw, "reps": 0})
         with pytest.raises(ValueError, match="seed"):
             simulate_statistics(problem, **{**kw, "seed": -1})
@@ -89,6 +89,18 @@ class TestSimulateStatistics:
             simulate_statistics(problem, **{**kw, "cov": -np.eye(10)})
         with pytest.raises(ValueError, match="est_config"):
             simulate_statistics(problem, cov=0.0, beta=np.zeros(2), reps=5, seed=0)
+
+    @pytest.mark.parametrize("bad_entry", [(0, 1, 0.5), (1, 1, np.nan), (1, 1, np.inf)])
+    def test_cov_matrix_is_validated_as_a_family_member(self, rng, bad_entry):
+        # a non-symmetric or inf matrix used to be factorized from its lower
+        # triangle, and a NaN one raised LinAlgError
+        problem, _ = random_problem(rng, n=10, k=2)
+        i, j, value = bad_entry
+        cov = np.eye(10)
+        cov[i, j] = value
+        with pytest.raises(ValueError, match="covariance matrix 0"):
+            simulate_statistics(problem, cov=cov, beta=np.zeros(2), reps=5, seed=0,
+                                est_config=CONFIG)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sigma_is_rejected(self, rng, bad):
@@ -225,10 +237,14 @@ class TestCalibration:
     @staticmethod
     def _fake_statistics(infinite_share):
         """Statistics 1, 2, ..., reps per member, the top share of each set to +inf."""
-        def fake(engine, sim_problem, cov, betas, reps, seed, sigma):
-            out = np.tile(np.arange(1.0, reps + 1.0), (len(betas), 1))
-            out[:, reps - round(infinite_share[cov] * reps):] = np.inf
-            return out
+        def fake(engine, sim_problem, mc, betas):
+            reps = mc.replications
+            members = []
+            for label, rho, _cov in hactest.montecarlo._family_members(mc.family):
+                rows = np.tile(np.arange(1.0, reps + 1.0), (len(betas), 1))
+                rows[:, reps - round(infinite_share[rho] * reps):] = np.inf
+                members.append((label, rho, rows))
+            return members
         return fake
 
     @pytest.mark.parametrize("white_share", [1.0, 0.0])
@@ -236,7 +252,7 @@ class TestCalibration:
         # more than a delta share of +inf statistics leaves no finite cutoff;
         # with a finite white member the doubling starts finite and overflows
         fake = self._fake_statistics({0.0: white_share, 0.5: 0.3})
-        monkeypatch.setattr(hactest.montecarlo, "_statistics", fake)
+        monkeypatch.setattr(hactest.montecarlo, "_family_statistics", fake)
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=17, family=AR1Grid((0.0, 0.5)))
         with pytest.raises(CalibrationNotApplicableError, match="infinite"):
@@ -246,7 +262,7 @@ class TestCalibration:
         # the starting quantile is infinite, but a delta share of infinities
         # leaves a finite cutoff to find
         fake = self._fake_statistics({0.0: 0.05, 0.5: 0.1})
-        monkeypatch.setattr(hactest.montecarlo, "_statistics", fake)
+        monkeypatch.setattr(hactest.montecarlo, "_family_statistics", fake)
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=17, family=AR1Grid((0.0, 0.5)))
         cal = calibrate_critical_value(problem, mc, 0.2, est_config=CONFIG)
@@ -327,6 +343,27 @@ class TestPowerCurve:
         mc = McConfig(replications=100, seed=13, family=AR1Grid((0.0, 0.5)))
         power_curve(problem, mc, 3.0, (0.0, 1.0, 2.0), est_config=CONFIG)
         assert len(paths) == 2 * mc.replications
+
+    def test_each_replication_is_seeded_once_per_call(self, rng, monkeypatch):
+        # one generator per replication, shared by every member and distance
+        seeded = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            seeded.append(1)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(hactest.montecarlo.np.random, "default_rng", counted)
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=18, family=AR1Grid((-0.5, 0.0, 0.8)))
+        power_curve(problem, mc, 3.0, (0.0, 1.0), est_config=CONFIG)
+        assert len(seeded) == mc.replications
+
+        seeded.clear()
+        mc = McConfig(replications=100, seed=18)
+        assert len(mc.family.rhos) == 13
+        calibrate_critical_value(problem, mc, 0.2, est_config=CONFIG)
+        assert len(seeded) == mc.replications
 
     def test_points_equal_single_member_rates(self, rng):
         # shared draws change no rate: each point is the rate of its own
