@@ -70,16 +70,17 @@ def _parse_floats(text: str) -> tuple:
 def _build_rule(rule_name, kernel_name, omega, b_frac, m_value, c1, c2, c3, j_exp):
     reads = {
         "fixed-b": ("--b", "--m"),
-        "andrews": ("--j", "--c1", "--c2"),
-        "newey-west": ("--c1", "--c2", "--c3"),
+        "andrews": ("--j", "--c1", "--c2", "--omega"),
+        "newey-west": ("--c1", "--c2", "--c3", "--omega"),
     }[rule_name]
-    given = {"--b": b_frac, "--m": m_value, "--c1": c1, "--c2": c2, "--c3": c3, "--j": j_exp}
+    given = {"--b": b_frac, "--m": m_value, "--c1": c1, "--c2": c2, "--c3": c3, "--j": j_exp,
+             "--omega": omega}
     unread = [flag for flag, v in given.items() if v is not None and flag not in reads]
     if unread:
         raise ValueError(f"the {rule_name} rule does not read {', '.join(unread)}")
     if b_frac is not None and m_value is not None:
         raise ValueError("pass one of --b and --m, not both")
-    omega_val = _parse_omega(omega)
+    omega_val = _parse_omega(omega if omega is not None else "ones")
     if rule_name == "fixed-b":
         if m_value is not None:
             return FixedBRule(m=m_value)
@@ -193,8 +194,9 @@ def _estimator_options(fn):
     )(fn)
     fn = click.option("--p", type=int, default=1, show_default=True,
                       help="VAR prewhitening order")(fn)
-    fn = click.option("--omega", default="ones", show_default=True,
-                      help="score weights: 'ones', 'zero-first', or comma list")(fn)
+    fn = click.option("--omega", default=None,
+                      help="score weights of the andrews and newey-west rules: "
+                           "'ones' (default), 'zero-first', or comma list")(fn)
     fn = click.option("--b", "b_frac", type=float, default=None,
                       help="fixed-b bandwidth fraction of n - p")(fn)
     fn = click.option("--m", "m_value", type=float, default=None,

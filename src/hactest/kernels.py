@@ -70,15 +70,18 @@ def _parzen(x: np.ndarray) -> np.ndarray:
 def _quadratic_spectral(x: np.ndarray) -> np.ndarray:
     # closed form 25/(12 pi^2 x^2) * (sin(z)/z - cos(z)) with z = 6 pi x / 5,
     # equivalently (3/z^2)(sin(z)/z - cos(z)).  Near zero the subtraction
-    # cancels catastrophically, so switch to the series 1 - z^2/10 + z^4/280
-    # (next term z^6/15120 is below machine precision at the branch point).
+    # cancels catastrophically, so the points there are overwritten with the
+    # series 1 - z^2/10 + z^4/280 (next term z^6/15120 is below machine
+    # precision at the branch point).
     z = 1.2 * np.pi * np.abs(x)
-    out = np.empty_like(z)
+    # near z = 0 the closed form divides by zero or overflows, and those
+    # points are overwritten below; a huge z gives 3 / inf = 0, the limit
+    with np.errstate(all="ignore"):
+        out = np.asarray(3.0 / (z * z) * (np.sin(z) / z - np.cos(z)))
     small = z < 5e-3
-    zs = z[small]
-    out[small] = 1.0 - zs * zs / 10.0 + zs**4 / 280.0
-    zl = z[~small]
-    out[~small] = 3.0 / (zl * zl) * (np.sin(zl) / zl - np.cos(zl))
+    if small.any():
+        zs = z[small]
+        out[small] = 1.0 - zs * zs / 10.0 + zs**4 / 280.0
     return out
 
 

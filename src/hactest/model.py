@@ -133,26 +133,32 @@ class AR1Restricted:
 
 @dataclass(frozen=True, eq=False)
 class ExplicitList:
-    """Covariance family given by explicit SPD correlation matrices."""
+    """Covariance family given by explicit SPD correlation matrices.
+
+    Each matrix must be exactly symmetric.  ``factors`` holds the lower
+    Cholesky factor of each, computed once by the positive-definiteness check.
+    """
 
     matrices: tuple[np.ndarray, ...] = field(default=())
+    factors: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = []
+        mats, factors = [], []
         if len(self.matrices) == 0:
             raise ValueError("explicit covariance family must be non-empty")
         for i, m in enumerate(self.matrices):
             m = np.atleast_2d(check_finite(f"covariance matrix {i}", m))
             if m.shape[0] != m.shape[1]:
                 raise ValueError(f"covariance matrix {i} is not square")
-            if not np.allclose(m, m.T):
+            if not np.array_equal(m, m.T):
                 raise ValueError(f"covariance matrix {i} is not symmetric")
             try:
-                np.linalg.cholesky(m)
+                factors.append(readonly(np.linalg.cholesky(m)))
             except np.linalg.LinAlgError:
                 raise ValueError(f"covariance matrix {i} is not positive definite")
             mats.append(readonly(m))
         object.__setattr__(self, "matrices", tuple(mats))
+        object.__setattr__(self, "factors", tuple(factors))
 
 
 CovarianceFamily = AR1Grid | AR1Restricted | ExplicitList

@@ -14,6 +14,14 @@ rates are bitwise reproducible.  Each replication is drawn once per call and
 shared by every family member and every alternative: each member maps the
 same standard normal draw to its own errors.
 
+Each (member, replication) also makes one covariance estimate, shared by
+every alternative.  The estimate is a function of the OLS residuals, so it
+is the same at every ``y = X beta + sigma u`` of one draw ``u``; only the
+discrepancy ``R beta_hat - r`` moves, by ``R (beta - beta')``.  The
+statistic at each further alternative is therefore one quadratic form on
+that estimate, and 0 wherever the estimate is undefined or not positive
+definite.
+
 Calibrating the *unadjusted* test is refused (CalibrationNotApplicableError)
 unless both boundary directions lie harmlessly inside the regression span:
 anywhere else, some arbitrarily-persistent family member pushes the true
@@ -41,6 +49,7 @@ from .testing import (
     AdjustedProblem,
     AugmentationImpossibleError,
     TestEngine,
+    _quadratic_form,
     select_scenario,
 )
 
@@ -134,26 +143,26 @@ def _rho_label(rho: float) -> str:
 def _family_members(family: CovarianceFamily):
     """Yield (label, rho-or-None, sampler-spec) per family member.
 
-    The sampler spec is a float rho for AR(1) members and a covariance
-    matrix for explicit ones.  Distinct members get distinct labels.
+    The sampler spec is a float rho for AR(1) members and the lower Cholesky
+    factor of the covariance matrix for explicit ones.  Distinct members get
+    distinct labels.
     """
     if isinstance(family, (AR1Grid, AR1Restricted)):
         return [(_rho_label(rho), float(rho), float(rho)) for rho in family.rhos]
     if isinstance(family, ExplicitList):
         return [
-            (f"matrix{i}", None, mat) for i, mat in enumerate(family.matrices)
+            (f"matrix{i}", None, chol) for i, chol in enumerate(family.factors)
         ]
     raise ValueError(f"unsupported covariance family: {type(family).__name__}")
 
 
-def _make_sampler(cov, n: int):
+def _make_sampler(spec, n: int):
     """Map a standard normal n-vector z to u ~ N(0, Sigma) for a validated family member."""
-    if np.ndim(cov) == 0:
-        return lambda z: _ar1_path(cov, z)
-    if cov.shape != (n, n):
-        raise ValueError(f"covariance matrix must be {n} x {n}, got {cov.shape}")
-    chol = np.linalg.cholesky(cov)
-    return lambda z: chol @ z
+    if np.ndim(spec) == 0:
+        return lambda z: _ar1_path(spec, z)
+    if spec.shape != (n, n):
+        raise ValueError(f"covariance matrix must be {n} x {n}, got {spec.shape}")
+    return lambda z: spec @ z
 
 
 def _resolve_target(target, est_config: EstimatorConfig | None):
@@ -176,20 +185,28 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
     """(label, rho-or-None, statistic rows per beta) for each family member.
 
     Replication idx draws one z from ``default_rng(SeedSequence((seed,
-    idx)))``; each member maps it to its own u, and every beta is evaluated
-    on y = X beta + sigma * u.
+    idx)))``; each member maps it to its own u, and the engine evaluates
+    y = X betas[0] + sigma * u.  Every other beta shares that covariance
+    estimate: its statistic is the quadratic form of the estimate at the
+    engine's discrepancy shifted by R (beta - betas[0]), or 0 when the
+    engine's result is not defined.  For an adjusted target the shift is the
+    same, because X beta lies in the augmented span and the padded
+    restriction columns are zero.
     """
     members = _family_members(mc.family)
-    samplers = [_make_sampler(cov, sim_problem.n) for _label, _rho, cov in members]
-    mus = [sim_problem.X @ beta for beta in betas]
-    out = np.empty((len(members), len(mus), mc.replications))
+    samplers = [_make_sampler(spec, sim_problem.n) for _label, _rho, spec in members]
+    mu = sim_problem.X @ betas[0]
+    shifts = [sim_problem.R @ (beta - betas[0]) for beta in betas[1:]]
+    out = np.zeros((len(members), len(betas), mc.replications))
     for idx in range(mc.replications):
         rng = np.random.default_rng(np.random.SeedSequence((mc.seed, idx)))
         z = rng.standard_normal(sim_problem.n)
         for i, sampler in enumerate(samplers):
-            u = mc.sigma * sampler(z)
-            for j, mu in enumerate(mus):
-                out[i, j, idx] = engine.result(mu + u).t_value
+            res = engine.result(mu + mc.sigma * sampler(z))
+            out[i, 0, idx] = res.t_value
+            if res.defined:
+                for j, shift in enumerate(shifts, start=1):
+                    out[i, j, idx] = _quadratic_form(res.omega.omega, res.discrepancy + shift)
     return [(label, rho, rows) for (label, rho, _cov), rows in zip(members, out)]
 
 
@@ -375,8 +392,10 @@ def power_curve(
     betas = [beta0 + d * mc.sigma * pull for d in distances]
 
     points = []
-    for label, rho, rows in _family_statistics(engine, sim_problem, mc, betas):
-        for d, stats in zip(distances, rows):
+    # the engine evaluates at the null point, so a distance-0 statistic is
+    # the quadratic form at a zero shift: exactly the engine's own value
+    for label, rho, rows in _family_statistics(engine, sim_problem, mc, [beta0, *betas]):
+        for d, stats in zip(distances, rows[1:]):
             rate = float(np.mean(stats >= critical_value))
             points.append(
                 CurvePoint(label=label, rho=rho, distance=d,

@@ -63,6 +63,7 @@ class TestResult:
 
     ``defined`` is False when the covariance estimate is undefined or not
     positive definite; the statistic is 0 by convention in that case.
+    ``discrepancy`` is ``R beta_hat - r`` when defined, None otherwise.
     ``reject`` is None unless a critical value was supplied.
     """
 
@@ -72,6 +73,7 @@ class TestResult:
     critical_value: float | None
     omega: OmegaOutcome
     scenario: int | None = None
+    discrepancy: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,19 +129,19 @@ class TestEngine:
         y = np.asarray(y, dtype=float)
         out = self.omega_engine.outcome(y)
         t = 0.0
-        defined = False
+        d = None
         if out.well_defined and classify_definiteness(out) == POSITIVE_DEFINITE:
             d = self.problem.R @ self.omega_engine.beta_hat(y) - self.problem.r
             t = _quadratic_form(out.omega, d)
-            defined = True
         reject = None if critical_value is None else bool(t >= critical_value)
         return TestResult(
             t_value=t,
-            defined=defined,
+            defined=d is not None,
             reject=reject,
             critical_value=critical_value,
             omega=out,
             scenario=scenario,
+            discrepancy=d,
         )
 
 

@@ -171,6 +171,7 @@ class TestTest:
         ("fixed-b", ["--c2", "1"]),
         ("fixed-b", ["--c3", "0.9"]),
         ("fixed-b", ["--j", "2"]),
+        ("fixed-b", ["--omega", "0.3"]),
     ])
     def test_flags_the_rule_does_not_read_exit_two(self, runner, rule, flags):
         # these used to exit 0 and silently drop the flag
@@ -183,6 +184,8 @@ class TestTest:
         ("fixed-b", ["--m", "3"]),
         ("andrews", ["--j", "2", "--c1", "1.1", "--c2", "0.6"]),
         ("newey-west", ["--c1", "4", "--c2", "0.1", "--c3", "0.9"]),
+        ("andrews", ["--omega", "0.3"]),
+        ("newey-west", ["--omega", "2"]),
     ])
     def test_flags_the_rule_reads_are_accepted(self, runner, rule, flags):
         args = ["test", "--x", LOCATION_X, "--y", LOCATION_Y, "--R", "1", "--rule", rule]

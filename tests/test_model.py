@@ -190,6 +190,14 @@ class TestCovarianceFamilies:
             ExplicitList((np.array([[1.0, 2.0], [2.0, 1.0]]),))
         ExplicitList((np.eye(3),))
 
+    def test_explicit_list_requires_exact_symmetry(self):
+        # within np.allclose's tolerance, so this used to be accepted and
+        # sampled through the lower triangle alone
+        mat = np.eye(3)
+        mat[0, 1] = 5e-9
+        with pytest.raises(ValueError, match="covariance matrix 0 is not symmetric"):
+            ExplicitList((mat,))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_explicit_list_rejects_non_finite_entries(self, bad):
         # a symmetric matrix with an inf on the diagonal used to be accepted,

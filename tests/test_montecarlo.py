@@ -8,23 +8,29 @@ from hactest import (
     AR1Grid,
     AR1Restricted,
     DEFAULT_RHO_GRID,
+    AdjustedProblem,
     CalibrationNotApplicableError,
     EstimatorConfig,
     ExplicitList,
     FixedBRule,
     McConfig,
     RegressionProblem,
+    adjusted_statistic,
     alternating_vector,
     ar1_matrix,
     build_adjusted,
     calibrate_critical_value,
     constant_vector,
+    default_rule,
+    get_kernel,
     null_point,
     power_curve,
     simulate_statistics,
 )
+from hactest import test_statistic as evaluate
+from hactest.prewhiten import BANDWIDTH_UNDEFINED, VAR_RANK_DEFICIENT, OmegaEngine
 
-from .conftest import random_problem
+from .conftest import config_grid, random_problem
 
 CONFIG = EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=1)
 
@@ -445,3 +451,124 @@ class TestPowerCurve:
         curve = power_curve(problem, mc, 3.0, (0.0,), est_config=CONFIG)
         assert [p.label for p in curve.points] == ["0.9999991", "0.9999992"]
         assert [float(p.label) for p in curve.points] == [p.rho for p in curve.points]
+
+
+def shared_design(rng, n=24):
+    """Constant plus two generic columns, H0 on both slopes (q = 2)."""
+    X = np.column_stack([constant_vector(n), rng.standard_normal((n, 2))])
+    return RegressionProblem(X, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros(2))
+
+
+def assert_curve_matches_oracle(monkeypatch, target, mc, distances, est_config=None):
+    """Every statistic behind power_curve equals the one-shot statistic at its own y.
+
+    Returns the one-shot results, so callers can check which outcomes arose.
+    """
+    calls = []
+    family_statistics = hactest.montecarlo._family_statistics
+
+    def spy(engine, sim_problem, mc_, betas):
+        members = family_statistics(engine, sim_problem, mc_, betas)
+        calls.append((betas, members))
+        return members
+
+    monkeypatch.setattr(hactest.montecarlo, "_family_statistics", spy)
+    curve = power_curve(target, mc, 1.0, distances, est_config=est_config)
+    ((betas, members),) = calls
+    if isinstance(target, AdjustedProblem):
+        sim_problem, oracle = target.original, lambda y: adjusted_statistic(target, y)
+    else:
+        sim_problem, oracle = target, lambda y: evaluate(target, y, est_config)
+    wants = []
+    for _label, rho, rows in members:
+        for beta, row in zip(betas, rows):
+            for idx in range(mc.replications):
+                z = np.random.default_rng(np.random.SeedSequence((mc.seed, idx))).standard_normal(
+                    sim_problem.n)
+                u = hactest.montecarlo._ar1_path(rho, z)
+                want = oracle(sim_problem.X @ beta + mc.sigma * u)
+                wants.append(want)
+                assert (row[idx] != 0.0) == want.defined
+                assert abs(row[idx] - want.t_value) <= 1e-10 * max(1.0, want.t_value)
+    # each curve point rates the row simulated at its own alternative
+    beta0 = null_point(sim_problem)
+    pull = sim_problem.R.T @ np.linalg.solve(sim_problem.R @ sim_problem.R.T,
+                                             np.ones(sim_problem.q) / np.sqrt(sim_problem.q))
+    by_label = {label: rows for label, _rho, rows in members}
+    for point in curve.points:
+        beta = beta0 + point.distance * mc.sigma * pull
+        j = next(j for j, b in enumerate(betas) if np.allclose(b, beta, rtol=0, atol=1e-12))
+        assert point.rate == np.mean(by_label[point.label][j] >= 1.0)
+    return wants
+
+
+class TestSharedCovarianceEstimate:
+    """power_curve estimates the covariance once per draw and shares it."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("adjusted", [False, True], ids=["bare", "adjusted"])
+    @pytest.mark.parametrize("config_index", range(len(config_grid())))
+    def test_every_statistic_matches_its_own_response(
+        self, rng, monkeypatch, config_index, adjusted, p
+    ):
+        config = config_grid(p)[config_index]
+        problem = shared_design(rng)
+        target = build_adjusted(problem, config) if adjusted else problem
+        mc = McConfig(replications=100, seed=21, family=AR1Grid((-0.6, 0.9)), sigma=1.3)
+        wants = assert_curve_matches_oracle(
+            monkeypatch, target, mc, (2.0, 0.0, 0.7), None if adjusted else config)
+        assert any(w.defined for w in wants)
+
+    @pytest.mark.parametrize("adjusted", [False, True], ids=["bare", "adjusted"])
+    def test_responses_in_the_span_give_zero_everywhere(self, rng, monkeypatch, adjusted):
+        problem = shared_design(rng)
+        config = CONFIG
+        target = build_adjusted(problem, config) if adjusted else problem
+        monkeypatch.setattr(hactest.montecarlo, "_ar1_path",
+                            lambda rho, z: problem.X @ z[: problem.k])
+        mc = McConfig(replications=100, seed=22, family=AR1Grid((0.5,)))
+        wants = assert_curve_matches_oracle(
+            monkeypatch, target, mc, (0.0, 1.0, 3.0), None if adjusted else config)
+        assert {w.omega.reason for w in wants} == {VAR_RANK_DEFICIENT}
+
+    def test_undefined_bandwidth_gives_zero_everywhere(self, rng, monkeypatch):
+        # at this scale the plug-in sums overflow
+        problem = shared_design(rng)
+        config = EstimatorConfig(get_kernel("qs"), default_rule("andrews", "qs"), p=1)
+        mc = McConfig(replications=100, seed=23, family=AR1Grid((0.0, 0.8)), sigma=1e80)
+        with np.errstate(all="ignore"):
+            wants = assert_curve_matches_oracle(monkeypatch, problem, mc, (0.0, 1.0, 3.0), config)
+        assert {w.omega.reason for w in wants} == {BANDWIDTH_UNDEFINED}
+
+    def test_singular_estimate_gives_zero_everywhere(self, rng, monkeypatch):
+        # n = p (k + 1): the VAR fits the scores exactly, so the estimate is
+        # never positive definite
+        X = np.column_stack([constant_vector(8), rng.standard_normal((8, 2))])
+        problem = RegressionProblem(X, np.array([[0.0, 1.0, 0.0]]), np.zeros(1))
+        config = EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=2)
+        mc = McConfig(replications=100, seed=24, family=AR1Grid((0.0, 0.9)))
+        wants = assert_curve_matches_oracle(monkeypatch, problem, mc, (0.0, 1.0, 3.0), config)
+        assert all(w.omega.well_defined and not w.defined for w in wants)
+
+    def test_explicit_members_sample_through_the_validated_factor(self):
+        # ExplicitList factorizes each matrix once, to check it; the sampler reuses that factor
+        mats = (ar1_matrix(0.3, 12), ar1_matrix(-0.5, 12))
+        family = ExplicitList(mats)
+        specs = [spec for _label, _rho, spec in hactest.montecarlo._family_members(family)]
+        assert all(spec is factor for spec, factor in zip(specs, family.factors))
+        assert all(np.array_equal(f, np.linalg.cholesky(m)) for f, m in zip(family.factors, mats))
+
+    @pytest.mark.parametrize("distances", [(0.0,), (0.0, 1.0, 2.0, 5.0)])
+    def test_one_estimate_per_member_and_replication(self, rng, monkeypatch, distances):
+        calls = []
+        outcome = OmegaEngine.outcome
+
+        def counted(self, y):
+            calls.append(1)
+            return outcome(self, y)
+
+        monkeypatch.setattr(OmegaEngine, "outcome", counted)
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=25, family=AR1Grid((-0.5, 0.0, 0.8)))
+        power_curve(problem, mc, 3.0, distances, est_config=CONFIG)
+        assert len(calls) == 3 * mc.replications
