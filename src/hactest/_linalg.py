@@ -43,7 +43,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
-    """Mark an array immutable so frozen containers are safe to share."""
-    a = np.ascontiguousarray(a, dtype=float)
+    """An immutable float copy of ``a``, so frozen containers are safe to share.
+
+    The copy is unconditional: the caller's own array is never frozen.
+    """
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a

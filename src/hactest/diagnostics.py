@@ -13,8 +13,11 @@ point) therefore decides limiting size and power:
   -> size at least 1/2 in the limit;
 - a direction inside span(X) whose restriction image R beta_hat(e) is
   nonzero -> size tends to 1 for every C (no critical value can help);
-- statistic undefined almost everywhere -> the test never rejects at all
-  (in particular whenever n < k(p+1) + p and q = k, a pure dimension trap).
+- statistic undefined almost everywhere -> the test never rejects at all.
+  Whenever n < k(p+1) + p and q = k (a pure dimension trap) this follows
+  from the shape (n, k, q, p) alone and is decided without evaluating the
+  statistic off the boundary; any other design whose boundary evaluations
+  are both undefined is probed at random responses instead.
 
 ``diagnose`` runs these checks in a fixed precedence and reports a verdict
 with the evidence it rests on.  ``witness_design`` constructs, for any
@@ -186,10 +189,20 @@ def diagnose(
     image), size-one and tie certificates at the boundary directions, the
     power-zero certificate, and finally the benign case where both boundary
     directions lie harmlessly inside the span.
+
+    Trivial breakdown is decided from the design's shape when it is a
+    dimension trap (q = k and n < k(p+1) + p): the statistic is undefined
+    for every response there, so no probe runs and ``probes_used`` is 0.
+    Only a design outside the trap whose boundary evaluations are both
+    undefined spends up to ``probes`` Gaussian responses (drawn from
+    ``seed``) looking for a defined statistic.  Raises ValueError unless
+    ``probes >= 1``.
     """
     critical_value = float(check_finite("critical value", critical_value))
     if not critical_value > 0:
         raise ValueError(f"critical value must be > 0, got {critical_value}")
+    if probes < 1:
+        raise ValueError(f"probes must be >= 1, got {probes}")
     engine = TestEngine(problem, config)
     n, k, q, p = problem.n, problem.k, problem.q, config.p
     mu0 = problem.X @ null_point(problem)
@@ -202,15 +215,15 @@ def diagnose(
     minus_in, image_minus, minus_zero = _span_geometry(problem, e_minus)
 
     nontrivial = res_plus.defined or res_minus.defined
+    dimension_trap = n < k * (p + 1) + p and q == k
     probes_used = 0
-    if not nontrivial:
+    if not nontrivial and not dimension_trap:
         rng = np.random.default_rng(seed)
         while probes_used < probes:
             probes_used += 1
             if engine.result(mu0 + rng.standard_normal(n)).defined:
                 nontrivial = True
                 break
-    dimension_trap = n < k * (p + 1) + p and q == k
 
     kind_plus = _classify(res_plus, critical_value)
     kind_minus = _classify(res_minus, critical_value)

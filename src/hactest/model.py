@@ -70,9 +70,9 @@ class RegressionProblem:
             raise ValueError("R must have full row rank q")
         if r.shape != (q,):
             raise ValueError(f"r has length {r.size}, expected q = {q}")
-        object.__setattr__(self, "X", readonly(X.copy()))
-        object.__setattr__(self, "R", readonly(R.copy()))
-        object.__setattr__(self, "r", readonly(r.copy()))
+        object.__setattr__(self, "X", readonly(X))
+        object.__setattr__(self, "R", readonly(R))
+        object.__setattr__(self, "r", readonly(r))
 
     @property
     def n(self) -> int:

@@ -241,8 +241,17 @@ class TestDiagnose:
         payload = json.loads(result.output)
         assert payload["verdict"] == "TrivialBreakdown"
         assert payload["evidence"]["dimension_trap"] is True
-        assert payload["evidence"]["probes_used"] == 40
+        assert payload["evidence"]["probes_used"] == 0
         assert payload["gradient_exists_plus"] == "unknown"
+
+    @pytest.mark.parametrize("probes", ["0", "-5"])
+    def test_rejects_fewer_than_one_probe(self, runner, probes):
+        result = runner.invoke(main, [
+            "diagnose", "--x", "1,2;3,5;2,7;4,1", "--R", "1,0;0,1",
+            "--rule", "fixed-b", "--C", "1.0", "--probes", probes,
+        ])
+        assert result.exit_code == 2
+        assert "probes must be >= 1" in result.output + (result.stderr or "")
 
     def test_human_verdict_line(self, runner, design_files):
         result = runner.invoke(main, [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from hactest import (
     BARTLETT,
@@ -11,9 +13,11 @@ from hactest import (
     SIZE_ONE,
     SIZE_ONE_SPAN_CASE,
     TRIVIAL_BREAKDOWN,
+    AndrewsRule,
     EstimatorConfig,
     FixedBRule,
     KernelSpec,
+    NeweyWestRule,
     RegressionProblem,
     alternating_vector,
     constant_vector,
@@ -22,10 +26,11 @@ from hactest import (
     gradient_exists,
     witness_design,
 )
+from hactest import TestEngine as Engine
 from hactest import test_statistic as evaluate
 from hactest.diagnostics import _kernel_hits_kink
 
-from .conftest import random_problem
+from .conftest import config_grid, random_problem
 from .oracles import kernel_hits_kink_oracle
 
 FIXED_B = FixedBRule(b=1.0)
@@ -53,6 +58,14 @@ def spiked_design(n=9):
     col2[0] = 0.0
     X = np.column_stack([col1, col2])
     return RegressionProblem(X, np.array([[0.0, 1.0]]), np.zeros(1))
+
+
+def both_directions_in_span(rng, n=12):
+    """e+ and e- are columns of X, so the statistic is undefined at both."""
+    X = np.column_stack(
+        [constant_vector(n), alternating_vector(n), rng.standard_normal(n)]
+    )
+    return RegressionProblem(X, np.array([[0.0, 0.0, 1.0]]), np.zeros(1))
 
 
 class TestDiagnose:
@@ -123,11 +136,7 @@ class TestDiagnose:
         assert not report.t_plus.defined
 
     def test_positive_unadjusted_when_both_directions_in_span(self, rng):
-        n = 12
-        X = np.column_stack(
-            [constant_vector(n), alternating_vector(n), rng.standard_normal(n)]
-        )
-        problem = RegressionProblem(X, np.array([[0.0, 0.0, 1.0]]), np.zeros(1))
+        problem = both_directions_in_span(rng)
         config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
         report = diagnose(problem, config, 1.0)
         assert report.verdict == POSITIVE_UNADJUSTED
@@ -143,9 +152,31 @@ class TestDiagnose:
         report = diagnose(problem, config, 1.0, probes=60, seed=5)
         assert report.verdict == TRIVIAL_BREAKDOWN
         assert report.evidence["dimension_trap"] is True
-        assert report.evidence["probes_used"] == 60
+        # decided from the shape (n, k, q, p): no probe is spent
+        assert report.evidence["probes_used"] == 0
         assert report.evidence["nontrivial"] is False
         assert report.gradient_exists_plus is None
+
+    @pytest.mark.parametrize("probes", [0, -5])
+    def test_rejects_fewer_than_one_probe(self, rng, probes):
+        # this design needs probes to find its defined statistics; with none,
+        # TrivialBreakdown would be claimed without evidence
+        problem = both_directions_in_span(rng)
+        config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
+        with pytest.raises(ValueError, match="probes must be >= 1"):
+            diagnose(problem, config, 1.0, probes=probes)
+
+    @pytest.mark.parametrize("n, k, q, p", [(6, 4, 3, 1), (6, 2, 1, 2)])
+    def test_probes_run_out_on_an_all_undefined_design_outside_the_trap(
+        self, rng, n, k, q, p
+    ):
+        # q < k, so the shape does not decide the breakdown: every probe runs
+        for config in config_grid(p):
+            problem, _ = random_problem(rng, n=n, k=k, q=q)
+            report = diagnose(problem, config, 1.0, probes=25, seed=3)
+            assert report.verdict == TRIVIAL_BREAKDOWN
+            assert report.evidence["dimension_trap"] is False
+            assert report.evidence["probes_used"] == 25
 
     def test_inconclusive_when_boundaries_break_but_the_test_lives(self):
         problem = spiked_design()
@@ -276,3 +307,49 @@ class TestWitnessDesign:
         if rule_kind != "fixed-b":
             assert out.bandwidth.m == 0.0
         assert np.linalg.eigvalsh(out.omega).min() > 0.0
+
+
+RULE_KIND = {AndrewsRule: "andrews", NeweyWestRule: "newey-west", FixedBRule: "fixed-b"}
+
+
+class TestDimensionTrap:
+    """q = k and n < k(p+1) + p: the statistic is undefined at every response."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    @given(
+        k=st.integers(1, 4),
+        p=st.integers(1, 3),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_statistic_is_undefined_and_diagnose_spends_no_probe(self, k, p, data, seed):
+        lo, hi = max(p * (k + 1), 3), k * (p + 1) + p
+        assume(lo < hi)
+        n = data.draw(st.integers(lo, hi - 1), label="n")
+        rng = np.random.default_rng(seed)
+        problem, _ = random_problem(rng, n=n, k=k, q=k)
+        for config in config_grid(p):
+            engine = Engine(problem, config)
+            for y in rng.standard_normal((3, n)):
+                assert not engine.result(y).defined
+            report = diagnose(problem, config, 1.0)
+            assert report.verdict == TRIVIAL_BREAKDOWN
+            assert report.evidence["dimension_trap"] is True
+            assert report.evidence["probes_used"] == 0
+
+    @pytest.mark.parametrize("k, p", [(1, 1), (2, 1), (3, 2), (4, 3)])
+    def test_first_sample_size_outside_the_trap_is_not_a_breakdown(self, k, p):
+        for config in config_grid(p):
+            kind = RULE_KIND[type(config.rule)]
+            n = k * (p + 1) + p + (1 if kind == "andrews" else 0)
+            y, X = witness_design(n, k, p, rule_kind=kind)
+            problem = RegressionProblem(X, np.eye(k), np.zeros(k))
+            assert evaluate(problem, y, config).defined
+            report = diagnose(problem, config, 1.0)
+            assert report.evidence["dimension_trap"] is False
+            assert report.verdict != TRIVIAL_BREAKDOWN

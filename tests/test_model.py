@@ -198,6 +198,15 @@ class TestCovarianceFamilies:
         with pytest.raises(ValueError, match="covariance matrix 0 is not symmetric"):
             ExplicitList((mat,))
 
+    def test_explicit_list_leaves_the_callers_matrix_writeable(self):
+        mat = np.eye(3)
+        fam = ExplicitList((mat,))
+        assert mat.flags.writeable
+        mat[0, 0] = 7.0
+        assert np.array_equal(fam.matrices[0], np.eye(3))
+        assert not fam.matrices[0].flags.writeable
+        assert np.array_equal(fam.factors[0], np.eye(3))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_explicit_list_rejects_non_finite_entries(self, bad):
         # a symmetric matrix with an inf on the diagonal used to be accepted,
