@@ -22,11 +22,13 @@ near-degenerate but valid data.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import readonly
 from .kernels import BARTLETT_NAME, PARZEN_NAME, QS_NAME, KernelSpec
 
 #: reasons a data-driven bandwidth can be undefined
@@ -248,7 +250,7 @@ def bandwidth_am(Z: np.ndarray, rule: AndrewsRule, n: int) -> BandwidthOutcome:
     k, m = Z.shape
     if m < 2:
         raise ValueError(f"need at least 2 residual columns, got {m}")
-    omega = resolve_omega(rule.omega, k)
+    omega = _row_weights(rule.omega, k)
 
     lead, lag = Z[:, 1:], Z[:, :-1]
     den_rho = np.einsum("ij,ij->i", lag, lag)
@@ -278,6 +280,30 @@ def rectangular_cutoff(n: int) -> int:
     return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
 
 
+#: entries each constants cache keeps; one per distinct (rule, k, m, n)
+_CACHED_SHAPES = 256
+
+
+@functools.lru_cache(maxsize=_CACHED_SHAPES)
+def _row_weights(omega, k: int) -> np.ndarray:
+    """Read-only ``resolve_omega(omega, k)``, resolved once per (omega, k)."""
+    return readonly(resolve_omega(omega, k))
+
+
+@functools.lru_cache(maxsize=_CACHED_SHAPES)
+def _nw_constants(rule: NeweyWestRule, k: int, m: int, n: int):
+    """What bandwidth_nw needs besides Z, computed once per (rule, k, m, n).
+
+    Returns the row weights omega, the lag weights w over lags 0 .. m-1,
+    the weighted lags as a tuple, and ``|i|**cbar1 * w_i`` over lags
+    1 .. m-1; the arrays are read-only, since every call shares them.
+    """
+    w = _nw_weights(rule, m, n)
+    lag_w = np.arange(m)[1:] ** rule.cbar1 * w[1:]
+    return (_row_weights(rule.omega, k), readonly(w),
+            tuple(np.flatnonzero(w).tolist()), readonly(lag_w))
+
+
 def _nw_weights(rule: NeweyWestRule, m: int, n: int) -> np.ndarray:
     w = rule.weights
     if w is None or isinstance(w, int):
@@ -303,21 +329,19 @@ def bandwidth_nw(Z: np.ndarray, rule: NeweyWestRule, n: int) -> BandwidthOutcome
     if Z.ndim != 2:
         raise ValueError("Z must be a k x (n-p) matrix")
     k, m = Z.shape
-    omega = resolve_omega(rule.omega, k)
+    omega, w, weighted, lag_w = _nw_constants(rule, k, m, n)
 
     s = omega @ Z
-    w = _nw_weights(rule, m, n)
     # only weighted lags contribute; the rest stay exact zeros, which leave
     # both dot products below bitwise unchanged
     sbar = np.zeros(m)
-    for i in np.flatnonzero(w):
+    for i in weighted:
         sbar[i] = s[i:] @ s[: m - i] / m
-    lags = np.arange(m)
     # the |i| sums run over negative and positive lags; sbar is even in the lag
     den = float(w[0] * sbar[0] + 2.0 * (w[1:] @ sbar[1:]))
     if den == 0.0:
         return BandwidthOutcome.undefined(DENOMINATOR_ZERO)
-    num = float(2.0 * ((lags[1:] ** rule.cbar1 * w[1:]) @ sbar[1:]))
+    num = float(2.0 * (lag_w @ sbar[1:]))
     return _plug_in(rule.cbar2 * ((num / den) ** 2 * n) ** rule.cbar3)
 
 

@@ -31,6 +31,7 @@ from .montecarlo import (
     CalibrationNotApplicableError,
     McConfig,
     calibrate_critical_value,
+    check_distances,
     power_curve,
 )
 from .prewhiten import EstimatorConfig, assemble_omega
@@ -478,6 +479,7 @@ def study(x_spec, header, restriction_spec, target_spec,
           kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp,
           critical_value, delta, distances, reps, seed, rho_grid, as_json, out):
     """Size and power curves over the AR(1) family at given distances."""
+    distances = check_distances(_parse_floats(distances))
     problem = _problem_from(x_spec, restriction_spec, target_spec, header)
     config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
     mc = McConfig(replications=reps, seed=seed, family=_family_from(rho_grid))
@@ -487,9 +489,7 @@ def study(x_spec, header, restriction_spec, target_spec,
             raise ValueError("provide --C or --delta")
         result = calibrate_critical_value(target, mc, delta, est_config=config)
         critical_value = result.critical_value
-    curve = power_curve(
-        target, mc, critical_value, _parse_floats(distances), est_config=config
-    )
+    curve = power_curve(target, mc, critical_value, distances, est_config=config)
     null_rates = [pt.rate for pt in curve.points if pt.distance == 0.0]
     payload = {
         "C": critical_value,

@@ -195,17 +195,18 @@ def ar1_matrix(rho: float, n: int) -> np.ndarray:
 def _ar1_path(rho: float, z: np.ndarray) -> np.ndarray:
     """Run the exact AR(1) recursion u_1 = z_1, u_t = rho u_{t-1} + sqrt(1-rho^2) z_t.
 
-    The recursion gives Cov(u) = Lambda(rho) exactly and stays numerically
-    stable as rho -> +-1, unlike factorizing a near-singular Lambda(rho).
+    The recursion runs along the last axis of ``z`` and is vectorized over
+    any leading axes, so one call maps a whole block of standard normal
+    rows; each row's path is bitwise the one the scalar recursion gives.
+    It gives Cov(u) = Lambda(rho) exactly and stays numerically stable as
+    rho -> +-1, unlike factorizing a near-singular Lambda(rho).
     """
-    scale = np.sqrt(1.0 - rho * rho)
-    zl = z.tolist()
-    out = [zl[0]]
-    prev = zl[0]
-    for t in range(1, len(zl)):
-        prev = rho * prev + scale * zl[t]
-        out.append(prev)
-    return np.array(out)
+    z = np.asarray(z, dtype=float)
+    out = np.sqrt(1.0 - rho * rho) * z
+    out[..., 0] = z[..., 0]
+    for t in range(1, out.shape[-1]):
+        out[..., t] += rho * out[..., t - 1]
+    return out
 
 
 def null_point(problem: RegressionProblem) -> np.ndarray:
@@ -218,27 +219,3 @@ def null_point(problem: RegressionProblem) -> np.ndarray:
     R, r = problem.R, problem.r
     return readonly(R.T @ np.linalg.solve(R @ R.T, r))
 
-
-def ma_closure_matrix(alpha, n: int) -> np.ndarray:
-    """Correlation matrix of the MA(d) process with coefficients ``alpha``.
-
-    The lag-h autocorrelation is ``sum_j alpha_j alpha_{j+h} / sum_j alpha_j**2``
-    for |h| <= d and exactly zero beyond, so the result is banded with unit
-    diagonal.  ``alpha`` is normalized with leading coefficient 1.
-    """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.ndim != 1 or alpha.size == 0:
-        raise ValueError("alpha must be a non-empty coefficient vector")
-    if alpha[0] != 1.0:
-        raise ValueError("leading MA coefficient alpha_0 must equal 1")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    d = alpha.size - 1
-    total = float(alpha @ alpha)
-    gamma = np.zeros(n)
-    gamma[0] = 1.0
-    for h in range(1, min(d, n - 1) + 1):
-        gamma[h] = float(alpha[: d + 1 - h] @ alpha[h:]) / total
-    idx = np.arange(n)
-    return gamma[np.abs(idx[:, None] - idx[None, :])]

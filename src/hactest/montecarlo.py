@@ -62,6 +62,10 @@ DEFAULT_RHO_GRID = (
 #: reported probabilities need at least this many replications
 MIN_REPORTED_REPS = 100
 
+#: replications drawn and mapped to errors together; bounds the memory a
+#: simulation holds, whatever its replication count
+BLOCK_ROWS = 128
+
 
 class CalibrationNotApplicableError(ValueError):
     """No critical value can control the size of this (unadjusted) test."""
@@ -157,12 +161,17 @@ def _family_members(family: CovarianceFamily):
 
 
 def _make_sampler(spec, n: int):
-    """Map a standard normal n-vector z to u ~ N(0, Sigma) for a validated family member."""
+    """Map a block of standard normal n-vectors (rows) to u ~ N(0, Sigma) rows.
+
+    An AR(1) member runs its recursion over the whole block at once.  An
+    explicit member multiplies row by row: one matrix product over the block
+    would round differently from the product with each row.
+    """
     if np.ndim(spec) == 0:
         return lambda z: _ar1_path(spec, z)
     if spec.shape != (n, n):
         raise ValueError(f"covariance matrix must be {n} x {n}, got {spec.shape}")
-    return lambda z: spec @ z
+    return lambda z: np.array([spec @ row for row in z])
 
 
 def _resolve_target(target, est_config: EstimatorConfig | None):
@@ -185,28 +194,34 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
     """(label, rho-or-None, statistic rows per beta) for each family member.
 
     Replication idx draws one z from ``default_rng(SeedSequence((seed,
-    idx)))``; each member maps it to its own u, and the engine evaluates
-    y = X betas[0] + sigma * u.  Every other beta shares that covariance
-    estimate: its statistic is the quadratic form of the estimate at the
-    engine's discrepancy shifted by R (beta - betas[0]), or 0 when the
-    engine's result is not defined.  For an adjusted target the shift is the
-    same, because X beta lies in the augmented span and the padded
-    restriction columns are zero.
+    idx)))``.  Replications are drawn in blocks of up to BLOCK_ROWS; each
+    member maps a whole block to its own u at once, and the engine
+    evaluates y = X betas[0] + sigma * u row by row.  A replication's
+    draw, and so every statistic, does not depend on the block it fell in.
+    Every other beta shares that covariance estimate: its statistic is the
+    quadratic form of the estimate at the engine's discrepancy shifted by
+    R (beta - betas[0]), or 0 when the engine's result is not defined.  For
+    an adjusted target the shift is the same, because X beta lies in the
+    augmented span and the padded restriction columns are zero.
     """
     members = _family_members(mc.family)
     samplers = [_make_sampler(spec, sim_problem.n) for _label, _rho, spec in members]
     mu = sim_problem.X @ betas[0]
     shifts = [sim_problem.R @ (beta - betas[0]) for beta in betas[1:]]
     out = np.zeros((len(members), len(betas), mc.replications))
-    for idx in range(mc.replications):
-        rng = np.random.default_rng(np.random.SeedSequence((mc.seed, idx)))
-        z = rng.standard_normal(sim_problem.n)
+    for start in range(0, mc.replications, BLOCK_ROWS):
+        block = range(start, min(start + BLOCK_ROWS, mc.replications))
+        z = np.empty((len(block), sim_problem.n))
+        for row, idx in zip(z, block):
+            rng = np.random.default_rng(np.random.SeedSequence((mc.seed, idx)))
+            row[:] = rng.standard_normal(sim_problem.n)
         for i, sampler in enumerate(samplers):
-            res = engine.result(mu + mc.sigma * sampler(z))
-            out[i, 0, idx] = res.t_value
-            if res.defined:
-                for j, shift in enumerate(shifts, start=1):
-                    out[i, j, idx] = _quadratic_form(res.omega.omega, res.discrepancy + shift)
+            for y, idx in zip(mu + mc.sigma * sampler(z), block):
+                res = engine.result(y)
+                out[i, 0, idx] = res.t_value
+                if res.defined:
+                    for j, shift in enumerate(shifts, start=1):
+                        out[i, j, idx] = _quadratic_form(res.omega.omega, res.discrepancy + shift)
     return [(label, rho, rows) for (label, rho, _cov), rows in zip(members, out)]
 
 
@@ -353,6 +368,16 @@ def calibrate_critical_value(
     )
 
 
+def check_distances(distances) -> list[float]:
+    """Alternative distances as floats: a non-empty 1-D sequence, finite and >= 0."""
+    d = check_finite("distances", distances)
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError(f"distances must be a non-empty 1-D sequence, got shape {d.shape}")
+    if np.any(d < 0):
+        raise ValueError(f"distances must be nonnegative, got {d.min():g}")
+    return [float(v) for v in d]
+
+
 def power_curve(
     target,
     mc: McConfig,
@@ -371,6 +396,7 @@ def power_curve(
     """
     check_finite("critical value", critical_value)
     _check_reported_reps(mc.replications)
+    distances = check_distances(distances)
     engine, sim_problem = _resolve_target(target, est_config)
     q = sim_problem.q
     if direction is None:
@@ -385,10 +411,6 @@ def power_curve(
         u = u / norm
     pull = sim_problem.R.T @ np.linalg.solve(sim_problem.R @ sim_problem.R.T, u)
     beta0 = null_point(sim_problem)
-    distances = [float(d) for d in check_finite("distances", distances)]
-    for d in distances:
-        if d < 0:
-            raise ValueError(f"distances must be nonnegative, got {d}")
     betas = [beta0 + d * mc.sigma * pull for d in distances]
 
     points = []

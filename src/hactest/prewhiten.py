@@ -5,12 +5,12 @@ OLS residuals ``u``:
 
 1. fit a VAR(p) to ``V`` by least squares, keeping coefficient blocks
    ``A = (A_1, ..., A_p)`` and residuals ``Z``;
-2. smooth the sample autocovariances of ``Z`` with kernel weights
-   ``kappa(i / M)`` at a (possibly data-driven) bandwidth ``M``, computed
-   in its Toeplitz form ``Z W Z' / (n-p)`` with ``W`` the kernel Toeplitz
-   weight matrix ``[kappa((i-j)/M)]``, never built as a matrix;
-3. "recolor" through ``D = I - sum_l A_l``:  ``Psi = D^{-1} Psi_white D^{-T}``,
-   and form ``Omega = n R (X'X)^{-1} Psi (X'X)^{-1} R'``.
+2. pick a (possibly data-driven) bandwidth ``M`` from ``Z``;
+3. "recolor" through ``D = I - sum_l A_l`` and map to restriction space,
+   ``B = R (X'X)^{-1} D^{-1} Z`` (q x (n-p)), and smooth the sample
+   autocovariances of ``B`` with kernel weights ``kappa(i / M)``:
+   ``Omega = (n/(n-p)) * B W B'`` with ``W`` the kernel Toeplitz weight
+   matrix ``[kappa((i-j)/M)]``, never built as a matrix.
 
 The estimator is *undefined* at some response vectors — the VAR regressor
 matrix can be rank deficient (I), the recoloring matrix singular (II), or the
@@ -18,16 +18,19 @@ bandwidth undefined (III).  Those outcomes are data, not errors: they are
 returned as typed :class:`OmegaOutcome` values, classified in the fixed
 precedence (I) -> (II) -> (III).
 
-Step 2 forms ``Z W`` by one convolution per row of ``Z`` rather than a loop
-over the ``n - p`` lags; its lag-by-lag expansion
-``sum_{|i| < n-p} kappa(i / M) Gamma_i`` is kept as the test suite's oracle.
-The same form gives ``Omega = (n/(n-p)) * B W B'`` with
-``B = R (X'X)^{-1} D^{-1} Z``; ``B`` is exposed because the definiteness of
-``Omega`` is exactly the row rank of ``B``.
+Step 3 forms ``B W`` by one convolution per row of ``B`` rather than a loop
+over the ``n - p`` lags: q convolutions, not one per score row.  That is
+``n R (X'X)^{-1} Psi (X'X)^{-1} R'`` for the recolored k x k long-run
+matrix ``Psi = D^{-1} Psi_white D^{-T}``, ``Psi_white = Z W Z' / (n-p)``,
+in another order of the same products; ``Psi`` is formed only when it is
+read.  The lag-by-lag expansion ``sum_{|i| < n-p} kappa(i / M) Gamma_i``
+is kept as the test suite's oracle.  ``B`` is exposed because the
+definiteness of ``Omega`` is exactly the row rank of ``B``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,21 +98,22 @@ class OmegaOutcome:
     """Either the assembled covariance estimate or a typed undefinedness.
 
     When well-defined: ``omega`` is the q x q restriction covariance,
-    ``psi`` the recolored k x k long-run matrix, ``m`` the bandwidth value,
-    ``B`` the q x (n-p) matrix whose row rank determines definiteness, and
-    ``fit`` the step-1 pieces.  ``bandwidth`` carries the rule outcome
+    ``m`` the bandwidth value, ``B`` the q x (n-p) matrix whose row rank
+    determines definiteness, ``fit`` the step-1 pieces, and ``kernel`` the
+    kernel that smoothed them.  ``bandwidth`` carries the rule outcome
     (including the undefinedness sub-reason when status is undefined at
-    step III).
+    step III).  ``psi``, the recolored k x k long-run matrix, is formed on
+    first read.
     """
 
     status: str
     reason: str | None = None
     omega: np.ndarray | None = None
-    psi: np.ndarray | None = None
     m: float | None = None
     B: np.ndarray | None = None
     fit: PrewhitenFit | None = None
     bandwidth: BandwidthOutcome | None = None
+    kernel: KernelSpec | None = None
 
     @classmethod
     def not_defined(cls, reason: str, bandwidth: BandwidthOutcome | None = None) -> "OmegaOutcome":
@@ -118,6 +122,15 @@ class OmegaOutcome:
     @property
     def well_defined(self) -> bool:
         return self.status == WELL_DEFINED
+
+    @cached_property
+    def psi(self) -> np.ndarray | None:
+        """``D^{-1} (Z W Z' / (n-p)) D^{-T}``, or None when not well-defined."""
+        if not self.well_defined:
+            return None
+        recolor = self.fit.recolor
+        psi_white = _kernel_lag_sum(self.fit.Z, self.kernel, self.m)
+        return symmetrize(recolor @ psi_white @ recolor.T)
 
 
 class OmegaEngine:
@@ -182,22 +195,23 @@ class OmegaEngine:
         bw = compute_bandwidth(config.rule, fit.Z, n, p)
         if not bw.is_defined:
             return OmegaOutcome.not_defined(BANDWIDTH_UNDEFINED, bandwidth=bw)
-        psi_white = _kernel_lag_sum(fit.Z, config.kernel, bw.m)
-        psi = symmetrize(fit.recolor @ psi_white @ fit.recolor.T)
-        omega = symmetrize(n * self.g @ psi @ self.g.T)
         B = (self.g @ fit.recolor) @ fit.Z
+        omega = symmetrize(n * _kernel_lag_sum(B, config.kernel, bw.m))
         return OmegaOutcome(
-            status=WELL_DEFINED, omega=omega, psi=psi, m=bw.m, B=B, fit=fit, bandwidth=bw
+            status=WELL_DEFINED, omega=omega, m=bw.m, B=B, fit=fit, bandwidth=bw,
+            kernel=config.kernel,
         )
 
 
 def _kernel_lag_sum(Z: np.ndarray, kernel: KernelSpec, m_value: float) -> np.ndarray:
-    """Step 2: sum_{|i| < m} kappa(i / M) Gamma_i = Z W Z' / m, with the M = 0 convention.
+    """sum_{|i| < m} kappa(i / M) Gamma_i = Z W Z' / m, with the M = 0 convention.
 
-    ``Z W`` is one convolution per row of ``Z`` with the symmetric weights
-    cut to the last weighted lag, so a compact kernel at a small M costs
-    O(k m M), not O(k m^2).  At M = 0 only the lag-zero term survives (W is
-    the identity), so the sum collapses to Gamma_0.
+    ``Z`` is any block of rows over the m residual columns: the residuals
+    themselves (k rows, for ``Psi_white``) or their image ``B`` (q rows, for
+    ``Omega``).  ``Z W`` is one convolution per row with the symmetric
+    weights cut to the last weighted lag, so a compact kernel at a small M
+    costs O(rows m M), not O(rows m^2).  At M = 0 only the lag-zero term
+    survives (W is the identity), so the sum collapses to Gamma_0.
     """
     m = Z.shape[1]
     w = lag_weights(kernel, m, m_value)

@@ -4,15 +4,13 @@ Everything here is deliberately written with explicit Python loops over
 scalars (plus `math`), independent of the package's vectorized numpy
 routines, so that agreement between the two is evidence of correctness
 rather than shared code.  The exceptions are the full-lag Newey-West
-bandwidth, which pins a bitwise equality and so keeps numpy's arithmetic,
-and the seeded AR(1) sampler at the end, a convenience that only tests
-need.
+bandwidth and the scalar AR(1) recursion, which pin bitwise equalities and
+so keep numpy's scalar arithmetic, and the MA(d) correlation matrix and
+the seeded AR(1) sampler at the end, conveniences that only tests need.
 """
 import math
 
 import numpy as np
-
-from hactest.model import _ar1_path
 
 
 def am_bandwidth_oracle(Z, omega, j, c1, c2, n):
@@ -171,6 +169,22 @@ def kernel_lag_sum_oracle(Z, kernel_fn, m_value):
     return np.array(out)
 
 
+def ar1_path_oracle(rho, z):
+    """The AR(1) recursion u_1 = z_1, u_t = rho u_{t-1} + sqrt(1-rho^2) z_t, one step at a time.
+
+    Takes a 1-D z.  The library runs the same recursion over a whole block
+    of rows at once; it must agree with this loop bitwise, row by row.
+    """
+    scale = np.sqrt(1.0 - rho * rho)
+    zl = np.asarray(z, dtype=float).tolist()
+    out = [zl[0]]
+    prev = zl[0]
+    for t in range(1, len(zl)):
+        prev = rho * prev + scale * zl[t]
+        out.append(prev)
+    return np.array(out)
+
+
 def ar1_transfer_matrix(rho, n):
     """Row-by-row coefficient matrix of the stationary AR(1) recursion.
 
@@ -276,5 +290,30 @@ def sample_gaussian_ar1(rho, sigma, mu, n, seed):
         raise ValueError(f"AR(1) parameter must satisfy |rho| < 1, got {rho}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    u = _ar1_path(rho, as_generator(seed).standard_normal(int(n)))
+    u = ar1_path_oracle(rho, as_generator(seed).standard_normal(int(n)))
     return np.asarray(mu, dtype=float) + float(sigma) * u
+
+
+def ma_closure_matrix(alpha, n: int) -> np.ndarray:
+    """Correlation matrix of the MA(d) process with coefficients ``alpha``.
+
+    The lag-h autocorrelation is ``sum_j alpha_j alpha_{j+h} / sum_j alpha_j**2``
+    for |h| <= d and exactly zero beyond, so the result is banded with unit
+    diagonal.  ``alpha`` is normalized with leading coefficient 1.
+    """
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if alpha.ndim != 1 or alpha.size == 0:
+        raise ValueError("alpha must be a non-empty coefficient vector")
+    if alpha[0] != 1.0:
+        raise ValueError("leading MA coefficient alpha_0 must equal 1")
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    d = alpha.size - 1
+    total = float(alpha @ alpha)
+    gamma = np.zeros(n)
+    gamma[0] = 1.0
+    for h in range(1, min(d, n - 1) + 1):
+        gamma[h] = float(alpha[: d + 1 - h] @ alpha[h:]) / total
+    idx = np.arange(n)
+    return gamma[np.abs(idx[:, None] - idx[None, :])]

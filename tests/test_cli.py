@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hactest.cli
 from hactest import alternating_vector, constant_vector
 from hactest.cli import main
 
@@ -353,6 +354,20 @@ class TestStudy:
         result = runner.invoke(main, [
             "study", "--x", calibratable_files["x"], "--R", "0,0,1",
             "--reps", "120", "--rho-grid", "0",
+        ])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("distances", ["", "-1", "0,nan"])
+    def test_bad_distances_exit_2_before_calibrating(self, runner, calibratable_files,
+                                                     monkeypatch, distances):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrated before validating --distances")
+
+        monkeypatch.setattr(hactest.cli, "calibrate_critical_value", no_calibration)
+        result = runner.invoke(main, [
+            "study", "--x", calibratable_files["x"], "--R", "0,0,1",
+            "--delta", "0.2", "--reps", "120", "--rho-grid", "0",
+            "--distances", distances, "--rule", "fixed-b",
         ])
         assert result.exit_code == 2
 

@@ -9,12 +9,17 @@ from hactest import (
     alternating_vector,
     ar1_matrix,
     constant_vector,
-    ma_closure_matrix,
     null_point,
 )
 from hactest.model import _ar1_path, check_response
 
-from .oracles import ar1_cov_oracle, ar1_transfer_matrix, sample_gaussian_ar1
+from .oracles import (
+    ar1_cov_oracle,
+    ar1_path_oracle,
+    ar1_transfer_matrix,
+    ma_closure_matrix,
+    sample_gaussian_ar1,
+)
 
 
 class TestRegressionProblem:
@@ -152,6 +157,16 @@ class TestAr1:
     def test_path_at_zero_is_innovations(self, rng):
         z = rng.standard_normal(10)
         assert np.array_equal(_ar1_path(0.0, z), z)
+
+    @pytest.mark.parametrize("rho", [-0.9999, -0.3, 0.0, 0.6, 0.9999])
+    @pytest.mark.parametrize("n", [1, 2, 40, 100])
+    def test_block_path_is_the_scalar_recursion_bitwise(self, rng, rho, n):
+        for shape in ((n,), (1, n), (7, n), (128, n)):
+            z = rng.standard_normal(shape)
+            got = _ar1_path(rho, z)
+            want = np.array([ar1_path_oracle(rho, row) for row in z.reshape(-1, n)])
+            assert got.shape == shape
+            assert np.array_equal(got, want.reshape(shape))
 
     def test_sampler_is_seed_deterministic(self):
         a = sample_gaussian_ar1(0.9, 1.0, np.zeros(8), 8, seed=3)

@@ -337,18 +337,57 @@ class TestPowerCurve:
         assert curve.max_rate == max(by_distance.values())
 
     def test_each_replication_is_drawn_once_per_member(self, rng, monkeypatch):
-        paths = []
+        # a call maps a block of replications; count the rows it maps
+        rows = {}
         ar1_path = hactest.montecarlo._ar1_path
 
         def counted(rho, z):
-            paths.append(rho)
+            rows[rho] = rows.get(rho, 0) + z.size // z.shape[-1]
             return ar1_path(rho, z)
 
         monkeypatch.setattr(hactest.montecarlo, "_ar1_path", counted)
         problem = calibratable_problem(rng)
-        mc = McConfig(replications=100, seed=13, family=AR1Grid((0.0, 0.5)))
+        mc = McConfig(replications=300, seed=13, family=AR1Grid((0.0, 0.5)))
         power_curve(problem, mc, 3.0, (0.0, 1.0, 2.0), est_config=CONFIG)
-        assert len(paths) == 2 * mc.replications
+        assert rows == {0.0: mc.replications, 0.5: mc.replications}
+        assert sum(rows.values()) == 2 * mc.replications
+
+    def test_replication_blocks_change_no_statistic(self, rng):
+        # replication idx is seeded by (seed, idx) alone, whatever its block
+        problem = calibratable_problem(rng)
+        block = hactest.montecarlo.BLOCK_ROWS
+        kw = dict(beta=null_point(problem), seed=19, est_config=CONFIG)
+        for cov in (0.7, ar1_matrix(0.7, problem.n)):
+            long = simulate_statistics(problem, cov=cov, reps=2 * block + 3, **kw)
+            for reps in (1, block - 1, block, block + 1):
+                assert np.array_equal(
+                    simulate_statistics(problem, cov=cov, reps=reps, **kw), long[:reps])
+
+    def test_explicit_members_are_bitwise_their_per_row_draws(self, rng, monkeypatch):
+        problem = shared_design(rng)
+        n = problem.n
+        mats = (ar1_matrix(0.6, n), 0.5 * np.eye(n) + 0.5 * ar1_matrix(-0.8, n))
+        mc = McConfig(replications=hactest.montecarlo.BLOCK_ROWS + 20, seed=24,
+                      family=ExplicitList(mats), sigma=1.3)
+        calls = []
+        family_statistics = hactest.montecarlo._family_statistics
+
+        def spy(*args):
+            calls.append(family_statistics(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(hactest.montecarlo, "_family_statistics", spy)
+        curve = power_curve(problem, mc, 2.0, (0.0, 1.5), est_config=CONFIG)
+        (members,) = calls
+        engine = hactest.testing.TestEngine(problem, CONFIG)
+        mu = problem.X @ null_point(problem)
+        for (_label, _rho, rows), chol in zip(members, mc.family.factors):
+            for idx in range(mc.replications):
+                z = np.random.default_rng(np.random.SeedSequence((mc.seed, idx))).standard_normal(n)
+                want = engine.result(mu + mc.sigma * (chol @ z)).t_value
+                assert rows[0][idx] == want and rows[1][idx] == want
+        assert [p.rate for p in curve.points[::2]] == [
+            np.mean(rows[1] >= 2.0) for _label, _rho, rows in members]
 
     def test_each_replication_is_seeded_once_per_call(self, rng, monkeypatch):
         # one generator per replication, shared by every member and distance
@@ -438,6 +477,20 @@ class TestPowerCurve:
         with pytest.raises(ValueError, match="direction must be finite"):
             power_curve(problem, mc, 3.0, (1.0,), est_config=CONFIG, direction=np.array([bad]))
 
+    @pytest.mark.parametrize("distances", [[], (), 2.0, [[0.0, 1.0]]],
+                             ids=["empty-list", "empty-tuple", "scalar", "2-D"])
+    def test_distances_must_be_a_non_empty_sequence(self, rng, monkeypatch, distances):
+        # [] used to simulate the whole family and return a curve whose
+        # max_rate raised; a scalar or a nested list raised TypeError
+        def no_simulation(*args):
+            raise AssertionError("simulated before validating distances")
+
+        monkeypatch.setattr(hactest.montecarlo, "_family_statistics", no_simulation)
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=11, family=AR1Grid((0.0,)))
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            power_curve(problem, mc, 3.0, distances, est_config=CONFIG)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_distance_is_rejected(self, rng, bad):
         problem = calibratable_problem(rng)
@@ -525,7 +578,7 @@ class TestSharedCovarianceEstimate:
         config = CONFIG
         target = build_adjusted(problem, config) if adjusted else problem
         monkeypatch.setattr(hactest.montecarlo, "_ar1_path",
-                            lambda rho, z: problem.X @ z[: problem.k])
+                            lambda rho, z: z[..., : problem.k] @ problem.X.T)
         mc = McConfig(replications=100, seed=22, family=AR1Grid((0.5,)))
         wants = assert_curve_matches_oracle(
             monkeypatch, target, mc, (0.0, 1.0, 3.0), None if adjusted else config)

@@ -16,12 +16,15 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
 
 def test_single_path_names_and_dead_fields_stay_gone():
     # the empirical size is power_curve(..., (0.0,)).max_rate; null_point
-    # returns beta0; the AR(1) sampler and Gamma_i live in tests/oracles.py
+    # returns beta0; the AR(1) sampler, Gamma_i and the MA(d) correlation
+    # matrix live in tests/oracles.py
     for name in ("rejection_probability", "empirical_size", "SizeReport",
-                 "NullPoint", "sample_gaussian_ar1", "compute_gamma"):
+                 "NullPoint", "sample_gaussian_ar1", "compute_gamma",
+                 "ma_closure_matrix"):
         assert not hasattr(hactest, name), name
         assert name not in hactest.__all__, name
-    assert len(hactest.__all__) == 75
+    assert not hasattr(hactest.model, "ma_closure_matrix")
+    assert len(hactest.__all__) == 74
 
     def field_names(cls):
         return {f.name for f in dataclasses.fields(cls)}

@@ -12,11 +12,14 @@ from hactest import (
     OmegaEngine,
     RegressionProblem,
     assemble_omega,
+    build_adjusted,
     classify_definiteness,
     default_rule,
     get_kernel,
     kernel_eval,
 )
+from hactest import TestEngine as Engine
+from hactest._linalg import symmetrize
 from hactest.bandwidth import DENOMINATOR_ZERO, PLUG_IN_NOT_FINITE
 from hactest.prewhiten import (
     BANDWIDTH_UNDEFINED,
@@ -30,6 +33,7 @@ from hactest.prewhiten import (
     OmegaOutcome,
     _kernel_lag_sum,
 )
+from hactest.testing import _quadratic_form
 
 from .conftest import config_grid, random_problem
 from .oracles import gamma_oracle, kernel_lag_sum_oracle, toeplitz_statistic_oracle
@@ -251,6 +255,57 @@ class TestOmegaOutcome:
         b = assemble_omega(problem, y, config)
         assert np.array_equal(a.omega, b.omega)
         assert a.m == b.m
+
+
+class TestOmegaFromRestrictionRows:
+    """Omega is smoothed from the q rows of B; Psi is formed on first read."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("adjusted", [False, True], ids=["bare", "adjusted"])
+    @pytest.mark.parametrize("config_index", range(len(config_grid())))
+    def test_omega_is_the_recolored_long_run_matrix_in_restriction_space(
+        self, rng, config_index, adjusted, p, q
+    ):
+        config = config_grid(p)[config_index]
+        problem, _ = random_problem(rng, n=24, k=3, q=q)
+        if adjusted:
+            adj = build_adjusted(problem, config)
+            problem, config = adj.problem, adj.config
+        engine = Engine(problem, config)
+        classes = set()
+        for scale in (1.0, 1e-3, 1e4):
+            for _ in range(3):
+                res = engine.result(rng.standard_normal(problem.n) * scale)
+                out = res.omega
+                assert out.status == WELL_DEFINED
+                classes.add(classify_definiteness(out))
+                g = engine.omega_engine.g
+                want = symmetrize(problem.n * g @ out.psi @ g.T)
+                assert np.max(np.abs(out.omega - want)) <= 1e-12 * np.max(np.abs(want))
+                if res.defined:
+                    np.linalg.cholesky(want)
+                    t = _quadratic_form(want, res.discrepancy)
+                    assert abs(res.t_value - t) <= 1e-10 * max(1.0, t)
+        assert POSITIVE_DEFINITE in classes
+
+    def test_psi_is_the_recolored_kernel_lag_sum_bitwise(self, rng):
+        for p in (1, 2):
+            for config in config_grid(p):
+                problem, y = random_problem(rng, n=20, k=2, q=1)
+                out = OmegaEngine(problem, config).outcome(y)
+                fit = out.fit
+                want = symmetrize(
+                    fit.recolor @ _kernel_lag_sum(fit.Z, config.kernel, out.m) @ fit.recolor.T
+                )
+                assert np.array_equal(out.psi, want)
+                assert out.psi is out.psi
+
+    def test_undefined_outcomes_have_no_psi(self, rng):
+        problem, _ = random_problem(rng, n=10, k=2)
+        out = assemble_omega(problem, problem.X @ np.ones(2), config_grid()[0])
+        assert out.reason == VAR_RANK_DEFICIENT
+        assert out.psi is None
 
 
 class TestClassifyDefiniteness:
