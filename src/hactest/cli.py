@@ -419,11 +419,12 @@ def diagnose_cmd(x_spec, header, restriction_spec, target_spec,
 
 
 def _study_target(problem, config):
-    """Adjusted problem when a scenario applies, the bare problem otherwise."""
+    """(target, est_config, scenario): the adjusted problem, which carries its
+    own config, when a scenario applies; else the bare problem and config."""
     selection = select_scenario(problem)
     if selection.applicable:
-        return build_adjusted(problem, config), selection.scenario
-    return problem, None
+        return build_adjusted(problem, config), None, selection.scenario
+    return problem, config, None
 
 
 @main.command()
@@ -443,8 +444,8 @@ def calibrate(x_spec, header, restriction_spec, target_spec,
     problem = _problem_from(x_spec, restriction_spec, target_spec, header)
     config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
     mc = McConfig(replications=reps, seed=seed, family=_family_from(rho_grid))
-    target, scenario = _study_target(problem, config)
-    result = calibrate_critical_value(target, mc, delta, est_config=config, tol=tol)
+    target, est_config, scenario = _study_target(problem, config)
+    result = calibrate_critical_value(target, mc, delta, est_config=est_config, tol=tol)
     payload = {
         "C": result.critical_value,
         "size": result.size,
@@ -469,7 +470,7 @@ def calibrate(x_spec, header, restriction_spec, target_spec,
 @click.option("--C", "critical_value", type=float, default=None,
               help="critical value (omit to calibrate at --delta first)")
 @click.option("--delta", type=float, default=None,
-              help="size level used to calibrate when --C is omitted")
+              help="size level to calibrate at first; pass it instead of --C")
 @click.option("--distances", default="0,1,2,5", show_default=True,
               help="standardized alternative distances")
 @_mc_options
@@ -480,16 +481,16 @@ def study(x_spec, header, restriction_spec, target_spec,
           critical_value, delta, distances, reps, seed, rho_grid, as_json, out):
     """Size and power curves over the AR(1) family at given distances."""
     distances = check_distances(_parse_floats(distances))
+    if (critical_value is None) == (delta is None):
+        raise ValueError("pass one of --C and --delta")
     problem = _problem_from(x_spec, restriction_spec, target_spec, header)
     config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
     mc = McConfig(replications=reps, seed=seed, family=_family_from(rho_grid))
-    target, scenario = _study_target(problem, config)
+    target, est_config, scenario = _study_target(problem, config)
     if critical_value is None:
-        if delta is None:
-            raise ValueError("provide --C or --delta")
-        result = calibrate_critical_value(target, mc, delta, est_config=config)
-        critical_value = result.critical_value
-    curve = power_curve(target, mc, critical_value, distances, est_config=config)
+        critical_value = calibrate_critical_value(
+            target, mc, delta, est_config=est_config).critical_value
+    curve = power_curve(target, mc, critical_value, distances, est_config=est_config)
     null_rates = [pt.rate for pt in curve.points if pt.distance == 0.0]
     payload = {
         "C": critical_value,
@@ -497,16 +498,7 @@ def study(x_spec, header, restriction_spec, target_spec,
         "max_null_rate": max(null_rates) if null_rates else None,
         "points": curve.to_json(),
     }
-    if as_json:
-        _emit(payload, True, out, [])
-    else:
-        text = curve.to_csv(header=True)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-            click.echo(f"wrote {out}")
-        else:
-            click.echo(text, nl=False)
+    _emit(payload, as_json, out, curve.to_csv(header=True).splitlines())
 
 
 if __name__ == "__main__":

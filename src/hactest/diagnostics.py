@@ -57,6 +57,8 @@ TIE_RTOL = 1e-9
 #: relative deviation between finite-difference gradients above which the
 #: analytic differentiability claim is withdrawn
 FD_AGREEMENT = 0.25
+#: finite-difference step sizes of that cross-check
+FD_STEPS = (1e-4, 1e-5, 1e-6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +94,11 @@ def _kernel_hits_kink(kernel, m_value: float, m: int) -> bool:
     return False
 
 
-def _fd_gradients_agree(engine: TestEngine, y: np.ndarray, steps) -> bool:
-    """Central-difference gradients at several steps; True if they stabilize."""
+def _fd_gradients_agree(engine: TestEngine, y: np.ndarray) -> bool:
+    """Central-difference gradients at the FD_STEPS; True if they stabilize."""
     n = y.shape[0]
     grads = []
-    for h in steps:
+    for h in FD_STEPS:
         g = np.empty(n)
         for j in range(n):
             bump = np.zeros(n)
@@ -117,7 +119,6 @@ def _gradient_exists_at(
     y: np.ndarray,
     result: TestResult,
     check_numerically: bool,
-    steps,
 ) -> bool | None:
     rule = engine.config.rule
     if isinstance(rule, FixedBRule):
@@ -136,7 +137,7 @@ def _gradient_exists_at(
     if analytic is None or not check_numerically:
         return analytic
     # the numeric check can only withdraw the claim, never make one
-    return True if _fd_gradients_agree(engine, y, steps) else None
+    return True if _fd_gradients_agree(engine, y) else None
 
 
 def gradient_exists(
@@ -145,14 +146,13 @@ def gradient_exists(
     config: EstimatorConfig,
     *,
     check_numerically: bool = True,
-    steps=(1e-4, 1e-5, 1e-6),
 ) -> bool | None:
     """Certify differentiability of the statistic at y (True) or give up (None).
 
     Analytic reasoning: fixed-b statistics are differentiable wherever
     defined; data-driven bandwidths are differentiable unless some lag ratio
     i / M sits on a nondifferentiable point of the kernel.  When requested,
-    finite differences at several step sizes cross-check the analytic claim
+    finite differences at the FD_STEPS step sizes cross-check the analytic claim
     and withdraw it if the numeric gradients disagree.
 
     Raises ValueError when the statistic is undefined at y.
@@ -162,7 +162,7 @@ def gradient_exists(
     result = engine.result(y)
     if not result.defined:
         raise ValueError("gradient check requires the statistic to be defined at y")
-    return _gradient_exists_at(engine, y, result, check_numerically, steps)
+    return _gradient_exists_at(engine, y, result, check_numerically)
 
 
 def _classify(result: TestResult, critical_value: float) -> str:
@@ -230,13 +230,9 @@ def diagnose(
 
     grad_plus = grad_minus = None
     if res_plus.defined:
-        grad_plus = _gradient_exists_at(
-            engine, mu0 + e_plus, res_plus, kind_plus == "tie", (1e-4, 1e-5, 1e-6)
-        )
+        grad_plus = _gradient_exists_at(engine, mu0 + e_plus, res_plus, kind_plus == "tie")
     if res_minus.defined:
-        grad_minus = _gradient_exists_at(
-            engine, mu0 + e_minus, res_minus, kind_minus == "tie", (1e-4, 1e-5, 1e-6)
-        )
+        grad_minus = _gradient_exists_at(engine, mu0 + e_minus, res_minus, kind_minus == "tie")
 
     evidence = {
         "plus_in_span": plus_in,

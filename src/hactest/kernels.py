@@ -18,6 +18,11 @@ BARTLETT_NAME = "bartlett"
 PARZEN_NAME = "parzen"
 QS_NAME = "qs"
 
+#: register_kernel's positive-definiteness check: random (order, bandwidth)
+#: Toeplitz matrices drawn from a fixed seed, so admission is reproducible
+PSD_TRIALS = 100
+PSD_SEED = 0
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -40,14 +45,6 @@ class KernelSpec:
     evaluate: Callable[[np.ndarray], np.ndarray]
     nondifferentiable_points: tuple[float, ...]
     compact_support: bool
-
-
-def kernel_eval(kernel: KernelSpec, x):
-    """Evaluate a kernel at scalar or array ``x`` (returns float for scalars)."""
-    out = kernel.evaluate(np.asarray(x, dtype=float))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
 
 
 def _bartlett(x: np.ndarray) -> np.ndarray:
@@ -155,22 +152,26 @@ def toeplitz_weights(kernel: KernelSpec, m: int, bandwidth: float) -> np.ndarray
     return w[np.abs(idx[:, None] - idx[None, :])]
 
 
-def register_kernel(kernel: KernelSpec, *, trials: int = 100, seed: int = 0) -> KernelSpec:
+def register_kernel(kernel: KernelSpec) -> KernelSpec:
     """Admit a custom kernel after checking the contract it must satisfy.
 
-    The check draws random (order, bandwidth) pairs and requires every
-    Toeplitz weight matrix to be positive definite up to roundoff
+    The check draws PSD_TRIALS random (order, bandwidth) pairs and requires
+    every Toeplitz weight matrix to be positive definite up to roundoff
     (min eigenvalue > -1e-10 * order), plus evenness and kappa(0) = 1 on
-    sampled points.  Raises ValueError when the kernel fails.
+    sampled points.  Raises ValueError when the kernel fails, or when its
+    name is already registered: bandwidth rule constants are looked up by
+    name, so a replaced kernel would inherit another kernel's constants.
     """
-    rng = np.random.default_rng(seed)
-    at_zero = kernel_eval(kernel, 0.0)
+    if kernel.name in _REGISTRY:
+        raise ValueError(f"kernel {kernel.name!r} is already registered")
+    rng = np.random.default_rng(PSD_SEED)
+    at_zero = float(kernel.evaluate(np.zeros(1))[0])
     if not abs(at_zero - 1.0) <= 1e-12:
         raise ValueError(f"kernel {kernel.name!r} violates kappa(0) = 1 (got {at_zero})")
     xs = np.concatenate([rng.uniform(0, 5, 64), rng.uniform(0, 0.01, 16)])
     if not np.array_equal(kernel.evaluate(xs), kernel.evaluate(-xs)):
         raise ValueError(f"kernel {kernel.name!r} is not even")
-    for _ in range(int(trials)):
+    for _ in range(PSD_TRIALS):
         m = int(rng.integers(2, 51))
         bw = float(rng.uniform(0.01, 100.0))
         w = toeplitz_weights(kernel, m, bw)

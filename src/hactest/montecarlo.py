@@ -14,9 +14,16 @@ rates are bitwise reproducible.  Each replication is drawn once per call and
 shared by every family member and every alternative: each member maps the
 same standard normal draw to its own errors.
 
+The errors are drawn with unit scale, Cov(u) = Sigma, without loss: the
+statistic is invariant under ``y -> c (y - mu0) + mu0`` for every null mean
+``mu0`` and ``c != 0``, so at the null no rejection rate depends on a scale
+sigma, and an alternative at ``X beta`` with errors ``sigma u`` rejects
+exactly as the one at ``X beta0 + (X beta - X beta0) / sigma`` with errors
+``u`` does.  Distances are therefore in units of the error scale.
+
 Each (member, replication) also makes one covariance estimate, shared by
 every alternative.  The estimate is a function of the OLS residuals, so it
-is the same at every ``y = X beta + sigma u`` of one draw ``u``; only the
+is the same at every ``y = X beta + u`` of one draw ``u``; only the
 discrepancy ``R beta_hat - r`` moves, by ``R (beta - beta')``.  The
 statistic at each further alternative is therefore one quadratic form on
 that estimate, and 0 wherever the estimate is undefined or not positive
@@ -78,15 +85,12 @@ class McConfig:
     replications: int
     seed: int = 0
     family: CovarianceFamily = field(default_factory=lambda: AR1Grid(DEFAULT_RHO_GRID))
-    sigma: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not check_finite("sigma", self.sigma) > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -179,9 +183,15 @@ def _resolve_target(target, est_config: EstimatorConfig | None):
 
     For an AdjustedProblem the adjusted statistic is evaluated but the data
     come from the original design — the artificial regressors never enter
-    the data-generating process.
+    the data-generating process.  Its estimator is the one it was built
+    with, so an ``est_config`` beside it is refused rather than ignored.
     """
     if isinstance(target, AdjustedProblem):
+        if est_config is not None:
+            raise ValueError(
+                "est_config applies to a bare problem only; an AdjustedProblem "
+                "uses the config it was built with"
+            )
         return TestEngine(target.problem, target.config), target.original
     if isinstance(target, RegressionProblem):
         if est_config is None:
@@ -196,7 +206,7 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
     Replication idx draws one z from ``default_rng(SeedSequence((seed,
     idx)))``.  Replications are drawn in blocks of up to BLOCK_ROWS; each
     member maps a whole block to its own u at once, and the engine
-    evaluates y = X betas[0] + sigma * u row by row.  A replication's
+    evaluates y = X betas[0] + u row by row.  A replication's
     draw, and so every statistic, does not depend on the block it fell in.
     Every other beta shares that covariance estimate: its statistic is the
     quadratic form of the estimate at the engine's discrepancy shifted by
@@ -216,7 +226,7 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
             rng = np.random.default_rng(np.random.SeedSequence((mc.seed, idx)))
             row[:] = rng.standard_normal(sim_problem.n)
         for i, sampler in enumerate(samplers):
-            for y, idx in zip(mu + mc.sigma * sampler(z), block):
+            for y, idx in zip(mu + sampler(z), block):
                 res = engine.result(y)
                 out[i, 0, idx] = res.t_value
                 if res.defined:
@@ -232,10 +242,9 @@ def simulate_statistics(
     beta,
     reps: int,
     seed: int,
-    sigma: float = 1.0,
     est_config: EstimatorConfig | None = None,
 ) -> np.ndarray:
-    """Statistic values over ``reps`` draws of y = X beta + sigma * u.
+    """Statistic values over ``reps`` draws of y = X beta + u.
 
     ``cov`` is an AR(1) rho or an explicit covariance matrix: the simulation
     is that of a one-member family.  Replication idx draws from
@@ -244,7 +253,7 @@ def simulate_statistics(
     covariance members and alternatives.
     """
     family = AR1Grid((cov,)) if np.ndim(cov) == 0 else ExplicitList((cov,))
-    mc = McConfig(replications=reps, seed=seed, family=family, sigma=sigma)
+    mc = McConfig(replications=reps, seed=seed, family=family)
     engine, sim_problem = _resolve_target(target, est_config)
     beta = check_finite("beta", beta)
     if beta.shape != (sim_problem.k,):
@@ -387,7 +396,7 @@ def power_curve(
     est_config: EstimatorConfig | None = None,
     direction=None,
 ) -> SizePowerCurve:
-    """Rejection rates across the family at alternatives R beta - r = d sigma u.
+    """Rejection rates across the family at alternatives R beta - r = d u.
 
     ``distances`` are the standardized violation lengths d (0 reproduces the
     null, so ``distances=(0.0,)`` gives the empirical size as ``max_rate``);
@@ -411,7 +420,7 @@ def power_curve(
         u = u / norm
     pull = sim_problem.R.T @ np.linalg.solve(sim_problem.R @ sim_problem.R.T, u)
     beta0 = null_point(sim_problem)
-    betas = [beta0 + d * mc.sigma * pull for d in distances]
+    betas = [beta0 + d * pull for d in distances]
 
     points = []
     # the engine evaluates at the null point, so a distance-0 statistic is

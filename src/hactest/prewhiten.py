@@ -79,15 +79,15 @@ class EstimatorConfig:
 
 @dataclass(frozen=True, eq=False)
 class PrewhitenFit:
-    """Step-1 output: score series, VAR pieces, residuals, recoloring inverse.
+    """Step-1 output: VAR regressors, coefficients, residuals, recoloring inverse.
 
+    ``V1`` stacks the p lagged blocks of the score series (kp rows),
+    ``A`` holds the coefficient blocks and ``Z`` the k VAR residual rows.
     ``recolor`` is ``(I - sum_l A_l)^{-1}``, or None when that matrix is
     numerically singular (undefinedness condition (II)).
     """
 
-    V: np.ndarray
     V1: np.ndarray
-    Vp: np.ndarray
     A: np.ndarray
     Z: np.ndarray
     recolor: np.ndarray | None
@@ -182,7 +182,7 @@ class OmegaEngine:
         D = self._eye_k - A.reshape(k, p, k).sum(axis=1)
         recolor = solve_well_conditioned(D, self._eye_k)
         Z = Vp - A @ V1
-        return PrewhitenFit(V=V, V1=V1, Vp=Vp, A=A, Z=Z, recolor=recolor)
+        return PrewhitenFit(V1=V1, A=A, Z=Z, recolor=recolor)
 
     def outcome(self, y: np.ndarray) -> OmegaOutcome:
         problem, config = self.problem, self.config

@@ -5,8 +5,9 @@ scalars (plus `math`), independent of the package's vectorized numpy
 routines, so that agreement between the two is evidence of correctness
 rather than shared code.  The exceptions are the full-lag Newey-West
 bandwidth and the scalar AR(1) recursion, which pin bitwise equalities and
-so keep numpy's scalar arithmetic, and the MA(d) correlation matrix and
-the seeded AR(1) sampler at the end, conveniences that only tests need.
+so keep numpy's scalar arithmetic, and the scalar kernel evaluation, the
+MA(d) correlation matrix and the seeded AR(1) sampler at the end,
+conveniences that only tests need.
 """
 import math
 
@@ -240,6 +241,14 @@ def qs_kernel_oracle(x):
         term_pow *= z * z
         fact *= (2 * i) * (2 * i + 1)
     return 3.0 * total
+
+
+def kernel_eval(kernel, x):
+    """A kernel at scalar or array ``x``, as a float for a scalar."""
+    out = kernel.evaluate(np.asarray(x, dtype=float))
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
 
 
 def toeplitz_statistic_oracle(problem, outcome, kernel_fn):

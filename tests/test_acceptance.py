@@ -32,19 +32,15 @@ from hactest import (
     adjusted_statistic,
     alternating_vector,
     assemble_omega,
-    bandwidth_am,
-    bandwidth_nw,
     build_adjusted,
     calibrate_critical_value,
     constant_vector,
     default_rule,
     diagnose,
-    kernel_eval,
     null_point,
     power_curve,
     select_scenario,
     simulate_statistics,
-    toeplitz_weights,
     witness_design,
 )
 from hactest import test_statistic as evaluate_statistic
@@ -53,12 +49,16 @@ from hactest.bandwidth import (
     RHO_UNDEFINED,
     RHO_UNIT,
     SIGMA_ALL_ZERO,
+    bandwidth_am,
+    bandwidth_nw,
 )
+from hactest.kernels import toeplitz_weights
 from hactest.prewhiten import WELL_DEFINED
 
 from .conftest import config_grid, random_problem
 from .oracles import (
     am_bandwidth_oracle,
+    kernel_eval,
     nw_bandwidth_oracle,
     rectangular_cutoff_oracle,
     toeplitz_statistic_oracle,

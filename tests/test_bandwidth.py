@@ -6,13 +6,9 @@ from hactest import (
     BandwidthOutcome,
     FixedBRule,
     NeweyWestRule,
-    bandwidth_am,
-    bandwidth_kv,
-    bandwidth_nw,
     compute_bandwidth,
     default_rule,
     get_kernel,
-    rectangular_cutoff,
     resolve_omega,
 )
 from hactest.bandwidth import (
@@ -21,6 +17,10 @@ from hactest.bandwidth import (
     RHO_UNIT,
     SIGMA_ALL_ZERO,
     _nw_weights,
+    bandwidth_am,
+    bandwidth_kv,
+    bandwidth_nw,
+    rectangular_cutoff,
 )
 
 from .oracles import (

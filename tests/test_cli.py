@@ -340,15 +340,28 @@ class TestStudy:
 
     def test_out_writes_the_csv_file(self, runner, calibratable_files, tmp_path):
         out = tmp_path / "curve.csv"
-        result = runner.invoke(main, [
-            "study", "--x", calibratable_files["x"], "--R", "0,0,1",
-            *self.ARGS, "--out", str(out),
-        ])
+        args = ["study", "--x", calibratable_files["x"], "--R", "0,0,1", *self.ARGS]
+        result = runner.invoke(main, args + ["--out", str(out)])
         assert result.exit_code == 0
-        assert f"wrote {out}" in result.output
+        assert result.output == f"wrote {out}\n"
         content = out.read_text().strip().split("\n")
         assert content[0] == "rho,distance,rate,ci"
         assert len(content) == 3
+        # the file holds exactly the bytes the command prints without --out
+        assert out.read_bytes() == runner.invoke(main, args).output.encode()
+
+    def test_c_and_delta_together_exit_two(self, runner, calibratable_files, monkeypatch):
+        # --delta used to be dropped without a word when --C was given
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrated although --C was given")
+
+        monkeypatch.setattr(hactest.cli, "calibrate_critical_value", no_calibration)
+        result = runner.invoke(main, [
+            "study", "--x", calibratable_files["x"], "--R", "0,0,1",
+            *self.ARGS, "--delta", "0.05",
+        ])
+        assert result.exit_code == 2
+        assert "--C" in result.output and "--delta" in result.output
 
     def test_needs_c_or_delta(self, runner, calibratable_files):
         result = runner.invoke(main, [

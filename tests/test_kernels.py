@@ -9,14 +9,12 @@ from hactest import (
     QUADRATIC_SPECTRAL,
     KernelSpec,
     get_kernel,
-    kernel_eval,
     kernel_names,
     register_kernel,
-    toeplitz_weights,
 )
-from hactest.kernels import _REGISTRY
+from hactest.kernels import _REGISTRY, toeplitz_weights
 
-from .oracles import qs_kernel_oracle
+from .oracles import kernel_eval, qs_kernel_oracle
 
 ALL_KERNELS = (BARTLETT, PARZEN, QUADRATIC_SPECTRAL)
 
@@ -182,3 +180,16 @@ class TestRegisterKernel:
         )
         with pytest.raises(ValueError, match="even"):
             register_kernel(spec)
+
+    def test_rejects_a_registered_name(self, clean_registry):
+        # re-registering "bartlett" used to replace the built-in, and the
+        # Bartlett rule constants looked up by that name then went to Parzen
+        impostor = KernelSpec("bartlett", PARZEN.evaluate, (), True)
+        with pytest.raises(ValueError, match="already registered"):
+            register_kernel(impostor)
+        assert get_kernel("bartlett") is BARTLETT
+        spec = KernelSpec("tri2", lambda x: np.maximum(0.0, 1.0 - np.abs(x) / 2.0), (2.0,), True)
+        register_kernel(spec)
+        with pytest.raises(ValueError, match="already registered"):
+            register_kernel(KernelSpec("tri2", BARTLETT.evaluate, (1.0,), True))
+        assert get_kernel("tri2") is spec

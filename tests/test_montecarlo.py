@@ -66,16 +66,6 @@ class TestSimulateStatistics:
         via_matrix = simulate_statistics(problem, cov=np.eye(10), **kw)
         assert np.array_equal(via_rho, via_matrix)
 
-    def test_doubling_sigma_at_the_null_is_bitwise_invariant(self, rng):
-        # with r = 0 the null mean is zero, and the statistic is exactly
-        # invariant to power-of-two scalings of y
-        problem, _ = random_problem(rng, n=10, k=2, r_zero=True)
-        kw = dict(cov=0.3, beta=np.zeros(2), reps=15, seed=3, est_config=CONFIG)
-        assert np.array_equal(
-            simulate_statistics(problem, sigma=1.0, **kw),
-            simulate_statistics(problem, sigma=2.0, **kw),
-        )
-
     def test_validation(self, rng):
         problem, _ = random_problem(rng, n=10, k=2)
         kw = dict(cov=0.0, beta=np.zeros(2), reps=5, seed=0, est_config=CONFIG)
@@ -83,8 +73,6 @@ class TestSimulateStatistics:
             simulate_statistics(problem, **{**kw, "reps": 0})
         with pytest.raises(ValueError, match="seed"):
             simulate_statistics(problem, **{**kw, "seed": -1})
-        with pytest.raises(ValueError, match="sigma"):
-            simulate_statistics(problem, sigma=0.0, **kw)
         with pytest.raises(ValueError, match="beta"):
             simulate_statistics(problem, **{**kw, "beta": np.zeros(3)})
         with pytest.raises(ValueError, match="rho"):
@@ -109,14 +97,6 @@ class TestSimulateStatistics:
                                 est_config=CONFIG)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_sigma_is_rejected(self, rng, bad):
-        # used to reach the statistic and raise LinAlgError
-        problem, _ = random_problem(rng, n=10, k=2)
-        with pytest.raises(ValueError, match="sigma must be finite"):
-            simulate_statistics(problem, cov=0.0, beta=np.zeros(2), reps=5, seed=0,
-                                sigma=bad, est_config=CONFIG)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_beta_is_rejected(self, rng, bad):
         problem, _ = random_problem(rng, n=10, k=2)
         with pytest.raises(ValueError, match="beta must be finite"):
@@ -131,6 +111,30 @@ class TestSimulateStatistics:
         assert stats.shape == (5,)
         with pytest.raises(ValueError, match="beta"):
             simulate_statistics(adjusted, cov=0.0, beta=np.zeros(4), reps=5, seed=0)
+
+    @pytest.mark.parametrize("entry", ["simulate_statistics", "calibrate_critical_value",
+                                       "power_curve"])
+    def test_est_config_beside_an_adjusted_target_is_refused(self, rng, monkeypatch, entry):
+        # an adjusted problem carries the config it was built with; another
+        # one beside it used to be dropped without a word
+        def no_simulation(*args):
+            raise AssertionError("simulated before refusing est_config")
+
+        monkeypatch.setattr(hactest.montecarlo, "_family_statistics", no_simulation)
+        problem, _ = random_problem(rng, n=12, k=2, q=1, r_zero=True)
+        adjusted = build_adjusted(problem, CONFIG)
+        other = EstimatorConfig(get_kernel("qs"), default_rule("andrews", "qs"), p=2)
+        mc = McConfig(replications=100, seed=0, family=AR1Grid((0.0,)))
+        call = {
+            "simulate_statistics": lambda c: simulate_statistics(
+                adjusted, cov=0.0, beta=np.zeros(2), reps=5, seed=0, est_config=c),
+            "calibrate_critical_value": lambda c: calibrate_critical_value(
+                adjusted, mc, 0.2, est_config=c),
+            "power_curve": lambda c: power_curve(adjusted, mc, 3.0, (0.0,), est_config=c),
+        }[entry]
+        for est_config in (other, CONFIG):
+            with pytest.raises(ValueError, match="est_config applies to a bare problem"):
+                call(est_config)
 
 
 class TestRates:
@@ -169,14 +173,6 @@ class TestRates:
             McConfig(replications=0)
         with pytest.raises(ValueError, match="seed"):
             McConfig(replications=100, seed=-1)
-        with pytest.raises(ValueError, match="sigma"):
-            McConfig(replications=100, sigma=0.0)
-
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_mcconfig_rejects_non_finite_sigma(self, bad):
-        with pytest.raises(ValueError, match="sigma must be finite"):
-            McConfig(replications=100, sigma=bad)
 
 
 class TestCalibration:
@@ -368,7 +364,7 @@ class TestPowerCurve:
         n = problem.n
         mats = (ar1_matrix(0.6, n), 0.5 * np.eye(n) + 0.5 * ar1_matrix(-0.8, n))
         mc = McConfig(replications=hactest.montecarlo.BLOCK_ROWS + 20, seed=24,
-                      family=ExplicitList(mats), sigma=1.3)
+                      family=ExplicitList(mats))
         calls = []
         family_statistics = hactest.montecarlo._family_statistics
 
@@ -384,7 +380,7 @@ class TestPowerCurve:
         for (_label, _rho, rows), chol in zip(members, mc.family.factors):
             for idx in range(mc.replications):
                 z = np.random.default_rng(np.random.SeedSequence((mc.seed, idx))).standard_normal(n)
-                want = engine.result(mu + mc.sigma * (chol @ z)).t_value
+                want = engine.result(mu + chol @ z).t_value
                 assert rows[0][idx] == want and rows[1][idx] == want
         assert [p.rate for p in curve.points[::2]] == [
             np.mean(rows[1] >= 2.0) for _label, _rho, rows in members]
@@ -414,7 +410,7 @@ class TestPowerCurve:
         # shared draws change no rate: each point is the rate of its own
         # member and beta simulated alone
         problem = calibratable_problem(rng)
-        mc = McConfig(replications=100, seed=14, family=AR1Grid((-0.5, 0.0, 0.8)), sigma=1.5)
+        mc = McConfig(replications=100, seed=14, family=AR1Grid((-0.5, 0.0, 0.8)))
         beta0 = null_point(problem)
         pull = problem.R.T @ np.linalg.solve(problem.R @ problem.R.T, np.ones(1))
         distances = (0.0, 0.5, 2.0)
@@ -423,8 +419,8 @@ class TestPowerCurve:
         for rho in mc.family.rhos:
             for d in distances:
                 stats = simulate_statistics(
-                    problem, cov=rho, beta=beta0 + d * mc.sigma * pull,
-                    reps=mc.replications, seed=mc.seed, sigma=mc.sigma, est_config=CONFIG,
+                    problem, cov=rho, beta=beta0 + d * pull,
+                    reps=mc.replications, seed=mc.seed, est_config=CONFIG,
                 )
                 point = next(points)
                 assert (point.rho, point.distance) == (rho, d)
@@ -539,7 +535,7 @@ def assert_curve_matches_oracle(monkeypatch, target, mc, distances, est_config=N
                 z = np.random.default_rng(np.random.SeedSequence((mc.seed, idx))).standard_normal(
                     sim_problem.n)
                 u = hactest.montecarlo._ar1_path(rho, z)
-                want = oracle(sim_problem.X @ beta + mc.sigma * u)
+                want = oracle(sim_problem.X @ beta + u)
                 wants.append(want)
                 assert (row[idx] != 0.0) == want.defined
                 assert abs(row[idx] - want.t_value) <= 1e-10 * max(1.0, want.t_value)
@@ -549,7 +545,7 @@ def assert_curve_matches_oracle(monkeypatch, target, mc, distances, est_config=N
                                              np.ones(sim_problem.q) / np.sqrt(sim_problem.q))
     by_label = {label: rows for label, _rho, rows in members}
     for point in curve.points:
-        beta = beta0 + point.distance * mc.sigma * pull
+        beta = beta0 + point.distance * pull
         j = next(j for j, b in enumerate(betas) if np.allclose(b, beta, rtol=0, atol=1e-12))
         assert point.rate == np.mean(by_label[point.label][j] >= 1.0)
     return wants
@@ -567,7 +563,7 @@ class TestSharedCovarianceEstimate:
         config = config_grid(p)[config_index]
         problem = shared_design(rng)
         target = build_adjusted(problem, config) if adjusted else problem
-        mc = McConfig(replications=100, seed=21, family=AR1Grid((-0.6, 0.9)), sigma=1.3)
+        mc = McConfig(replications=100, seed=21, family=AR1Grid((-0.6, 0.9)))
         wants = assert_curve_matches_oracle(
             monkeypatch, target, mc, (2.0, 0.0, 0.7), None if adjusted else config)
         assert any(w.defined for w in wants)
@@ -585,10 +581,13 @@ class TestSharedCovarianceEstimate:
         assert {w.omega.reason for w in wants} == {VAR_RANK_DEFICIENT}
 
     def test_undefined_bandwidth_gives_zero_everywhere(self, rng, monkeypatch):
-        # at this scale the plug-in sums overflow
+        # at errors of scale 1e80 the plug-in sums overflow
         problem = shared_design(rng)
         config = EstimatorConfig(get_kernel("qs"), default_rule("andrews", "qs"), p=1)
-        mc = McConfig(replications=100, seed=23, family=AR1Grid((0.0, 0.8)), sigma=1e80)
+        ar1_path = hactest.montecarlo._ar1_path
+        monkeypatch.setattr(hactest.montecarlo, "_ar1_path",
+                            lambda rho, z: 1e80 * ar1_path(rho, z))
+        mc = McConfig(replications=100, seed=23, family=AR1Grid((0.0, 0.8)))
         with np.errstate(all="ignore"):
             wants = assert_curve_matches_oracle(monkeypatch, problem, mc, (0.0, 1.0, 3.0), config)
         assert {w.omega.reason for w in wants} == {BANDWIDTH_UNDEFINED}

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import hactest
 
@@ -16,19 +17,38 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
 
 def test_single_path_names_and_dead_fields_stay_gone():
     # the empirical size is power_curve(..., (0.0,)).max_rate; null_point
-    # returns beta0; the AR(1) sampler, Gamma_i and the MA(d) correlation
-    # matrix live in tests/oracles.py
+    # returns beta0; the AR(1) sampler, Gamma_i, the MA(d) correlation
+    # matrix and the scalar kernel evaluation live in tests/oracles.py; the
+    # bandwidth rules stay behind compute_bandwidth in hactest.bandwidth and
+    # the Toeplitz matrix behind register_kernel's check in hactest.kernels
     for name in ("rejection_probability", "empirical_size", "SizeReport",
                  "NullPoint", "sample_gaussian_ar1", "compute_gamma",
-                 "ma_closure_matrix"):
+                 "ma_closure_matrix", "kernel_eval", "bandwidth_am", "bandwidth_nw",
+                 "bandwidth_kv", "rectangular_cutoff", "toeplitz_weights"):
         assert not hasattr(hactest, name), name
         assert name not in hactest.__all__, name
     assert not hasattr(hactest.model, "ma_closure_matrix")
-    assert len(hactest.__all__) == 74
+    assert not hasattr(hactest.kernels, "kernel_eval")
+    assert len(hactest.__all__) == 68
 
     def field_names(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
-    assert field_names(hactest.McConfig) == {"replications", "seed", "family", "sigma"}
+    assert field_names(hactest.McConfig) == {"replications", "seed", "family"}
+    assert field_names(hactest.PrewhitenFit) == {"V1", "A", "Z", "recolor"}
     assert "y" not in field_names(hactest.RegressionProblem)
     assert "original_config" not in field_names(hactest.AdjustedProblem)
+
+
+def test_settings_the_statistic_does_not_read_stay_gone():
+    # the test is invariant to the error scale, so no study takes a sigma
+    # (McConfig's fields are checked above); the check constants keep the
+    # values the removed parameters defaulted to
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert "sigma" not in params(hactest.simulate_statistics)
+    assert params(hactest.register_kernel) == {"kernel"}
+    assert "steps" not in params(hactest.gradient_exists)
+    assert hactest.diagnostics.FD_STEPS == (1e-4, 1e-5, 1e-6)
+    assert (hactest.kernels.PSD_TRIALS, hactest.kernels.PSD_SEED) == (100, 0)

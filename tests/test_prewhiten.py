@@ -16,7 +16,6 @@ from hactest import (
     classify_definiteness,
     default_rule,
     get_kernel,
-    kernel_eval,
 )
 from hactest import TestEngine as Engine
 from hactest._linalg import symmetrize
@@ -36,13 +35,24 @@ from hactest.prewhiten import (
 from hactest.testing import _quadratic_form
 
 from .conftest import config_grid, random_problem
-from .oracles import gamma_oracle, kernel_lag_sum_oracle, toeplitz_statistic_oracle
+from .oracles import (
+    gamma_oracle,
+    kernel_eval,
+    kernel_lag_sum_oracle,
+    toeplitz_statistic_oracle,
+)
 
 
 def fit_var_ols(problem, y, p):
     """Step 1 alone, through the engine that runs it inside the pipeline."""
     config = EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p)
     return OmegaEngine(problem, config).fit(np.asarray(y, dtype=float))
+
+
+def scores(problem, y):
+    """The score series X' diag(u) at the OLS residual u, as step 1 forms it."""
+    engine = OmegaEngine(problem, EstimatorConfig(BARTLETT, FixedBRule(b=1.0), 1))
+    return problem.X.T * (engine.annihilator @ np.asarray(y, dtype=float))
 
 
 def location_model():
@@ -77,37 +87,38 @@ class TestVarFit:
     def test_location_model_pieces(self):
         problem, y, _ = location_model()
         fit = fit_var_ols(problem, y, p=1)
-        assert np.array_equal(fit.V, [[-1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        V = scores(problem, y)
+        assert np.array_equal(V, [[-1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         assert np.array_equal(fit.V1, [[-1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
-        assert np.array_equal(fit.Vp, [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         # the cross product V1 Vp' is exactly zero, so the fitted coefficient
-        # must be exactly zero, not merely small
+        # must be exactly zero, not merely small, and Z is Vp itself
         assert fit.A[0, 0] == 0.0
-        assert np.array_equal(fit.Z, fit.Vp)
+        assert np.array_equal(fit.Z, [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         assert np.array_equal(fit.recolor, [[1.0]])
 
     def test_shapes_and_block_order(self, rng):
         problem, y = random_problem(rng, n=14, k=2)
         p = 2
         fit = fit_var_ols(problem, y, p)
+        V = scores(problem, y)
         n, k, m = 14, 2, 14 - p
-        assert fit.V.shape == (k, n)
         assert fit.V1.shape == (k * p, m)
-        assert fit.Vp.shape == (k, m)
+        assert fit.A.shape == (k, k * p)
         assert fit.Z.shape == (k, m)
-        assert np.array_equal(fit.Vp, fit.V[:, p:])
-        assert np.array_equal(fit.V1[:k], fit.V[:, 1 : n - 1])
-        assert np.array_equal(fit.V1[k:], fit.V[:, 0 : n - 2])
+        assert np.array_equal(fit.V1[:k], V[:, 1 : n - 1])
+        assert np.array_equal(fit.V1[k:], V[:, 0 : n - 2])
+        assert np.array_equal(fit.Z, V[:, p:] - fit.A @ fit.V1)
 
     def test_normal_equations_hold(self, rng):
         for _ in range(10):
             problem, y = random_problem(rng)
             p = 1 if problem.n < 3 * (problem.k + 1) else 2
             fit = fit_var_ols(problem, y, p)
+            Vp = scores(problem, y)[:, p:]
             lhs = fit.A @ (fit.V1 @ fit.V1.T)
-            rhs = fit.Vp @ fit.V1.T
+            rhs = Vp @ fit.V1.T
             assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
-            assert np.allclose(fit.Z, fit.Vp - fit.A @ fit.V1)
+            assert np.allclose(fit.Z, Vp - fit.A @ fit.V1)
 
     def test_response_in_span_is_rank_deficient(self, rng):
         problem, _ = random_problem(rng, n=12, k=2)

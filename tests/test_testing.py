@@ -18,7 +18,6 @@ from hactest import (
     constant_vector,
     default_rule,
     get_kernel,
-    kernel_eval,
     null_point,
     select_scenario,
 )
@@ -33,7 +32,7 @@ from hactest.testing import (
 )
 
 from .conftest import config_grid, random_problem
-from .oracles import kernel_lag_sum_oracle
+from .oracles import kernel_eval, kernel_lag_sum_oracle
 from .test_prewhiten import location_model
 
 
