@@ -40,7 +40,6 @@ from .testing import (
     AugmentationImpossibleError,
     adjusted_statistic,
     build_adjusted,
-    select_scenario,
     test_statistic,
 )
 
@@ -234,7 +233,7 @@ def _problem_from(x_spec, restriction_spec, target_spec, header):
         R = np.eye(k)
     else:
         R = _parse_matrix(restriction_spec, header)
-    r = np.zeros(R.shape[0]) if target_spec is None else _parse_vector(target_spec)
+    r = np.zeros(R.shape[0]) if target_spec is None else _parse_vector(target_spec, header)
     return RegressionProblem(X, R, r)
 
 
@@ -421,10 +420,11 @@ def diagnose_cmd(x_spec, header, restriction_spec, target_spec,
 def _study_target(problem, config):
     """(target, est_config, scenario): the adjusted problem, which carries its
     own config, when a scenario applies; else the bare problem and config."""
-    selection = select_scenario(problem)
-    if selection.applicable:
-        return build_adjusted(problem, config), None, selection.scenario
-    return problem, config, None
+    try:
+        adjusted = build_adjusted(problem, config)
+    except AdjustmentNotApplicableError:
+        return problem, config, None
+    return adjusted, None, adjusted.scenario
 
 
 @main.command()
@@ -432,20 +432,18 @@ def _study_target(problem, config):
 @_hypothesis_options()
 @_estimator_options
 @click.option("--delta", type=float, required=True, help="target size level")
-@click.option("--tol", type=float, default=None,
-              help="calibration tolerance below delta (default delta/10)")
 @_mc_options
 @_output_options
 @_friendly
 def calibrate(x_spec, header, restriction_spec, target_spec,
               kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp,
-              delta, tol, reps, seed, rho_grid, as_json, out):
+              delta, reps, seed, rho_grid, as_json, out):
     """Calibrate a worst-case critical value over an AR(1) family."""
     problem = _problem_from(x_spec, restriction_spec, target_spec, header)
     config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
     mc = McConfig(replications=reps, seed=seed, family=_family_from(rho_grid))
     target, est_config, scenario = _study_target(problem, config)
-    result = calibrate_critical_value(target, mc, delta, est_config=est_config, tol=tol)
+    result = calibrate_critical_value(target, mc, delta, est_config=est_config)
     payload = {
         "C": result.critical_value,
         "size": result.size,
@@ -498,7 +496,7 @@ def study(x_spec, header, restriction_spec, target_spec,
         "max_null_rate": max(null_rates) if null_rates else None,
         "points": curve.to_json(),
     }
-    _emit(payload, as_json, out, curve.to_csv(header=True).splitlines())
+    _emit(payload, as_json, out, curve.to_csv().splitlines())
 
 
 if __name__ == "__main__":

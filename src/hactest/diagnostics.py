@@ -36,12 +36,18 @@ from .model import (
     RegressionProblem,
     alternating_vector,
     check_finite,
-    check_response,
+    check_seed,
     constant_vector,
     null_point,
 )
 from .prewhiten import EstimatorConfig
-from .testing import TestEngine, TestResult, _span_geometry
+from .testing import (
+    REASON_ADJUSTMENT_UNNECESSARY,
+    REASON_HYPOTHESIS_INVOLVES_INTERCEPT,
+    TestEngine,
+    TestResult,
+    _span_geometry,
+)
 
 #: DiagnosticsReport.verdict values
 SIZE_ONE = "SizeOne"
@@ -120,6 +126,14 @@ def _gradient_exists_at(
     result: TestResult,
     check_numerically: bool,
 ) -> bool | None:
+    """Certify differentiability of the statistic at a defined y (True) or give up (None).
+
+    Fixed-b statistics are differentiable wherever defined; data-driven
+    bandwidths are, unless some lag ratio i / M sits on a nondifferentiable
+    point of the kernel.  With ``check_numerically``, finite differences at
+    the FD_STEPS cross-check the analytic claim and withdraw it if the
+    numeric gradients disagree.
+    """
     rule = engine.config.rule
     if isinstance(rule, FixedBRule):
         # fixed-b bandwidths do not depend on y, so the statistic is a smooth
@@ -138,31 +152,6 @@ def _gradient_exists_at(
         return analytic
     # the numeric check can only withdraw the claim, never make one
     return True if _fd_gradients_agree(engine, y) else None
-
-
-def gradient_exists(
-    problem: RegressionProblem,
-    y,
-    config: EstimatorConfig,
-    *,
-    check_numerically: bool = True,
-) -> bool | None:
-    """Certify differentiability of the statistic at y (True) or give up (None).
-
-    Analytic reasoning: fixed-b statistics are differentiable wherever
-    defined; data-driven bandwidths are differentiable unless some lag ratio
-    i / M sits on a nondifferentiable point of the kernel.  When requested,
-    finite differences at the FD_STEPS step sizes cross-check the analytic claim
-    and withdraw it if the numeric gradients disagree.
-
-    Raises ValueError when the statistic is undefined at y.
-    """
-    y = check_response(problem, y)
-    engine = TestEngine(problem, config)
-    result = engine.result(y)
-    if not result.defined:
-        raise ValueError("gradient check requires the statistic to be defined at y")
-    return _gradient_exists_at(engine, y, result, check_numerically)
 
 
 def _classify(result: TestResult, critical_value: float) -> str:
@@ -196,13 +185,15 @@ def diagnose(
     Only a design outside the trap whose boundary evaluations are both
     undefined spends up to ``probes`` Gaussian responses (drawn from
     ``seed``) looking for a defined statistic.  Raises ValueError unless
-    ``probes >= 1``.
+    ``probes >= 1`` and ``seed`` is a nonnegative integer, whether or not a
+    probe runs.
     """
     critical_value = float(check_finite("critical value", critical_value))
     if not critical_value > 0:
         raise ValueError(f"critical value must be > 0, got {critical_value}")
     if probes < 1:
         raise ValueError(f"probes must be >= 1, got {probes}")
+    seed = check_seed(seed)
     engine = TestEngine(problem, config)
     n, k, q, p = problem.n, problem.k, problem.q, config.p
     mu0 = problem.X @ null_point(problem)
@@ -211,8 +202,7 @@ def diagnose(
     res_plus = engine.result(mu0 + e_plus, critical_value)
     res_minus = engine.result(mu0 + e_minus, critical_value)
 
-    plus_in, image_plus, plus_zero = _span_geometry(problem, e_plus)
-    minus_in, image_minus, minus_zero = _span_geometry(problem, e_minus)
+    geometry = _span_geometry(problem)
 
     nontrivial = res_plus.defined or res_minus.defined
     dimension_trap = n < k * (p + 1) + p and q == k
@@ -235,10 +225,10 @@ def diagnose(
         grad_minus = _gradient_exists_at(engine, mu0 + e_minus, res_minus, kind_minus == "tie")
 
     evidence = {
-        "plus_in_span": plus_in,
-        "minus_in_span": minus_in,
-        "image_plus": [float(v) for v in image_plus],
-        "image_minus": [float(v) for v in image_minus],
+        "plus_in_span": geometry.plus_in_span,
+        "minus_in_span": geometry.minus_in_span,
+        "image_plus": [float(v) for v in geometry.image_plus],
+        "image_minus": [float(v) for v in geometry.image_minus],
         "kind_plus": kind_plus,
         "kind_minus": kind_minus,
         "nontrivial": nontrivial,
@@ -249,9 +239,9 @@ def diagnose(
 
     if not nontrivial:
         verdict = TRIVIAL_BREAKDOWN
-    elif (plus_in and not plus_zero) or (minus_in and not minus_zero):
+    elif geometry.reason == REASON_HYPOTHESIS_INVOLVES_INTERCEPT:
         verdict = SIZE_ONE_SPAN_CASE
-    elif plus_in and minus_in:
+    elif geometry.reason == REASON_ADJUSTMENT_UNNECESSARY:
         verdict = POSITIVE_UNADJUSTED
     elif kind_plus == "above" or kind_minus == "above":
         verdict = SIZE_ONE

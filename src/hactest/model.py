@@ -28,6 +28,13 @@ def check_finite(name: str, a) -> np.ndarray:
     return a
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; ValueError unless it is a nonnegative integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionProblem:
     """A linear regression with a linear hypothesis ``R beta = r``.

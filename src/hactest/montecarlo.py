@@ -48,6 +48,7 @@ from .model import (
     RegressionProblem,
     _ar1_path,
     check_finite,
+    check_seed,
     null_point,
 )
 from .prewhiten import EstimatorConfig
@@ -89,10 +90,9 @@ class McConfig:
     def __post_init__(self):
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        seed = check_seed(self.seed)
         object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ class SizePowerCurve:
     def max_rate(self) -> float:
         return max(p.rate for p in self.points)
 
-    def to_csv(self, header: bool = False) -> str:
-        lines = ["rho,distance,rate,ci"] if header else []
+    def to_csv(self) -> str:
+        lines = ["rho,distance,rate,ci"]
         for p in self.points:
             lines.append(f"{p.label},{p.distance:g},{p.rate:.10g},{p.ci:.10g}")
         return "\n".join(lines) + "\n"
@@ -139,7 +139,6 @@ class CalibrationResult:
     rates: dict
     c_hi: float
     delta: float
-    tol: float
 
 
 def _rho_label(rho: float) -> str:
@@ -304,22 +303,17 @@ def calibrate_critical_value(
     delta: float,
     *,
     est_config: EstimatorConfig | None = None,
-    tol: float | None = None,
 ) -> CalibrationResult:
     """Smallest critical value with worst-case empirical size <= delta.
 
     One statistic array per family member is simulated once and reused at
     every candidate C (common random numbers), so the empirical size is
-    exactly nonincreasing in C; bisection brings it into [delta - tol,
+    exactly nonincreasing in C; bisection brings it into [delta - delta/10,
     delta] unless the size function jumps over that window, in which case
     the conservative endpoint is returned.
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if tol is None:
-        tol = delta / 10.0
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     _check_reported_reps(mc.replications)
     if isinstance(target, RegressionProblem):
         _refuse_unadjusted(target)
@@ -343,7 +337,7 @@ def calibrate_critical_value(
     if size_at(0.0) <= delta:
         return CalibrationResult(
             critical_value=0.0, size=size_at(0.0), rates=rates_at(0.0),
-            c_hi=0.0, delta=float(delta), tol=float(tol),
+            c_hi=0.0, delta=float(delta),
         )
 
     # starting bracket: a high quantile under the white member (rho = 0),
@@ -363,7 +357,7 @@ def calibrate_critical_value(
             )
 
     lo, hi = 0.0, c_hi
-    while size_at(hi) < delta - tol:
+    while size_at(hi) < delta - delta / 10.0:
         if hi - lo <= 1e-12 * max(1.0, c_hi):
             break  # empirical size jumps over the target window
         mid = 0.5 * (lo + hi)
@@ -373,7 +367,7 @@ def calibrate_critical_value(
             lo = mid
     return CalibrationResult(
         critical_value=hi, size=size_at(hi), rates=rates_at(hi),
-        c_hi=c_hi, delta=float(delta), tol=float(tol),
+        c_hi=c_hi, delta=float(delta),
     )
 
 
@@ -394,30 +388,20 @@ def power_curve(
     distances,
     *,
     est_config: EstimatorConfig | None = None,
-    direction=None,
 ) -> SizePowerCurve:
     """Rejection rates across the family at alternatives R beta - r = d u.
 
     ``distances`` are the standardized violation lengths d (0 reproduces the
-    null, so ``distances=(0.0,)`` gives the empirical size as ``max_rate``);
-    ``direction`` picks the unit vector u in restriction space (default:
-    equal weights).
+    null, so ``distances=(0.0,)`` gives the empirical size as ``max_rate``)
+    along the equal-weight unit vector u = (1, ..., 1) / sqrt(q) in
+    restriction space.
     """
     check_finite("critical value", critical_value)
     _check_reported_reps(mc.replications)
     distances = check_distances(distances)
     engine, sim_problem = _resolve_target(target, est_config)
     q = sim_problem.q
-    if direction is None:
-        u = np.ones(q) / np.sqrt(q)
-    else:
-        u = check_finite("direction", direction)
-        if u.shape != (q,):
-            raise ValueError(f"direction must have length {q}, got shape {u.shape}")
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            raise ValueError("direction must be nonzero")
-        u = u / norm
+    u = np.ones(q) / np.sqrt(q)
     pull = sim_problem.R.T @ np.linalg.solve(sim_problem.R @ sim_problem.R.T, u)
     beta0 = null_point(sim_problem)
     betas = [beta0 + d * pull for d in distances]

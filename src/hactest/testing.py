@@ -181,18 +181,54 @@ def _evaluate_once(problem, config, y, critical_value, scenario=None) -> TestRes
     return TestEngine(problem, config).result(y, critical_value, scenario)
 
 
-def _span_geometry(problem: RegressionProblem, e: np.ndarray):
-    """Membership of e in span(X) and its restriction image R beta_hat(e)."""
-    X = problem.X
-    coef, *_ = np.linalg.lstsq(X, e, rcond=None)
-    resid = e - X @ coef
-    in_span = bool(
-        float(np.linalg.norm(resid)) <= MEMBERSHIP_RTOL * float(np.sqrt(problem.n))
+#: the boundary directions each scenario appends, in column order
+_APPENDED = {
+    1: (alternating_vector,),
+    2: (constant_vector,),
+    3: (constant_vector, alternating_vector),
+    4: (constant_vector,),
+}
+
+
+def _span_geometry(problem: RegressionProblem) -> ScenarioSelection:
+    """Where e+ and e- sit relative to span(X): the one pass that decides it.
+
+    For each direction: membership in span(X) and the restriction image
+    R beta_hat(e).  The geometry alone settles two cases, returned as
+    ``reason``: a direction inside the span with a nonzero image
+    (REASON_HYPOTHESIS_INVOLVES_INTERCEPT), else both directions inside the
+    span (REASON_ADJUSTMENT_UNNECESSARY).  ``scenario`` is always None here;
+    select_scenario refines the rest.
+    """
+    X, R = problem.X, problem.R
+    r_norm = float(np.linalg.norm(R, ord=2))
+    in_span, images, involved = [], [], False
+    for e in (constant_vector(problem.n), alternating_vector(problem.n)):
+        coef, *_ = np.linalg.lstsq(X, e, rcond=None)
+        inside = bool(
+            float(np.linalg.norm(e - X @ coef)) <= MEMBERSHIP_RTOL * float(np.sqrt(problem.n))
+        )
+        image = R @ coef
+        scale = max(1.0, r_norm * float(np.linalg.norm(coef)))
+        image_zero = float(np.linalg.norm(image)) <= IMAGE_RTOL * scale
+        involved = involved or (inside and not image_zero)
+        in_span.append(inside)
+        images.append(image)
+    if involved:
+        reason = REASON_HYPOTHESIS_INVOLVES_INTERCEPT
+    elif all(in_span):
+        reason = REASON_ADJUSTMENT_UNNECESSARY
+    else:
+        reason = None
+    return ScenarioSelection(
+        scenario=None,
+        reason=reason,
+        kbar=None,
+        plus_in_span=in_span[0],
+        minus_in_span=in_span[1],
+        image_plus=images[0],
+        image_minus=images[1],
     )
-    image = problem.R @ coef
-    scale = max(1.0, float(np.linalg.norm(problem.R, ord=2)) * float(np.linalg.norm(coef)))
-    image_zero = bool(float(np.linalg.norm(image)) <= IMAGE_RTOL * scale)
-    return in_span, image, image_zero
 
 
 def select_scenario(problem: RegressionProblem) -> ScenarioSelection:
@@ -208,54 +244,24 @@ def select_scenario(problem: RegressionProblem) -> ScenarioSelection:
     Raises AugmentationImpossibleError when the augmented design could not
     have full column rank for this n.
     """
+    geometry = _span_geometry(problem)
+    if geometry.reason is not None:
+        return geometry
     n, k = problem.n, problem.k
-    e_plus = constant_vector(n)
-    e_minus = alternating_vector(n)
-    plus_in, image_plus, plus_zero = _span_geometry(problem, e_plus)
-    minus_in, image_minus, minus_zero = _span_geometry(problem, e_minus)
-
-    if (plus_in and not plus_zero) or (minus_in and not minus_zero):
-        return ScenarioSelection(
-            scenario=None,
-            reason=REASON_HYPOTHESIS_INVOLVES_INTERCEPT,
-            kbar=None,
-            plus_in_span=plus_in,
-            minus_in_span=minus_in,
-            image_plus=image_plus,
-            image_minus=image_minus,
-        )
-    if plus_in and minus_in:
-        return ScenarioSelection(
-            scenario=None,
-            reason=REASON_ADJUSTMENT_UNNECESSARY,
-            kbar=None,
-            plus_in_span=plus_in,
-            minus_in_span=minus_in,
-            image_plus=image_plus,
-            image_minus=image_minus,
-        )
-    if plus_in:
+    if geometry.plus_in_span:
         scenario = 1
-    elif minus_in:
+    elif geometry.minus_in_span:
         scenario = 2
     else:
-        stacked = np.column_stack([problem.X, e_plus, e_minus])
+        stacked = np.column_stack([problem.X, constant_vector(n), alternating_vector(n)])
         scenario = 3 if numeric_rank(stacked) == k + 2 else 4
-    kbar = k + (2 if scenario == 3 else 1)
+    kbar = k + len(_APPENDED[scenario])
     if kbar >= n:
         raise AugmentationImpossibleError(
             f"augmented design would have kbar = {kbar} columns with only "
             f"n = {n} observations"
         )
-    return ScenarioSelection(
-        scenario=scenario,
-        reason=None,
-        kbar=kbar,
-        plus_in_span=plus_in,
-        minus_in_span=minus_in,
-        image_plus=image_plus,
-        image_minus=image_minus,
-    )
+    return dataclasses.replace(geometry, scenario=scenario, kbar=kbar)
 
 
 def _padded_rule(rule, k: int, extra: int):
@@ -285,16 +291,7 @@ def build_adjusted(problem: RegressionProblem, config: EstimatorConfig) -> Adjus
             f"p must satisfy 1 <= p <= n/(k+3) for the adjusted test; got "
             f"p = {config.p} with n = {n}, k = {k}"
         )
-    e_plus = constant_vector(n)
-    e_minus = alternating_vector(n)
-    if selection.scenario == 1:
-        extra_cols = [e_minus]
-    elif selection.scenario == 2:
-        extra_cols = [e_plus]
-    elif selection.scenario == 3:
-        extra_cols = [e_plus, e_minus]
-    else:
-        extra_cols = [e_plus]
+    extra_cols = [direction(n) for direction in _APPENDED[selection.scenario]]
     extra = len(extra_cols)
     x_bar = np.column_stack([problem.X] + extra_cols)
     r_bar = np.hstack([problem.R, np.zeros((q, extra))])

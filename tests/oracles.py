@@ -6,12 +6,15 @@ routines, so that agreement between the two is evidence of correctness
 rather than shared code.  The exceptions are the full-lag Newey-West
 bandwidth and the scalar AR(1) recursion, which pin bitwise equalities and
 so keep numpy's scalar arithmetic, and the scalar kernel evaluation, the
-MA(d) correlation matrix and the seeded AR(1) sampler at the end,
-conveniences that only tests need.
+MA(d) correlation matrix, the seeded AR(1) sampler and the stand-alone
+gradient check at the end, conveniences that only tests need.
 """
 import math
 
 import numpy as np
+
+from hactest import TestEngine
+from hactest.diagnostics import _gradient_exists_at
 
 
 def am_bandwidth_oracle(Z, omega, j, c1, c2, n):
@@ -326,3 +329,12 @@ def ma_closure_matrix(alpha, n: int) -> np.ndarray:
         gamma[h] = float(alpha[: d + 1 - h] @ alpha[h:]) / total
     idx = np.arange(n)
     return gamma[np.abs(idx[:, None] - idx[None, :])]
+
+
+def gradient_exists(problem, y, config, *, check_numerically=True):
+    """``diagnose``'s differentiability check at a y where the statistic is defined."""
+    engine = TestEngine(problem, config)
+    y = np.asarray(y, dtype=float)
+    result = engine.result(y)
+    assert result.defined, "the gradient check needs a defined statistic"
+    return _gradient_exists_at(engine, y, result, check_numerically)

@@ -112,6 +112,27 @@ class TestEstimate:
 
 
 class TestTest:
+    def test_header_applies_to_every_csv_including_the_target(self, runner, tmp_path, rng):
+        n = 10
+        X = rng.standard_normal((n, 2))
+        y = rng.standard_normal(n)
+        (tmp_path / "Rh.csv").write_text("a,b\n1,0\n")
+        (tmp_path / "rh.csv").write_text("r\n0.5\n")
+        files = [
+            "--x", write_csv(tmp_path / "xh.csv", X, header="u,v"),
+            "--y", write_csv(tmp_path / "yh.csv", y, header="y"),
+            "--R", str(tmp_path / "Rh.csv"),
+        ]
+        from_file = runner.invoke(main, [
+            "test", *files, "--r", str(tmp_path / "rh.csv"),
+            "--header", "--rule", "fixed-b", "--json",
+        ])
+        assert from_file.exit_code == 0, from_file.output
+        inline = runner.invoke(main, [
+            "test", *files, "--r", "0.5", "--header", "--rule", "fixed-b", "--json",
+        ])
+        assert json.loads(from_file.output) == json.loads(inline.output)
+
     def test_location_model_statistic_and_rejection(self, runner):
         result = runner.invoke(main, [
             "test", "--x", LOCATION_X, "--y", LOCATION_Y,
@@ -254,6 +275,19 @@ class TestDiagnose:
         assert result.exit_code == 2
         assert "probes must be >= 1" in result.output + (result.stderr or "")
 
+    @pytest.mark.parametrize("x, R", [
+        (";".join(f"{i},{(i * 7) % 5}" for i in range(30)), "1,0"),
+        ("1,0,2,1;0,1,1,3;2,1,0,1;1,3,1,0;4,1,2,2;1,2,5,1", "1,0,0,0;0,1,0,0;0,0,1,0"),
+    ], ids=["generic-30x2", "all-undefined-6x4"])
+    def test_rejects_a_negative_seed_on_every_design(self, runner, x, R):
+        # the 6 x 4 design spends probes, the 30 x 2 one does not
+        result = runner.invoke(main, [
+            "diagnose", "--x", x, "--R", R,
+            "--rule", "fixed-b", "--C", "3.0", "--seed", "-1",
+        ])
+        assert result.exit_code == 2
+        assert "seed must be a nonnegative integer" in result.output + (result.stderr or "")
+
     def test_human_verdict_line(self, runner, design_files):
         result = runner.invoke(main, [
             "diagnose", "--x", design_files["x"], "--R", "1,0",
@@ -302,6 +336,15 @@ class TestCalibrate:
         payload = json.loads(result.output)
         assert payload["scenario"] == 1
         assert payload["size"] <= 0.2
+
+    def test_tolerance_is_not_an_option(self, runner, calibratable_files):
+        # calibration stops within delta / 10 of delta
+        result = runner.invoke(main, [
+            "calibrate", "--x", calibratable_files["x"], "--R", "0,0,1",
+            *self.ARGS, "--tol", "0.01",
+        ])
+        assert result.exit_code == 2
+        assert "--tol" in result.output + (result.stderr or "")
 
     def test_refuses_intercept_hypotheses(self, runner, design_files):
         result = runner.invoke(main, [

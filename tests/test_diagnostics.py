@@ -9,6 +9,8 @@ from hactest import (
     POSITIVE_UNADJUSTED,
     POWER_ZERO,
     QUADRATIC_SPECTRAL,
+    REASON_ADJUSTMENT_UNNECESSARY,
+    REASON_HYPOTHESIS_INVOLVES_INTERCEPT,
     SIZE_AT_LEAST_HALF,
     SIZE_ONE,
     SIZE_ONE_SPAN_CASE,
@@ -23,7 +25,7 @@ from hactest import (
     constant_vector,
     default_rule,
     diagnose,
-    gradient_exists,
+    select_scenario,
     witness_design,
 )
 from hactest import TestEngine as Engine
@@ -31,7 +33,7 @@ from hactest import test_statistic as evaluate
 from hactest.diagnostics import _kernel_hits_kink
 
 from .conftest import config_grid, random_problem
-from .oracles import kernel_hits_kink_oracle
+from .oracles import gradient_exists, kernel_hits_kink_oracle
 
 FIXED_B = FixedBRule(b=1.0)
 
@@ -166,6 +168,16 @@ class TestDiagnose:
         with pytest.raises(ValueError, match="probes must be >= 1"):
             diagnose(problem, config, 1.0, probes=probes)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("n, k, q", [(30, 2, 1), (6, 4, 3)])
+    def test_rejects_a_bad_seed_whether_or_not_a_probe_runs(self, rng, n, k, q, seed):
+        # the generic 30 x 2 design needs no probe; the (6, 4, 3) design is
+        # all undefined outside the trap and would spend them
+        problem, _ = random_problem(rng, n=n, k=k, q=q)
+        config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            diagnose(problem, config, 3.0, seed=seed)
+
     @pytest.mark.parametrize("n, k, q, p", [(6, 4, 3, 1), (6, 2, 1, 2)])
     def test_probes_run_out_on_an_all_undefined_design_outside_the_trap(
         self, rng, n, k, q, p
@@ -197,20 +209,6 @@ class TestDiagnose:
 
 
 class TestGradientExists:
-    def test_requires_a_defined_statistic(self):
-        X = np.ones((8, 1))
-        problem = RegressionProblem(X, np.array([[1.0]]), np.zeros(1))
-        config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
-        with pytest.raises(ValueError, match="defined"):
-            gradient_exists(problem, np.ones(8), config)
-
-    def test_rejects_a_non_finite_response(self, rng):
-        problem, y = random_problem(rng, n=12, k=2)
-        config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
-        y[0] = np.nan
-        with pytest.raises(ValueError, match="y must be finite"):
-            gradient_exists(problem, y, config)
-
     def test_fixed_b_is_always_differentiable(self, rng):
         problem, y = random_problem(rng, n=12, k=2)
         config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
@@ -353,3 +351,65 @@ class TestDimensionTrap:
             report = diagnose(problem, config, 1.0)
             assert report.evidence["dimension_trap"] is False
             assert report.verdict != TRIVIAL_BREAKDOWN
+
+
+class TestAgreementWithSelectScenario:
+    """diagnose reads the boundary geometry that select_scenario decides on."""
+
+    CONFIGS = (
+        EstimatorConfig(BARTLETT, FIXED_B, p=1),
+        EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1),
+        EstimatorConfig(QUADRATIC_SPECTRAL, default_rule("andrews", "qs"), p=1),
+    )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        plus=st.booleans(),
+        minus=st.booleans(),
+        summed=st.booleans(),
+        generic=st.integers(1, 3),
+        extra_rows=st.integers(3, 12),
+        loads_boundary=st.booleans(),
+        config=st.sampled_from(CONFIGS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_span_evidence_and_verdicts_match_the_selection(
+        self, plus, minus, summed, generic, extra_rows, loads_boundary, config, seed
+    ):
+        # bare designs, e+ and/or e- among the columns, or their sum (the
+        # two directions collinear modulo the span); R loads on the boundary
+        # columns or on the generic ones only
+        rng = np.random.default_rng(seed)
+        boundary = []
+        n = generic + 2 + extra_rows
+        if plus:
+            boundary.append(constant_vector(n))
+        if minus:
+            boundary.append(alternating_vector(n))
+        if summed and not boundary:
+            boundary.append(constant_vector(n) + alternating_vector(n))
+        k = len(boundary) + generic
+        X = np.column_stack(boundary + list(rng.standard_normal((generic, n))))
+        q = int(rng.integers(1, (k if loads_boundary else generic) + 1))
+        R = np.zeros((q, k))
+        R[:, k - generic:] = rng.standard_normal((q, generic))
+        if loads_boundary:
+            R[:, :k - generic] = rng.standard_normal((q, k - generic))
+        assume(np.linalg.matrix_rank(R) == q)
+        problem = RegressionProblem(X, R, np.zeros(q))
+
+        selection = select_scenario(problem)
+        report = diagnose(problem, config, 3.0, probes=20)
+        evidence = report.evidence
+        assert evidence["plus_in_span"] is selection.plus_in_span
+        assert evidence["minus_in_span"] is selection.minus_in_span
+        for side in ("plus", "minus"):
+            image = getattr(selection, f"image_{side}")
+            assert np.array(evidence[f"image_{side}"]).tobytes() == image.tobytes()
+        if report.verdict != TRIVIAL_BREAKDOWN:
+            assert (report.verdict == SIZE_ONE_SPAN_CASE) == (
+                selection.reason == REASON_HYPOTHESIS_INVOLVES_INTERCEPT
+            )
+            assert (report.verdict == POSITIVE_UNADJUSTED) == (
+                selection.reason == REASON_ADJUSTMENT_UNNECESSARY
+            )

@@ -183,8 +183,7 @@ class TestCalibration:
         result = calibrate_critical_value(problem, mc, delta, est_config=CONFIG)
         assert result.critical_value > 0.0
         assert result.size <= delta
-        assert result.size >= delta - result.tol
-        assert result.tol == pytest.approx(delta / 10.0)
+        assert result.size >= delta - delta / 10.0
         assert set(result.rates) == {"-0.6", "0", "0.6"}
         assert max(result.rates.values()) == result.size
         # the reported size is reproducible through the public rate API
@@ -222,7 +221,7 @@ class TestCalibration:
         delta = 0.2
         cal = calibrate_critical_value(problem, mc, delta, est_config=CONFIG)
         assert len(calls) == 2 * mc.replications
-        assert delta - cal.tol <= cal.size <= delta
+        assert delta - delta / 10.0 <= cal.size <= delta
 
     def test_near_unit_root_members_each_report_a_rate(self, rng):
         # both rhos print as "0.999999" under "%g"; each keeps its own rate
@@ -269,7 +268,7 @@ class TestCalibration:
         mc = McConfig(replications=100, seed=17, family=AR1Grid((0.0, 0.5)))
         cal = calibrate_critical_value(problem, mc, 0.2, est_config=CONFIG)
         assert np.isfinite(cal.critical_value) and np.isfinite(cal.c_hi)
-        assert 0.2 - cal.tol <= cal.size <= 0.2
+        assert 0.2 - 0.2 / 10.0 <= cal.size <= 0.2
 
     def test_trivial_level_calibrates_to_zero(self, rng):
         problem = calibratable_problem(rng)
@@ -315,8 +314,6 @@ class TestCalibration:
             calibrate_critical_value(problem, mc, 0.0, est_config=CONFIG)
         with pytest.raises(ValueError, match="delta"):
             calibrate_critical_value(problem, mc, 1.5, est_config=CONFIG)
-        with pytest.raises(ValueError, match="tol"):
-            calibrate_critical_value(problem, mc, 0.2, est_config=CONFIG, tol=0.0)
 
 
 class TestPowerCurve:
@@ -438,40 +435,24 @@ class TestPowerCurve:
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=9, family=AR1Grid((0.0,)))
         curve = power_curve(problem, mc, 3.0, (0.0,), est_config=CONFIG)
-        csv = curve.to_csv(header=True)
-        lines = csv.strip().split("\n")
+        lines = curve.to_csv().strip().split("\n")
         assert lines[0] == "rho,distance,rate,ci"
         assert len(lines) == 2
-        assert curve.to_csv(header=False).strip() == lines[1]
+        (point,) = curve.points
+        assert lines[1] == f"0,0,{point.rate:.10g},{point.ci:.10g}"
         (as_json,) = curve.to_json()
         assert set(as_json) == {"rho", "distance", "rate", "ci"}
         assert as_json["rho"] == "0"
 
-    def test_direction_and_distance_validation(self, rng):
+    def test_distance_and_cutoff_validation(self, rng):
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=11, family=AR1Grid((0.0,)))
         with pytest.raises(ValueError, match="nonnegative"):
             power_curve(problem, mc, 3.0, (-1.0,), est_config=CONFIG)
-        with pytest.raises(ValueError, match="direction"):
-            power_curve(
-                problem, mc, 3.0, (1.0,), est_config=CONFIG, direction=np.zeros(1)
-            )
-        with pytest.raises(ValueError, match="length 1"):
-            power_curve(
-                problem, mc, 3.0, (1.0,), est_config=CONFIG, direction=np.ones(2)
-            )
         # a NaN cutoff used to compare false everywhere and report rate 0
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="critical value must be finite"):
                 power_curve(problem, mc, bad, (0.0,), est_config=CONFIG)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_direction_is_rejected(self, rng, bad):
-        # a NaN direction used to pass the zero-norm test
-        problem = calibratable_problem(rng)
-        mc = McConfig(replications=100, seed=11, family=AR1Grid((0.0,)))
-        with pytest.raises(ValueError, match="direction must be finite"):
-            power_curve(problem, mc, 3.0, (1.0,), est_config=CONFIG, direction=np.array([bad]))
 
     @pytest.mark.parametrize("distances", [[], (), 2.0, [[0.0, 1.0]]],
                              ids=["empty-list", "empty-tuple", "scalar", "2-D"])

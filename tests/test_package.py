@@ -18,18 +18,21 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
 def test_single_path_names_and_dead_fields_stay_gone():
     # the empirical size is power_curve(..., (0.0,)).max_rate; null_point
     # returns beta0; the AR(1) sampler, Gamma_i, the MA(d) correlation
-    # matrix and the scalar kernel evaluation live in tests/oracles.py; the
-    # bandwidth rules stay behind compute_bandwidth in hactest.bandwidth and
-    # the Toeplitz matrix behind register_kernel's check in hactest.kernels
+    # matrix, the scalar kernel evaluation and the stand-alone gradient
+    # check live in tests/oracles.py; the bandwidth rules stay behind
+    # compute_bandwidth in hactest.bandwidth and the Toeplitz matrix behind
+    # register_kernel's check in hactest.kernels
     for name in ("rejection_probability", "empirical_size", "SizeReport",
                  "NullPoint", "sample_gaussian_ar1", "compute_gamma",
                  "ma_closure_matrix", "kernel_eval", "bandwidth_am", "bandwidth_nw",
-                 "bandwidth_kv", "rectangular_cutoff", "toeplitz_weights"):
+                 "bandwidth_kv", "rectangular_cutoff", "toeplitz_weights",
+                 "gradient_exists"):
         assert not hasattr(hactest, name), name
         assert name not in hactest.__all__, name
     assert not hasattr(hactest.model, "ma_closure_matrix")
     assert not hasattr(hactest.kernels, "kernel_eval")
-    assert len(hactest.__all__) == 68
+    assert not hasattr(hactest.diagnostics, "gradient_exists")
+    assert len(hactest.__all__) == 67
 
     def field_names(cls):
         return {f.name for f in dataclasses.fields(cls)}
@@ -38,6 +41,9 @@ def test_single_path_names_and_dead_fields_stay_gone():
     assert field_names(hactest.PrewhitenFit) == {"V1", "A", "Z", "recolor"}
     assert "y" not in field_names(hactest.RegressionProblem)
     assert "original_config" not in field_names(hactest.AdjustedProblem)
+    # calibration stops within delta / 10 of delta; c_hi stays, it shows
+    # where the bisection started
+    assert "tol" not in field_names(hactest.CalibrationResult)
 
 
 def test_settings_the_statistic_does_not_read_stay_gone():
@@ -49,6 +55,10 @@ def test_settings_the_statistic_does_not_read_stay_gone():
 
     assert "sigma" not in params(hactest.simulate_statistics)
     assert params(hactest.register_kernel) == {"kernel"}
-    assert "steps" not in params(hactest.gradient_exists)
+    # single-value options: calibration's tolerance is delta / 10, power
+    # curves move along equal weights, and the CSV always has its header
+    assert "tol" not in params(hactest.calibrate_critical_value)
+    assert "direction" not in params(hactest.power_curve)
+    assert params(hactest.SizePowerCurve.to_csv) == {"self"}
     assert hactest.diagnostics.FD_STEPS == (1e-4, 1e-5, 1e-6)
     assert (hactest.kernels.PSD_TRIALS, hactest.kernels.PSD_SEED) == (100, 0)
