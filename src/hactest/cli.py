@@ -381,7 +381,7 @@ def adjust(x_spec, y_spec, header, restriction_spec, target_spec,
 @click.option("--probes", type=int, default=1000, show_default=True,
               help="random probes used to certify the test is nontrivial when "
                    "both boundary evaluations are undefined; a dimension trap "
-                   "(q = k, n < k(p+1) + p) is decided from the shape, without probes")
+                   "(n < p(k+1) + q) is decided from the shape, without probes")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
 @_friendly

@@ -14,16 +14,16 @@ point) therefore decides limiting size and power:
 - a direction inside span(X) whose restriction image R beta_hat(e) is
   nonzero -> size tends to 1 for every C (no critical value can help);
 - statistic undefined almost everywhere -> the test never rejects at all.
-  Whenever n < k(p+1) + p and q = k (a pure dimension trap) this follows
-  from the shape (n, k, q, p) alone and is decided without evaluating the
-  statistic off the boundary; any other design whose boundary evaluations
-  are both undefined is probed at random responses instead.
+  Whenever n < p(k+1) + q (a dimension trap) this follows from the shape
+  (n, k, q, p) alone and is decided without evaluating the statistic off
+  the boundary; any other design whose boundary evaluations are both
+  undefined is probed at random responses instead.
 
 ``diagnose`` runs these checks in a fixed precedence and reports a verdict
 with the evidence it rests on.  ``witness_design`` constructs, for any
 feasible (n, k, p), a design and response at which the VAR fit is exactly
 zero and the covariance estimate is positive definite — a certificate that
-the dimension requirement is sharp.
+the dimension requirement is sharp when every coefficient is restricted.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from .model import (
     constant_vector,
     null_point,
 )
-from .prewhiten import EstimatorConfig
+from .prewhiten import EstimatorConfig, min_definite_n, never_definite
 from .testing import (
     REASON_ADJUSTMENT_UNNECESSARY,
     REASON_HYPOTHESIS_INVOLVES_INTERCEPT,
@@ -180,8 +180,8 @@ def diagnose(
     directions lie harmlessly inside the span.
 
     Trivial breakdown is decided from the design's shape when it is a
-    dimension trap (q = k and n < k(p+1) + p): the statistic is undefined
-    for every response there, so no probe runs and ``probes_used`` is 0.
+    dimension trap (n < p(k+1) + q): the statistic is undefined for every
+    response there, so no probe runs and ``probes_used`` is 0.
     Only a design outside the trap whose boundary evaluations are both
     undefined spends up to ``probes`` Gaussian responses (drawn from
     ``seed``) looking for a defined statistic.  Raises ValueError unless
@@ -205,7 +205,7 @@ def diagnose(
     geometry = _span_geometry(problem)
 
     nontrivial = res_plus.defined or res_minus.defined
-    dimension_trap = n < k * (p + 1) + p and q == k
+    dimension_trap = never_definite(n, k, q, p)
     probes_used = 0
     if not nontrivial and not dimension_trap:
         rng = np.random.default_rng(seed)
@@ -274,17 +274,17 @@ def witness_design(n: int, k: int, p: int, rule_kind: str = "fixed-b"):
     exactly zero, and the covariance estimate is positive definite for all
     three bandwidth rules (with unit score weights).
 
-    Requires ``n >= k(p+1) + p`` — plus one more observation for the
-    autoregressive plug-in rule, whose per-row variances need one extra
-    residual column.  The bound is sharp: below it no design at all avoids a
-    rank-deficient VAR fit when every coefficient is restricted.
+    Requires ``n >= p(k+1) + k``, the shape bound at q = k — plus one more
+    observation for the autoregressive plug-in rule, whose per-row variances
+    need one extra residual column.  The bound is sharp: below it no design
+    at all gives a defined statistic when every coefficient is restricted.
     """
     if rule_kind not in RULE_NAMES:
         raise ValueError(f"rule_kind must be one of {RULE_NAMES}, got {rule_kind!r}")
     n, k, p = int(n), int(k), int(p)
     if k < 1 or p < 1:
         raise ValueError(f"need k >= 1 and p >= 1, got k = {k}, p = {p}")
-    need = k * (p + 1) + p + (1 if rule_kind == "andrews" else 0)
+    need = min_definite_n(k, k, p) + (1 if rule_kind == "andrews" else 0)
     if n < need:
         raise ValueError(
             f"witness design needs n >= {need} for k = {k}, p = {p}, "

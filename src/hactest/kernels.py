@@ -1,10 +1,10 @@
-"""Covariance-weighting kernels and the Toeplitz weight matrix they induce.
+"""Covariance-weighting kernels and the lag weights they induce.
 
 A kernel here is an even function with kappa(0) = 1 whose Toeplitz matrices
 ``[kappa((i-j)/s)]`` are positive definite for every scale ``s > 0`` — the
 property that makes the long-run covariance estimator nonnegative definite.
-Built-ins are the Bartlett, Parzen and Quadratic Spectral kernels; custom
-kernels can be registered but must pass the same positive-definiteness check.
+The estimators use a fixed set: the Bartlett, Parzen and Quadratic Spectral
+kernels.
 """
 from __future__ import annotations
 
@@ -18,11 +18,6 @@ BARTLETT_NAME = "bartlett"
 PARZEN_NAME = "parzen"
 QS_NAME = "qs"
 
-#: register_kernel's positive-definiteness check: random (order, bandwidth)
-#: Toeplitz matrices drawn from a fixed seed, so admission is reproducible
-PSD_TRIALS = 100
-PSD_SEED = 0
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -31,7 +26,7 @@ class KernelSpec:
     Attributes
     ----------
     name : str
-        Registry/config name.
+        Config name.
     evaluate : callable
         Vectorized evaluation; must be even with evaluate(0) = 1.
     nondifferentiable_points : tuple of float
@@ -101,25 +96,19 @@ QUADRATIC_SPECTRAL = KernelSpec(
     compact_support=False,
 )
 
-_REGISTRY: dict[str, KernelSpec] = {
-    BARTLETT_NAME: BARTLETT,
-    PARZEN_NAME: PARZEN,
-    QS_NAME: QUADRATIC_SPECTRAL,
-}
+_KERNELS = (BARTLETT, PARZEN, QUADRATIC_SPECTRAL)
 
 
 def kernel_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(kernel.name for kernel in _KERNELS))
 
 
 def get_kernel(name: str) -> KernelSpec:
-    """Look up a registered kernel by config name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {name!r}; registered kernels: {', '.join(kernel_names())}"
-        ) from None
+    """Look up a kernel by config name."""
+    for kernel in _KERNELS:
+        if kernel.name == name:
+            return kernel
+    raise ValueError(f"unknown kernel {name!r}; known kernels: {', '.join(kernel_names())}")
 
 
 def lag_weights(kernel: KernelSpec, m: int, bandwidth: float) -> np.ndarray:
@@ -140,46 +129,3 @@ def lag_weights(kernel: KernelSpec, m: int, bandwidth: float) -> np.ndarray:
         w[1:] = kernel.evaluate(np.arange(1, m) / bandwidth)
     return w
 
-
-def toeplitz_weights(kernel: KernelSpec, m: int, bandwidth: float) -> np.ndarray:
-    """The m x m Toeplitz matrix with entries kappa((i-j)/bandwidth).
-
-    Built from :func:`lag_weights`, so the diagonal is exactly 1.0 and a zero
-    bandwidth gives the identity.
-    """
-    w = lag_weights(kernel, m, bandwidth)
-    idx = np.arange(w.size)
-    return w[np.abs(idx[:, None] - idx[None, :])]
-
-
-def register_kernel(kernel: KernelSpec) -> KernelSpec:
-    """Admit a custom kernel after checking the contract it must satisfy.
-
-    The check draws PSD_TRIALS random (order, bandwidth) pairs and requires
-    every Toeplitz weight matrix to be positive definite up to roundoff
-    (min eigenvalue > -1e-10 * order), plus evenness and kappa(0) = 1 on
-    sampled points.  Raises ValueError when the kernel fails, or when its
-    name is already registered: bandwidth rule constants are looked up by
-    name, so a replaced kernel would inherit another kernel's constants.
-    """
-    if kernel.name in _REGISTRY:
-        raise ValueError(f"kernel {kernel.name!r} is already registered")
-    rng = np.random.default_rng(PSD_SEED)
-    at_zero = float(kernel.evaluate(np.zeros(1))[0])
-    if not abs(at_zero - 1.0) <= 1e-12:
-        raise ValueError(f"kernel {kernel.name!r} violates kappa(0) = 1 (got {at_zero})")
-    xs = np.concatenate([rng.uniform(0, 5, 64), rng.uniform(0, 0.01, 16)])
-    if not np.array_equal(kernel.evaluate(xs), kernel.evaluate(-xs)):
-        raise ValueError(f"kernel {kernel.name!r} is not even")
-    for _ in range(PSD_TRIALS):
-        m = int(rng.integers(2, 51))
-        bw = float(rng.uniform(0.01, 100.0))
-        w = toeplitz_weights(kernel, m, bw)
-        min_eig = float(np.linalg.eigvalsh(w)[0])
-        if not min_eig > -1e-10 * m:
-            raise ValueError(
-                f"kernel {kernel.name!r} fails positive definiteness: Toeplitz "
-                f"matrix of order {m} at bandwidth {bw:.4g} has min eigenvalue {min_eig:.3e}"
-            )
-    _REGISTRY[kernel.name] = kernel
-    return kernel

@@ -3,8 +3,8 @@
 The testing problem is the Gaussian linear regression ``y = X beta + u`` with
 ``Cov(u) = sigma^2 * Sigma`` for an unknown correlation matrix ``Sigma``, and
 the hypothesis ``R beta = r``.  This module holds the problem container, the
-covariance families that Monte Carlo studies range over, the AR(1) correlation
-matrix ``Lambda(rho)`` with entries ``rho**|i-j|``, and exact sampling from it.
+covariance families that Monte Carlo studies range over, and exact sampling
+from the AR(1) correlation matrix ``Lambda(rho)`` with entries ``rho**|i-j|``.
 
 The constant vector ``e_plus = (1, ..., 1)`` and the alternating vector
 ``e_minus = (-1, 1, -1, ...)`` are the rank-one limits of ``Lambda(rho)`` as
@@ -102,14 +102,14 @@ def check_response(problem: RegressionProblem, y) -> np.ndarray:
     return y
 
 
-def _check_rhos(rhos, epsilon: float = 0.0) -> tuple[float, ...]:
-    """``rhos`` as a non-empty tuple of floats, each in (-1 + epsilon, 1)."""
+def _check_rhos(rhos) -> tuple[float, ...]:
+    """``rhos`` as a non-empty tuple of floats, each in (-1, 1)."""
     rhos = tuple(float(v) for v in rhos)
     if not rhos:
         raise ValueError("rho grid must be non-empty")
     for v in rhos:
-        if not -1.0 + epsilon < v < 1.0:
-            raise ValueError(f"AR(1) parameter rho must lie in ({-1.0 + epsilon}, 1), got {v}")
+        if not -1.0 < v < 1.0:
+            raise ValueError(f"AR(1) parameter rho must lie in (-1.0, 1), got {v}")
     return rhos
 
 
@@ -121,21 +121,6 @@ class AR1Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "rhos", _check_rhos(self.rhos))
-
-
-@dataclass(frozen=True)
-class AR1Restricted:
-    """AR(1) family bounded away from the -1 boundary: rho in (-1+epsilon, 1)."""
-
-    epsilon: float
-    rhos: tuple[float, ...]
-
-    def __post_init__(self):
-        eps = float(self.epsilon)
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "rhos", _check_rhos(self.rhos, eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +153,7 @@ class ExplicitList:
         object.__setattr__(self, "factors", tuple(factors))
 
 
-CovarianceFamily = AR1Grid | AR1Restricted | ExplicitList
+CovarianceFamily = AR1Grid | ExplicitList
 
 
 def constant_vector(n: int) -> np.ndarray:
@@ -179,24 +164,6 @@ def constant_vector(n: int) -> np.ndarray:
 def alternating_vector(n: int) -> np.ndarray:
     """The vector e_minus = (-1, 1, -1, ...), the rho -> -1 direction."""
     return (-1.0) ** np.arange(1, int(n) + 1)
-
-
-def ar1_matrix(rho: float, n: int) -> np.ndarray:
-    """AR(1) correlation matrix Lambda(rho) with entries rho**|i-j|.
-
-    Parameters
-    ----------
-    rho : float
-        Autocorrelation parameter, |rho| < 1.
-    n : int
-        Dimension, n >= 1.
-    """
-    (rho,) = _check_rhos((rho,))
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    idx = np.arange(n)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def _ar1_path(rho: float, z: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ import numpy as np
 
 from .model import (
     AR1Grid,
-    AR1Restricted,
     CovarianceFamily,
     ExplicitList,
     RegressionProblem,
@@ -154,7 +153,7 @@ def _family_members(family: CovarianceFamily):
     factor of the covariance matrix for explicit ones.  Distinct members get
     distinct labels.
     """
-    if isinstance(family, (AR1Grid, AR1Restricted)):
+    if isinstance(family, AR1Grid):
         return [(_rho_label(rho), float(rho), float(rho)) for rho in family.rhos]
     if isinstance(family, ExplicitList):
         return [
@@ -310,7 +309,9 @@ def calibrate_critical_value(
     every candidate C (common random numbers), so the empirical size is
     exactly nonincreasing in C; bisection brings it into [delta - delta/10,
     delta] unless the size function jumps over that window, in which case
-    the conservative endpoint is returned.
+    the conservative endpoint is returned.  Unless delta = 1, it refuses
+    (CalibrationNotApplicableError) when no member's statistic is positive
+    in more than a delta share of replications: no C is determined there.
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
@@ -338,6 +339,16 @@ def calibrate_critical_value(
         return CalibrationResult(
             critical_value=0.0, size=size_at(0.0), rates=rates_at(0.0),
             c_hi=0.0, delta=float(delta),
+        )
+    # T = 0 wherever the statistic is undefined, so a C that only separates
+    # positive statistics from zero is not calibrated by anything
+    positive = max(float(np.count_nonzero(arr > 0.0)) / reps for _label, _rho, arr in members)
+    if positive <= delta:
+        raise CalibrationNotApplicableError(
+            f"the statistic is positive in at most a {positive:g} share of any "
+            f"member's replications, within delta = {delta:g}: every C > 0 "
+            f"below its smallest positive value gives that size, so no "
+            f"critical value is determined"
         )
 
     # starting bracket: a high quantile under the white member (rho = 0),

@@ -226,6 +226,18 @@ def assemble_omega(problem: RegressionProblem, y, config: EstimatorConfig) -> Om
     return OmegaEngine(problem, config).outcome(check_response(problem, y))
 
 
+def min_definite_n(k: int, q: int, p: int) -> int:
+    """``p(k+1) + q``: below it B has rank at most ``n - p - kp < q`` (the
+    cap of classify_definiteness), so the estimate is never positive definite."""
+    return p * (k + 1) + q
+
+
+def never_definite(n: int, k: int, q: int, p: int) -> bool:
+    """True when the shape alone leaves the statistic undefined at every
+    response, for every design, rule and kernel: ``n < p(k+1) + q``."""
+    return n < min_definite_n(k, q, p)
+
+
 def classify_definiteness(outcome: OmegaOutcome) -> str:
     """Classify a well-defined estimate by the numeric row rank of B.
 

@@ -37,6 +37,8 @@ from .prewhiten import (
     OmegaEngine,
     OmegaOutcome,
     classify_definiteness,
+    min_definite_n,
+    never_definite,
 )
 
 #: reasons the adjustment does not apply (ScenarioSelection.reason)
@@ -54,7 +56,8 @@ class AdjustmentNotApplicableError(ValueError):
 
 
 class AugmentationImpossibleError(ValueError):
-    """The augmented design would need at least as many columns as rows."""
+    """The augmented design is too wide for n: it would not have full column
+    rank, or its statistic would be undefined at every response."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,19 +280,21 @@ def build_adjusted(problem: RegressionProblem, config: EstimatorConfig) -> Adjus
     """Construct the augmented problem for whichever scenario applies.
 
     Raises AdjustmentNotApplicableError when no scenario applies, and
-    ValueError when the VAR order is too large for the augmented width
-    (the adjusted test needs p <= n/(k+3)).
+    AugmentationImpossibleError when the augmented shape (n, kbar, q, p)
+    leaves the adjusted statistic undefined at every response
+    (n < p(kbar+1) + q).
     """
     selection = select_scenario(problem)
     if not selection.applicable:
         raise AdjustmentNotApplicableError(
             f"adjustment not applicable: {selection.reason}"
         )
-    n, k, q = problem.n, problem.k, problem.q
-    if config.p * (k + 3) > n:
-        raise ValueError(
-            f"p must satisfy 1 <= p <= n/(k+3) for the adjusted test; got "
-            f"p = {config.p} with n = {n}, k = {k}"
+    n, k, q, p, kbar = problem.n, problem.k, problem.q, config.p, selection.kbar
+    if never_definite(n, kbar, q, p):
+        raise AugmentationImpossibleError(
+            f"the adjusted statistic needs n >= p(kbar+1) + q = "
+            f"{min_definite_n(kbar, q, p)} to be defined; got n = {n} with "
+            f"kbar = {kbar}, q = {q}, p = {p}"
         )
     extra_cols = [direction(n) for direction in _APPENDED[selection.scenario]]
     extra = len(extra_cols)

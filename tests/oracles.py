@@ -6,8 +6,9 @@ routines, so that agreement between the two is evidence of correctness
 rather than shared code.  The exceptions are the full-lag Newey-West
 bandwidth and the scalar AR(1) recursion, which pin bitwise equalities and
 so keep numpy's scalar arithmetic, and the scalar kernel evaluation, the
-MA(d) correlation matrix, the seeded AR(1) sampler and the stand-alone
-gradient check at the end, conveniences that only tests need.
+kernel Toeplitz matrix, the AR(1) and MA(d) correlation matrices, the seeded
+AR(1) sampler and the stand-alone gradient check at the end, conveniences
+that only tests need.
 """
 import math
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from hactest import TestEngine
 from hactest.diagnostics import _gradient_exists_at
+from hactest.kernels import lag_weights
 
 
 def am_bandwidth_oracle(Z, omega, j, c1, c2, n):
@@ -282,6 +284,29 @@ def kernel_hits_kink_oracle(kernel, m_value, m):
             if abs(i / m_value - d) <= 1e-9 * max(1.0, d):
                 return True
     return False
+
+
+def toeplitz_weights(kernel, m: int, bandwidth: float) -> np.ndarray:
+    """The m x m Toeplitz matrix with entries kappa((i-j)/bandwidth).
+
+    Built from the library's ``lag_weights``, so the diagonal is exactly 1.0
+    and a zero bandwidth gives the identity.
+    """
+    w = lag_weights(kernel, m, bandwidth)
+    idx = np.arange(w.size)
+    return w[np.abs(idx[:, None] - idx[None, :])]
+
+
+def ar1_matrix(rho, n: int) -> np.ndarray:
+    """AR(1) correlation matrix Lambda(rho) with entries rho**|i-j|, |rho| < 1."""
+    rho = float(rho)
+    if not abs(rho) < 1.0:
+        raise ValueError(f"AR(1) parameter must satisfy |rho| < 1, got {rho}")
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    idx = np.arange(n)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def as_generator(seed) -> np.random.Generator:

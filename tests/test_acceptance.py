@@ -52,7 +52,6 @@ from hactest.bandwidth import (
     bandwidth_am,
     bandwidth_nw,
 )
-from hactest.kernels import toeplitz_weights
 from hactest.prewhiten import WELL_DEFINED
 
 from .conftest import config_grid, random_problem
@@ -62,6 +61,7 @@ from .oracles import (
     nw_bandwidth_oracle,
     rectangular_cutoff_oracle,
     toeplitz_statistic_oracle,
+    toeplitz_weights,
 )
 
 NW_BARTLETT = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)

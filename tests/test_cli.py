@@ -278,9 +278,12 @@ class TestDiagnose:
     @pytest.mark.parametrize("x, R", [
         (";".join(f"{i},{(i * 7) % 5}" for i in range(30)), "1,0"),
         ("1,0,2,1;0,1,1,3;2,1,0,1;1,3,1,0;4,1,2,2;1,2,5,1", "1,0,0,0;0,1,0,0;0,0,1,0"),
-    ], ids=["generic-30x2", "all-undefined-6x4"])
+        ("1,-1,2;1,1,7;1,-1,1;1,1,8;1,-1,2;1,1,8;1,-1,3;1,1,5", "0,0,1"),
+    ], ids=["generic-30x2", "all-undefined-6x4", "probing-8x3"])
     def test_rejects_a_negative_seed_on_every_design(self, runner, x, R):
-        # the 6 x 4 design spends probes, the 30 x 2 one does not
+        # the 30 x 2 design is decided at its boundary values and the 6 x 4
+        # one by its shape; the 8 x 3 design has e+ and e- among its columns,
+        # so it spends probes
         result = runner.invoke(main, [
             "diagnose", "--x", x, "--R", R,
             "--rule", "fixed-b", "--C", "3.0", "--seed", "-1",
@@ -352,6 +355,27 @@ class TestCalibrate:
         ])
         assert result.exit_code == 3
         assert "refused" in result.output + (result.stderr or "")
+
+    @pytest.mark.parametrize("rule", ["andrews", "newey-west", "fixed-b"])
+    def test_refuses_a_statistic_that_is_never_positive(self, runner, rule):
+        # adjustment-unnecessary, but n = 6 < p(k+1) + q = 7: T = 0 on every draw
+        result = runner.invoke(main, [
+            "calibrate", "--x", "1,-1,1,2;1,1,2,7;1,-1,3,1;1,1,5,8;1,-1,8,2;1,1,13,8",
+            "--R", "0,0,1,0;0,0,0,1", "--delta", "0.2", "--reps", "200",
+            "--rho-grid", "0,0.6", "--rule", rule,
+        ])
+        assert result.exit_code == 3
+        assert "at most a 0 share" in result.output + (result.stderr or "")
+
+    @pytest.mark.parametrize("command", ["calibrate", "study", "adjust"])
+    def test_refuses_an_augmented_shape_whose_statistic_is_never_defined(self, runner, command):
+        # scenario 3 on 5 x 2 gives kbar = 4, which needs n >= p(kbar+1) + q = 6
+        args = [command, "--x", "1,2;3,5;2,7;4,1;5,3", "--R", "1,0"]
+        if command != "adjust":
+            args += ["--delta", "0.2", "--reps", "200", "--rho-grid", "0,0.6"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert "p(kbar+1) + q = 6" in result.output + (result.stderr or "")
 
 
 class TestStudy:

@@ -171,20 +171,42 @@ class TestDiagnose:
     @pytest.mark.parametrize("seed", [-1, 1.5])
     @pytest.mark.parametrize("n, k, q", [(30, 2, 1), (6, 4, 3)])
     def test_rejects_a_bad_seed_whether_or_not_a_probe_runs(self, rng, n, k, q, seed):
-        # the generic 30 x 2 design needs no probe; the (6, 4, 3) design is
-        # all undefined outside the trap and would spend them
+        # the generic 30 x 2 design is decided at its boundary values, the
+        # (6, 4, 3) design by its shape; neither spends a probe
         problem, _ = random_problem(rng, n=n, k=k, q=q)
         config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             diagnose(problem, config, 3.0, seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_a_bad_seed_on_a_design_that_probes(self, rng, seed):
+        problem = both_directions_in_span(rng)
+        config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
+        assert diagnose(problem, config, 3.0).evidence["probes_used"] >= 1
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            diagnose(problem, config, 3.0, seed=seed)
+
     @pytest.mark.parametrize("n, k, q, p", [(6, 4, 3, 1), (6, 2, 1, 2)])
-    def test_probes_run_out_on_an_all_undefined_design_outside_the_trap(
+    def test_all_undefined_designs_below_the_shape_bound_spend_no_probe(
         self, rng, n, k, q, p
     ):
-        # q < k, so the shape does not decide the breakdown: every probe runs
+        # q < k, but n < p(k+1) + q still decides the breakdown from the shape
         for config in config_grid(p):
             problem, _ = random_problem(rng, n=n, k=k, q=q)
+            report = diagnose(problem, config, 1.0, probes=25, seed=3)
+            assert report.verdict == TRIVIAL_BREAKDOWN
+            assert report.evidence["dimension_trap"] is True
+            assert report.evidence["probes_used"] == 0
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_probes_run_out_on_an_all_undefined_design_outside_the_trap(self, rng, p):
+        # a column supported on the last observation makes a score row whose
+        # lags are all zero, so the VAR fit is rank deficient at every
+        # response although n is far above the shape bound
+        n = 12
+        X = np.column_stack([rng.standard_normal(n), np.eye(n)[-1]])
+        problem = RegressionProblem(X, np.array([[1.0, 0.0]]), np.zeros(1))
+        for config in config_grid(p):
             report = diagnose(problem, config, 1.0, probes=25, seed=3)
             assert report.verdict == TRIVIAL_BREAKDOWN
             assert report.evidence["dimension_trap"] is False
@@ -311,7 +333,7 @@ RULE_KIND = {AndrewsRule: "andrews", NeweyWestRule: "newey-west", FixedBRule: "f
 
 
 class TestDimensionTrap:
-    """q = k and n < k(p+1) + p: the statistic is undefined at every response."""
+    """n < p(k+1) + q: the statistic is undefined at every response."""
 
     @settings(
         max_examples=30,
@@ -326,11 +348,12 @@ class TestDimensionTrap:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_statistic_is_undefined_and_diagnose_spends_no_probe(self, k, p, data, seed):
-        lo, hi = max(p * (k + 1), 3), k * (p + 1) + p
+        q = data.draw(st.integers(1, k), label="q")
+        lo, hi = max(p * (k + 1), 3), p * (k + 1) + q
         assume(lo < hi)
         n = data.draw(st.integers(lo, hi - 1), label="n")
         rng = np.random.default_rng(seed)
-        problem, _ = random_problem(rng, n=n, k=k, q=k)
+        problem, _ = random_problem(rng, n=n, k=k, q=q)
         for config in config_grid(p):
             engine = Engine(problem, config)
             for y in rng.standard_normal((3, n)):
@@ -339,6 +362,29 @@ class TestDimensionTrap:
             assert report.verdict == TRIVIAL_BREAKDOWN
             assert report.evidence["dimension_trap"] is True
             assert report.evidence["probes_used"] == 0
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_the_bound_is_sharp_on_random_designs(self, rng, p):
+        # at n = p(k+1) + q a Gaussian design has defined statistics, and one
+        # observation fewer is a trap, for every q <= k and every config
+        for k in range(1, 5):
+            for q in range(1, k + 1):
+                n = p * (k + 1) + q
+                problem, _ = random_problem(rng, n=n, k=k, q=q)
+                smaller = None
+                if n - 1 > max(2, k):
+                    smaller, _ = random_problem(rng, n=n - 1, k=k, q=q)
+                ys = rng.standard_normal((20, n))
+                for config in config_grid(p):
+                    engine = Engine(problem, config)
+                    assert any(engine.result(y).defined for y in ys), (k, q, config)
+                    report = diagnose(problem, config, 1.0)
+                    assert report.evidence["dimension_trap"] is False
+                    assert report.verdict != TRIVIAL_BREAKDOWN
+                    if smaller is not None:
+                        report = diagnose(smaller, config, 1.0)
+                        assert report.evidence["dimension_trap"] is True
+                        assert report.evidence["probes_used"] == 0
 
     @pytest.mark.parametrize("k, p", [(1, 1), (2, 1), (3, 2), (4, 3)])
     def test_first_sample_size_outside_the_trap_is_not_a_breakdown(self, k, p):

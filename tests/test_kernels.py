@@ -10,19 +10,19 @@ from hactest import (
     KernelSpec,
     get_kernel,
     kernel_names,
-    register_kernel,
 )
-from hactest.kernels import _REGISTRY, toeplitz_weights
 
-from .oracles import kernel_eval, qs_kernel_oracle
+from .oracles import kernel_eval, qs_kernel_oracle, toeplitz_weights
 
 ALL_KERNELS = (BARTLETT, PARZEN, QUADRATIC_SPECTRAL)
 
 
 class TestBuiltins:
     def test_registry_names(self):
-        assert set(kernel_names()) >= {"bartlett", "parzen", "qs"}
-        assert get_kernel("bartlett") is BARTLETT
+        # the kernel set is fixed; lookups return the module-level objects
+        assert kernel_names() == ("bartlett", "parzen", "qs")
+        for kernel in ALL_KERNELS:
+            assert get_kernel(kernel.name) is kernel
         with pytest.raises(ValueError, match="unknown kernel"):
             get_kernel("boxcar")
 
@@ -130,66 +130,3 @@ class TestToeplitzWeights:
             w = toeplitz_weights(kernel, m, bw)
             assert np.linalg.eigvalsh(w)[0] > -1e-10 * m
 
-
-@pytest.fixture
-def clean_registry():
-    before = dict(_REGISTRY)
-    yield
-    _REGISTRY.clear()
-    _REGISTRY.update(before)
-
-
-class TestRegisterKernel:
-    def test_accepts_stretched_triangle(self, clean_registry):
-        spec = KernelSpec(
-            name="tri2",
-            evaluate=lambda x: np.maximum(0.0, 1.0 - np.abs(x) / 2.0),
-            nondifferentiable_points=(2.0,),
-            compact_support=True,
-        )
-        register_kernel(spec)
-        assert get_kernel("tri2") is spec
-
-    def test_rejects_indefinite_truncated_kernel(self, clean_registry):
-        spec = KernelSpec(
-            name="boxcar",
-            evaluate=lambda x: np.where(np.abs(x) <= 1.0, 1.0, 0.0),
-            nondifferentiable_points=(1.0,),
-            compact_support=True,
-        )
-        with pytest.raises(ValueError, match="positive definiteness"):
-            register_kernel(spec)
-        assert "boxcar" not in kernel_names()
-
-    def test_rejects_wrong_value_at_zero(self, clean_registry):
-        spec = KernelSpec(
-            name="half",
-            evaluate=lambda x: 0.5 * np.maximum(0.0, 1.0 - np.abs(x)),
-            nondifferentiable_points=(),
-            compact_support=True,
-        )
-        with pytest.raises(ValueError, match="kappa"):
-            register_kernel(spec)
-
-    def test_rejects_uneven_function(self, clean_registry):
-        spec = KernelSpec(
-            name="skew",
-            evaluate=lambda x: np.clip(1.0 - np.asarray(x, dtype=float), 0.0, 1.0),
-            nondifferentiable_points=(),
-            compact_support=True,
-        )
-        with pytest.raises(ValueError, match="even"):
-            register_kernel(spec)
-
-    def test_rejects_a_registered_name(self, clean_registry):
-        # re-registering "bartlett" used to replace the built-in, and the
-        # Bartlett rule constants looked up by that name then went to Parzen
-        impostor = KernelSpec("bartlett", PARZEN.evaluate, (), True)
-        with pytest.raises(ValueError, match="already registered"):
-            register_kernel(impostor)
-        assert get_kernel("bartlett") is BARTLETT
-        spec = KernelSpec("tri2", lambda x: np.maximum(0.0, 1.0 - np.abs(x) / 2.0), (2.0,), True)
-        register_kernel(spec)
-        with pytest.raises(ValueError, match="already registered"):
-            register_kernel(KernelSpec("tri2", BARTLETT.evaluate, (1.0,), True))
-        assert get_kernel("tri2") is spec

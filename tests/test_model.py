@@ -3,11 +3,9 @@ import pytest
 
 from hactest import (
     AR1Grid,
-    AR1Restricted,
     ExplicitList,
     RegressionProblem,
     alternating_vector,
-    ar1_matrix,
     constant_vector,
     null_point,
 )
@@ -15,6 +13,7 @@ from hactest.model import _ar1_path, check_response
 
 from .oracles import (
     ar1_cov_oracle,
+    ar1_matrix,
     ar1_path_oracle,
     ar1_transfer_matrix,
     ma_closure_matrix,
@@ -189,14 +188,6 @@ class TestCovarianceFamilies:
         with pytest.raises(ValueError):
             AR1Grid((0.0, 1.0))
         AR1Grid((0.0, 0.9999))
-
-    def test_restricted_band(self):
-        fam = AR1Restricted(0.05, (0.0, 0.9, 0.99))
-        assert fam.epsilon == 0.05
-        with pytest.raises(ValueError):
-            AR1Restricted(0.0, (0.0,))
-        with pytest.raises(ValueError):
-            AR1Restricted(0.05, (-0.96,))
 
     def test_explicit_list_requires_spd(self, rng):
         with pytest.raises(ValueError):

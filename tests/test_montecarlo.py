@@ -6,7 +6,6 @@ import hactest.testing
 from hactest import (
     BARTLETT,
     AR1Grid,
-    AR1Restricted,
     DEFAULT_RHO_GRID,
     AdjustedProblem,
     CalibrationNotApplicableError,
@@ -17,7 +16,6 @@ from hactest import (
     RegressionProblem,
     adjusted_statistic,
     alternating_vector,
-    ar1_matrix,
     build_adjusted,
     calibrate_critical_value,
     constant_vector,
@@ -31,6 +29,7 @@ from hactest import test_statistic as evaluate
 from hactest.prewhiten import BANDWIDTH_UNDEFINED, VAR_RANK_DEFICIENT, OmegaEngine
 
 from .conftest import config_grid, random_problem
+from .oracles import ar1_matrix
 
 CONFIG = EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=1)
 
@@ -276,13 +275,21 @@ class TestCalibration:
         result = calibrate_critical_value(problem, mc, 1.0, est_config=CONFIG)
         assert result.critical_value == 0.0 and result.size == 1.0
 
-    def test_restricted_ar1_family_works(self, rng):
-        problem = calibratable_problem(rng)
-        mc = McConfig(
-            replications=100, seed=6, family=AR1Restricted(0.05, (0.0, 0.9))
-        )
-        result = calibrate_critical_value(problem, mc, 0.3, est_config=CONFIG)
-        assert result.size <= 0.3
+    @pytest.mark.parametrize("rule", ["andrews", "newey-west", "fixed-b"])
+    def test_refuses_a_test_whose_statistic_is_never_positive(self, rule):
+        # both boundary directions are columns and R avoids them, so the
+        # unadjusted test is calibratable in principle; but n = 6 < p(k+1) + q
+        # = 7, so T = 0 on every draw and no critical value is determined
+        X = np.array([[1, -1, 1, 2], [1, 1, 2, 7], [1, -1, 3, 1],
+                      [1, 1, 5, 8], [1, -1, 8, 2], [1, 1, 13, 8]], dtype=float)
+        problem = RegressionProblem(X, np.eye(4)[2:], np.zeros(2))
+        config = EstimatorConfig(
+            BARTLETT, FixedBRule(b=1.0) if rule == "fixed-b" else default_rule(rule, "bartlett"))
+        mc = McConfig(replications=200, seed=0, family=AR1Grid((0.0, 0.6)))
+        with pytest.raises(CalibrationNotApplicableError, match="at most a 0 share"):
+            calibrate_critical_value(problem, mc, 0.2, est_config=config)
+        # delta = 1 is still met by C = 0
+        assert calibrate_critical_value(problem, mc, 1.0, est_config=config).critical_value == 0.0
 
     def test_refuses_unadjusted_problems_with_exposed_directions(self, rng):
         scenario3, _ = random_problem(rng, n=12, k=2, q=1)

@@ -20,8 +20,7 @@ def test_single_path_names_and_dead_fields_stay_gone():
     # returns beta0; the AR(1) sampler, Gamma_i, the MA(d) correlation
     # matrix, the scalar kernel evaluation and the stand-alone gradient
     # check live in tests/oracles.py; the bandwidth rules stay behind
-    # compute_bandwidth in hactest.bandwidth and the Toeplitz matrix behind
-    # register_kernel's check in hactest.kernels
+    # compute_bandwidth in hactest.bandwidth
     for name in ("rejection_probability", "empirical_size", "SizeReport",
                  "NullPoint", "sample_gaussian_ar1", "compute_gamma",
                  "ma_closure_matrix", "kernel_eval", "bandwidth_am", "bandwidth_nw",
@@ -32,7 +31,7 @@ def test_single_path_names_and_dead_fields_stay_gone():
     assert not hasattr(hactest.model, "ma_closure_matrix")
     assert not hasattr(hactest.kernels, "kernel_eval")
     assert not hasattr(hactest.diagnostics, "gradient_exists")
-    assert len(hactest.__all__) == 67
+    assert len(hactest.__all__) == 64
 
     def field_names(cls):
         return {f.name for f in dataclasses.fields(cls)}
@@ -46,6 +45,23 @@ def test_single_path_names_and_dead_fields_stay_gone():
     assert "tol" not in field_names(hactest.CalibrationResult)
 
 
+def test_surface_no_program_calls_stays_gone():
+    # the kernel set is fixed, with no registry and no admission check; the
+    # AR(1) family is AR1Grid alone; the AR(1) correlation matrix and the
+    # kernel Toeplitz matrix live in tests/oracles.py
+    removed = {
+        hactest.kernels: ("register_kernel", "PSD_TRIALS", "PSD_SEED", "_REGISTRY",
+                          "toeplitz_weights"),
+        hactest.model: ("AR1Restricted", "ar1_matrix"),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(hactest, name), name
+            assert name not in hactest.__all__, name
+            assert not hasattr(module, name), (module.__name__, name)
+    assert isinstance(hactest.kernels._KERNELS, tuple)
+
+
 def test_settings_the_statistic_does_not_read_stay_gone():
     # the test is invariant to the error scale, so no study takes a sigma
     # (McConfig's fields are checked above); the check constants keep the
@@ -54,11 +70,9 @@ def test_settings_the_statistic_does_not_read_stay_gone():
         return set(inspect.signature(fn).parameters)
 
     assert "sigma" not in params(hactest.simulate_statistics)
-    assert params(hactest.register_kernel) == {"kernel"}
     # single-value options: calibration's tolerance is delta / 10, power
     # curves move along equal weights, and the CSV always has its header
     assert "tol" not in params(hactest.calibrate_critical_value)
     assert "direction" not in params(hactest.power_curve)
     assert params(hactest.SizePowerCurve.to_csv) == {"self"}
     assert hactest.diagnostics.FD_STEPS == (1e-4, 1e-5, 1e-6)
-    assert (hactest.kernels.PSD_TRIALS, hactest.kernels.PSD_SEED) == (100, 0)

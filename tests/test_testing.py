@@ -250,8 +250,46 @@ class TestBuildAdjusted:
     def test_rejects_oversized_var_order(self, rng):
         problem, _ = random_problem(rng, n=12, k=2)
         config = EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=3)
-        with pytest.raises(ValueError, match="k\\+3"):
+        with pytest.raises(AugmentationImpossibleError, match=r"p\(kbar\+1\) \+ q = 16"):
             build_adjusted(problem, config)
+
+    @pytest.mark.parametrize("n, intercept, q, p", [(5, False, 1, 1), (6, True, 2, 1)])
+    def test_refuses_shapes_whose_adjusted_statistic_is_never_defined(
+        self, rng, n, intercept, q, p
+    ):
+        # a p(k+3) <= n check accepts these, but n < p(kbar+1) + q: scenario 3
+        # (kbar = k+2) and scenario 1 with q > p; the augmented design gives
+        # T = 0 at every response, so no critical value would make it reject
+        k = 2 + intercept
+        X = rng.standard_normal((n, k))
+        if intercept:
+            X[:, 0] = 1.0
+        R = np.eye(k)[intercept:intercept + q]
+        problem = RegressionProblem(X, R, np.zeros(q))
+        selection = select_scenario(problem)
+        assert selection.scenario == (1 if intercept else 3)
+        assert p * (k + 3) <= n < p * (selection.kbar + 1) + q
+        config = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=p)
+        with pytest.raises(AugmentationImpossibleError, match=f"= {p * (selection.kbar + 1) + q}"):
+            build_adjusted(problem, config)
+        appended = [constant_vector(n), alternating_vector(n)][intercept:]
+        x_bar = np.column_stack([X, *appended])
+        r_bar = np.hstack([R, np.zeros((q, len(appended)))])
+        engine = Engine(RegressionProblem(x_bar, r_bar, np.zeros(q)),
+                        EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=p))
+        for y in rng.standard_normal((20, n)):
+            assert not engine.result(y).defined
+
+    def test_accepts_scenario_one_with_p_above_q_at_the_bound(self, rng):
+        # a p(k+3) <= n check refuses this design (10 > 9), yet at
+        # n = p(kbar+1) + q its adjusted statistic is defined
+        n, p = 9, 2
+        problem = scenario_one_problem(rng, n=n)
+        for config in config_grid(p):
+            adjusted = build_adjusted(problem, config)
+            assert adjusted.scenario == 1 and n == p * (adjusted.kbar + 1) + problem.q
+            ys = rng.standard_normal((20, n))
+            assert any(adjusted_statistic(adjusted, y).defined for y in ys)
 
     def test_refuses_when_not_applicable(self, rng):
         n = 12
