@@ -20,10 +20,14 @@ point) therefore decides limiting size and power:
   undefined is probed at random responses instead.
 
 ``diagnose`` runs these checks in a fixed precedence and reports a verdict
-with the evidence it rests on.  ``witness_design`` constructs, for any
-feasible (n, k, p), a design and response at which the VAR fit is exactly
-zero and the covariance estimate is positive definite — a certificate that
-the dimension requirement is sharp when every coefficient is restricted.
+with the evidence it rests on.  A tie is certified only where the
+statistic is differentiable; for a data-driven bandwidth that claim is
+cross-checked by central differences at three step sizes: 3 x 2n
+statistics, which the engine evaluates as blocks of bumped responses.
+``witness_design`` constructs, for any feasible (n, k, p), a design and
+response at which the VAR fit is exactly zero and the covariance estimate
+is positive definite — a certificate that the dimension requirement is
+sharp when every coefficient is restricted.
 """
 from __future__ import annotations
 
@@ -65,6 +69,9 @@ TIE_RTOL = 1e-9
 FD_AGREEMENT = 0.25
 #: finite-difference step sizes of that cross-check
 FD_STEPS = (1e-4, 1e-5, 1e-6)
+#: bumped responses the cross-check evaluates as one block; bounds the
+#: memory a block holds, whatever n
+FD_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,18 +108,21 @@ def _kernel_hits_kink(kernel, m_value: float, m: int) -> bool:
 
 
 def _fd_gradients_agree(engine: TestEngine, y: np.ndarray) -> bool:
-    """Central-difference gradients at the FD_STEPS; True if they stabilize."""
+    """Central-difference gradients at the FD_STEPS; True if they stabilize.
+
+    Each step's 2n bumped responses ``y + h e_j`` and ``y - h e_j`` go to
+    the engine as blocks of up to FD_BLOCK_ROWS responses.  A response's
+    statistic does not depend on the block it is evaluated in, so the
+    gradients are those of one evaluation per bumped response.
+    """
     n = y.shape[0]
     grads = []
     for h in FD_STEPS:
-        g = np.empty(n)
-        for j in range(n):
-            bump = np.zeros(n)
-            bump[j] = h
-            t_up = engine.result(y + bump).t_value
-            t_dn = engine.result(y - bump).t_value
-            g[j] = (t_up - t_dn) / (2.0 * h)
-        grads.append(g)
+        bump = h * np.eye(n)
+        Y = np.concatenate((y + bump, y - bump))
+        t = np.concatenate([engine.t_values(Y[i : i + FD_BLOCK_ROWS])
+                            for i in range(0, 2 * n, FD_BLOCK_ROWS)])
+        grads.append((t[:n] - t[n:]) / (2.0 * h))
     scale = max(1.0, max(float(np.linalg.norm(g)) for g in grads))
     worst = max(
         float(np.linalg.norm(a - b)) for a, b in zip(grads[:-1], grads[1:])
@@ -132,7 +142,8 @@ def _gradient_exists_at(
     bandwidths are, unless some lag ratio i / M sits on a nondifferentiable
     point of the kernel.  With ``check_numerically``, finite differences at
     the FD_STEPS cross-check the analytic claim and withdraw it if the
-    numeric gradients disagree.
+    numeric gradients disagree; ``result`` is the engine's evaluation at y,
+    and the bumped responses around it are evaluated as blocks.
     """
     rule = engine.config.rule
     if isinstance(rule, FixedBRule):

@@ -56,7 +56,8 @@ from .testing import (
     AdjustedProblem,
     AugmentationImpossibleError,
     TestEngine,
-    _quadratic_form,
+    _quadratic_forms,
+    build_adjusted,
     select_scenario,
 )
 
@@ -204,18 +205,19 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
     Replication idx draws one z from ``default_rng(SeedSequence((seed,
     idx)))``.  Replications are drawn in blocks of up to BLOCK_ROWS; each
     member maps a whole block to its own u at once, and the engine
-    evaluates y = X betas[0] + u row by row.  A replication's
+    evaluates y = X betas[0] + u one response at a time.  A replication's
     draw, and so every statistic, does not depend on the block it fell in.
     Every other beta shares that covariance estimate: its statistic is the
     quadratic form of the estimate at the engine's discrepancy shifted by
-    R (beta - betas[0]), or 0 when the engine's result is not defined.  For
+    R (beta - betas[0]), or 0 when the engine's result is not defined;
+    the forms of a block's defined responses are one stacked call.  For
     an adjusted target the shift is the same, because X beta lies in the
     augmented span and the padded restriction columns are zero.
     """
     members = _family_members(mc.family)
     samplers = [_make_sampler(spec, sim_problem.n) for _label, _rho, spec in members]
     mu = sim_problem.X @ betas[0]
-    shifts = [sim_problem.R @ (beta - betas[0]) for beta in betas[1:]]
+    shifts = np.array([sim_problem.R @ (beta - betas[0]) for beta in betas[1:]])
     out = np.zeros((len(members), len(betas), mc.replications))
     for start in range(0, mc.replications, BLOCK_ROWS):
         block = range(start, min(start + BLOCK_ROWS, mc.replications))
@@ -224,12 +226,18 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
             rng = np.random.default_rng(np.random.SeedSequence((mc.seed, idx)))
             row[:] = rng.standard_normal(sim_problem.n)
         for i, sampler in enumerate(samplers):
+            # keep only what the shifted forms read, not every result
+            omegas, discrepancies, defined = [], [], []
             for y, idx in zip(mu + sampler(z), block):
                 res = engine.result(y)
                 out[i, 0, idx] = res.t_value
-                if res.defined:
-                    for j, shift in enumerate(shifts, start=1):
-                        out[i, j, idx] = _quadratic_form(res.omega.omega, res.discrepancy + shift)
+                if res.defined and len(shifts):
+                    omegas.append(res.omega.omega)
+                    discrepancies.append(res.discrepancy)
+                    defined.append(idx)
+            if defined:
+                d = np.array(discrepancies)[None] + shifts[:, None, :]
+                out[i][1:, defined] = _quadratic_forms(np.array(omegas), d)
     return [(label, rho, rows) for (label, rho, _cov), rows in zip(members, out)]
 
 
@@ -272,10 +280,17 @@ def _check_reported_reps(reps: int) -> None:
         )
 
 
-def _refuse_unadjusted(problem: RegressionProblem) -> None:
-    """Raise unless the unadjusted test is calibratable on this design."""
+def _refuse_unadjusted(problem: RegressionProblem, est_config: EstimatorConfig | None) -> None:
+    """Raise unless the unadjusted test is calibratable on this design.
+
+    Where an adjustment scenario applies, the advice is to calibrate the
+    adjusted problem, unless build_adjusted refuses to build it for
+    ``est_config``: then the design is too small to augment.
+    """
     try:
         selection = select_scenario(problem)
+        if selection.applicable and est_config is not None:
+            build_adjusted(problem, est_config)
     except AugmentationImpossibleError as exc:
         raise CalibrationNotApplicableError(
             "a boundary direction degenerates the unadjusted statistic and "
@@ -317,7 +332,7 @@ def calibrate_critical_value(
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     _check_reported_reps(mc.replications)
     if isinstance(target, RegressionProblem):
-        _refuse_unadjusted(target)
+        _refuse_unadjusted(target, est_config)
     engine, sim_problem = _resolve_target(target, est_config)
     # (label, rho-or-None, sorted null statistics) per member, in family order
     members = [

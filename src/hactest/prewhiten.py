@@ -26,11 +26,21 @@ in another order of the same products; ``Psi`` is formed only when it is
 read.  The lag-by-lag expansion ``sum_{|i| < n-p} kappa(i / M) Gamma_i``
 is kept as the test suite's oracle.  ``B`` is exposed because the
 definiteness of ``Omega`` is exactly the row rank of ``B``.
+
+:class:`OmegaEngine` runs the steps on a block of responses at once: the
+projection, the VAR fit, the rank and conditioning decisions, the
+recoloring, ``B`` and the definiteness class are stacked numpy calls over
+the block, each of which gives every response the bits it would get alone.
+The bandwidth rule and the kernel lag sum see one response at a time.  One
+response is a block of one, so a value never depends on the block it was
+evaluated in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,11 +109,11 @@ class OmegaOutcome:
 
     When well-defined: ``omega`` is the q x q restriction covariance,
     ``m`` the bandwidth value, ``B`` the q x (n-p) matrix whose row rank
-    determines definiteness, ``fit`` the step-1 pieces, and ``kernel`` the
-    kernel that smoothed them.  ``bandwidth`` carries the rule outcome
-    (including the undefinedness sub-reason when status is undefined at
-    step III).  ``psi``, the recolored k x k long-run matrix, is formed on
-    first read.
+    determines definiteness, ``definiteness`` that class, ``fit`` the step-1
+    pieces, and ``kernel`` the kernel that smoothed them.  ``bandwidth``
+    carries the rule outcome (including the undefinedness sub-reason when
+    status is undefined at step III).  ``psi``, the recolored k x k
+    long-run matrix, is formed on first read.
     """
 
     status: str
@@ -114,6 +124,7 @@ class OmegaOutcome:
     fit: PrewhitenFit | None = None
     bandwidth: BandwidthOutcome | None = None
     kernel: KernelSpec | None = None
+    definiteness: str | None = None
 
     @classmethod
     def not_defined(cls, reason: str, bandwidth: BandwidthOutcome | None = None) -> "OmegaOutcome":
@@ -133,11 +144,39 @@ class OmegaOutcome:
         return symmetrize(recolor @ psi_white @ recolor.T)
 
 
+class OmegaBlock(NamedTuple):
+    """The covariance estimate at every response of a block, as stacked arrays.
+
+    ``reasons[i]`` is None where the estimate at response i is well-defined
+    and its undefinedness reason otherwise; ``bandwidths[i]`` is the rule's
+    outcome there, None when step 1 failed first.  ``defined`` indexes the
+    well-defined responses in block order, and the arrays stack their
+    pieces along a leading axis, in that order: the step-1 fit (``V1``,
+    ``A``, ``Z``, ``recolor``), ``B`` and ``omega``; ``definiteness`` lists
+    their classes.
+    """
+
+    reasons: list
+    bandwidths: list
+    defined: list
+    V1: np.ndarray
+    A: np.ndarray
+    Z: np.ndarray
+    recolor: np.ndarray
+    B: np.ndarray
+    omega: np.ndarray
+    definiteness: list
+
+
 class OmegaEngine:
     """Assembles the covariance estimate repeatedly for one (problem, config).
 
     Precomputes everything that depends only on the design so Monte Carlo
-    loops pay per response vector only for the data-dependent steps.
+    loops pay per response vector only for the data-dependent steps.  The
+    steps run on a block of responses at once (:meth:`outcomes`), as
+    stacked numpy calls that give every response the values it would get
+    alone; one response is a block of one.  Only the bandwidth rule and the
+    kernel lag sum run response by response.
     """
 
     def __init__(self, problem: RegressionProblem, config: EstimatorConfig):
@@ -156,51 +195,102 @@ class OmegaEngine:
         # below this, an OLS residual norm is indistinguishable from the
         # roundoff of projecting a vector that lies in span(X)
         self._resid_tol = max(n, k) * EPS
+        # B has rank at most m - kp: see classify_definiteness
+        self._rank_cap = max(n - config.p - k * config.p, 0)
+        # the stacks of a block without a well-defined response: V1, A, Z,
+        # recolor, B and omega
+        m, kp, q = n - config.p, k * config.p, problem.q
+        self._no_stacks = tuple(np.empty((0,) + shape) for shape in
+                                ((kp, m), (k, kp), (k, m), (k, k), (q, m), (q, q)))
 
-    def beta_hat(self, y: np.ndarray) -> np.ndarray:
-        return self.beta_op @ y
+    def _fit(self, Y: np.ndarray):
+        """Step 1 at every row of Y: ``(rows, V1, A, Z, recolor, regular)``.
 
-    def fit(self, y: np.ndarray) -> PrewhitenFit | None:
-        """Run step 1 at y; None means the VAR regressor matrix is rank deficient.
-
-        The zero-score case ``y in span(X)`` lands there because the
-        residual, hence every score, vanishes.
+        ``rows`` lists the responses whose VAR regressor matrix has full
+        rank, and the arrays stack their fits in that order.  A response in
+        span(X) is rank deficient, because its residual, hence every score,
+        vanishes.  ``regular`` is False where ``I - sum_l A_l`` is
+        numerically singular; ``recolor`` is NaN there.  When no response
+        has a full-rank regressor matrix, the arrays are None.
         """
         X = self.problem.X
         n, k, p = self.problem.n, self.problem.k, self.config.p
-        u = self.annihilator @ y
-        if np.linalg.norm(u) <= self._resid_tol * np.linalg.norm(y):
-            return None  # y in span(X): scores are exactly zero
-        V = X.T * u
-        V1 = np.vstack([V[:, p - l : n - l] for l in range(1, p + 1)])
-        Vp = V[:, p:]
-        if numeric_rank(V1) < k * p:
-            return None
+        U = np.matvec(self.annihilator, Y)
+        tol = self._resid_tol
+        rows = [i for i, (u, y) in enumerate(zip(_norms(U), _norms(Y))) if not u <= tol * y]
+        if not rows:  # every response lies in span(X)
+            return rows, None, None, None, None, []
+        if len(rows) < len(Y):
+            U = U[rows]
+        V = X.T * U[:, None, :]
+        V1 = np.concatenate([V[:, :, p - l : n - l] for l in range(1, p + 1)], axis=1)
+        full = [j for j, rank in enumerate(numeric_rank(V1)) if rank >= k * p]
+        if len(full) < len(rows):
+            rows, V, V1 = [rows[j] for j in full], V[full], V1[full]
+        if not rows:  # nothing to solve
+            return rows, None, None, None, None, []
+        Vp = V[:, :, p:]
         # normal equations, not an SVD solve: structurally-zero cross
         # products must give an exactly zero coefficient block
-        A = np.linalg.solve(V1 @ V1.T, V1 @ Vp.T).T
-        D = self._eye_k - A.reshape(k, p, k).sum(axis=1)
-        recolor = solve_well_conditioned(D, self._eye_k)
-        Z = Vp - A @ V1
-        return PrewhitenFit(V1=V1, A=A, Z=Z, recolor=recolor)
+        G = V1 @ V1.swapaxes(1, 2)
+        A = np.linalg.solve(G, V1 @ Vp.swapaxes(1, 2)).swapaxes(1, 2)
+        D = self._eye_k - np.add.reduce(A.reshape(len(rows), k, p, k), axis=2)
+        recolor, regular = solve_well_conditioned(D, self._eye_k)
+        return rows, V1, A, Vp - A @ V1, recolor, regular
+
+    def outcomes(self, Y: np.ndarray) -> OmegaBlock:
+        """Run the three steps at every row of a (b x n) response block.
+
+        Undefinedness keeps its precedence (I) -> (II) -> (III) row by row,
+        and the bandwidth rule sees each response's residuals alone.
+        """
+        config = self.config
+        n, p = self.problem.n, config.p
+        rows, V1, A, Z, recolor, regular = self._fit(Y)
+        reasons = [VAR_RANK_DEFICIENT] * len(Y)
+        bandwidths = [None] * len(Y)
+        keep = []
+        for j, (i, ok) in enumerate(zip(rows, regular)):
+            if not ok:
+                reasons[i] = RECOLOR_SINGULAR
+                continue
+            bw = compute_bandwidth(config.rule, Z[j], n, p)
+            bandwidths[i] = bw
+            if bw.is_defined:
+                reasons[i] = None
+                keep.append(j)
+            else:
+                reasons[i] = BANDWIDTH_UNDEFINED
+        if not keep:
+            return OmegaBlock(reasons, bandwidths, [], *self._no_stacks, [])
+        if len(keep) < len(rows):
+            V1, A, Z, recolor = V1[keep], A[keep], Z[keep], recolor[keep]
+            rows = [rows[j] for j in keep]
+        B = (self.g @ recolor) @ Z
+        q = B.shape[1]
+        omega = [symmetrize(n * _kernel_lag_sum(b, config.kernel, bandwidths[i].m))
+                 for b, i in zip(B, rows)]
+        omega = np.array(omega).reshape(len(rows), q, q)
+        return OmegaBlock(reasons, bandwidths, rows, V1, A, Z, recolor, B, omega,
+                          _definiteness(B, self._rank_cap))
 
     def outcome(self, y: np.ndarray) -> OmegaOutcome:
-        problem, config = self.problem, self.config
-        n, p = problem.n, config.p
-        fit = self.fit(y)
-        if fit is None:
-            return OmegaOutcome.not_defined(VAR_RANK_DEFICIENT)
-        if fit.recolor is None:
-            return OmegaOutcome.not_defined(RECOLOR_SINGULAR)
-        bw = compute_bandwidth(config.rule, fit.Z, n, p)
-        if not bw.is_defined:
-            return OmegaOutcome.not_defined(BANDWIDTH_UNDEFINED, bandwidth=bw)
-        B = (self.g @ fit.recolor) @ fit.Z
-        omega = symmetrize(n * _kernel_lag_sum(B, config.kernel, bw.m))
+        """The outcome at one response: a block of one."""
+        block = self.outcomes(y[None])
+        reason, bw = block.reasons[0], block.bandwidths[0]
+        if reason is not None:
+            return OmegaOutcome.not_defined(reason, bandwidth=bw)
+        fit = PrewhitenFit(V1=block.V1[0], A=block.A[0], Z=block.Z[0], recolor=block.recolor[0])
         return OmegaOutcome(
-            status=WELL_DEFINED, omega=omega, m=bw.m, B=B, fit=fit, bandwidth=bw,
-            kernel=config.kernel,
+            status=WELL_DEFINED, omega=block.omega[0], m=bw.m, B=block.B[0], fit=fit,
+            bandwidth=bw, kernel=self.config.kernel, definiteness=block.definiteness[0],
         )
+
+
+def _norms(Y: np.ndarray) -> list:
+    """The 2-norm of each row, summed as one dot product per row, as
+    ``np.linalg.norm`` sums a single vector."""
+    return [math.sqrt(v) for v in np.vecdot(Y, Y).tolist()]
 
 
 def _kernel_lag_sum(Z: np.ndarray, kernel: KernelSpec, m_value: float) -> np.ndarray:
@@ -215,7 +305,7 @@ def _kernel_lag_sum(Z: np.ndarray, kernel: KernelSpec, m_value: float) -> np.nda
     """
     m = Z.shape[1]
     w = lag_weights(kernel, m, m_value)
-    reach = int(np.flatnonzero(w)[-1])
+    reach = int(w.nonzero()[0][-1])
     v = np.concatenate((w[reach:0:-1], w[: reach + 1]))
     ZW = np.array([np.convolve(row, v)[reach : reach + m] for row in Z])
     return ZW @ Z.T / m
@@ -238,6 +328,13 @@ def never_definite(n: int, k: int, q: int, p: int) -> bool:
     return n < min_definite_n(k, q, p)
 
 
+def _definiteness(B: np.ndarray, cap: int) -> list:
+    """The class of each B of a stack, by numeric row rank capped at ``cap``."""
+    q = B.shape[-2]
+    return [ZERO if r == 0 else SINGULAR_NONNEG if min(r, cap) < q else POSITIVE_DEFINITE
+            for r in numeric_rank(B)]
+
+
 def classify_definiteness(outcome: OmegaOutcome) -> str:
     """Classify a well-defined estimate by the numeric row rank of B.
 
@@ -255,11 +352,7 @@ def classify_definiteness(outcome: OmegaOutcome) -> str:
     if not outcome.well_defined:
         raise ValueError("classification requires a well-defined covariance outcome")
     B = outcome.B
-    rank = numeric_rank(B)
-    if rank == 0:
-        return ZERO
+    cap = B.shape[0]
     if outcome.fit is not None:
-        m = outcome.fit.Z.shape[1]
-        kp = outcome.fit.V1.shape[0]
-        rank = min(rank, max(m - kp, 0))
-    return SINGULAR_NONNEG if rank < B.shape[0] else POSITIVE_DEFINITE
+        cap = max(outcome.fit.Z.shape[1] - outcome.fit.V1.shape[0], 0)
+    return _definiteness(B[None], cap)[0]

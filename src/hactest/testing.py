@@ -36,7 +36,6 @@ from .prewhiten import (
     EstimatorConfig,
     OmegaEngine,
     OmegaOutcome,
-    classify_definiteness,
     min_definite_n,
     never_definite,
 )
@@ -116,7 +115,13 @@ class AdjustedProblem:
 
 
 class TestEngine:
-    """Evaluates the statistic repeatedly for one (problem, config)."""
+    """Evaluates the statistic repeatedly for one (problem, config).
+
+    ``result`` evaluates one response and explains the value;
+    ``t_values`` evaluates a block of responses at once and returns the
+    values alone.  Both run the same stacked engine, so a response's value
+    does not depend on the block it is evaluated in.
+    """
 
     def __init__(self, problem: RegressionProblem, config: EstimatorConfig):
         self.problem = problem
@@ -133,9 +138,9 @@ class TestEngine:
         out = self.omega_engine.outcome(y)
         t = 0.0
         d = None
-        if out.well_defined and classify_definiteness(out) == POSITIVE_DEFINITE:
-            d = self.problem.R @ self.omega_engine.beta_hat(y) - self.problem.r
-            t = _quadratic_form(out.omega, d)
+        if out.definiteness == POSITIVE_DEFINITE:
+            t, d = self._forms(out.omega, y)
+            t = float(t)
         reject = None if critical_value is None else bool(t >= critical_value)
         return TestResult(
             t_value=t,
@@ -147,23 +152,49 @@ class TestEngine:
             discrepancy=d,
         )
 
+    def t_values(self, Y) -> np.ndarray:
+        """The statistic at every row of a (b x n) response block, 0 where not defined."""
+        Y = np.asarray(Y, dtype=float)
+        block = self.omega_engine.outcomes(Y)
+        pd = [j for j, c in enumerate(block.definiteness) if c == POSITIVE_DEFINITE]
+        rows = [block.defined[j] for j in pd]
+        t = np.zeros(len(Y))
+        if rows:
+            t[rows] = self._forms(block.omega[pd], Y[rows])[0]
+        return t
 
-def _quadratic_form(omega: np.ndarray, d: np.ndarray) -> float:
-    """d' omega^{-1} d for positive definite omega, guaranteed >= 0."""
+    def _forms(self, omega: np.ndarray, Y: np.ndarray):
+        """T and the discrepancy ``R beta_hat - r`` at the response y, or the
+        stack of responses Y, whose estimates ``omega`` are positive definite."""
+        beta_hat = np.matvec(self.omega_engine.beta_op, Y)
+        d = np.matvec(self.problem.R, beta_hat) - self.problem.r
+        return _quadratic_forms(omega, d), d
+
+
+def _quadratic_forms(omega: np.ndarray, d: np.ndarray):
+    """d' omega^{-1} d for positive definite omega, >= 0, over leading axes.
+
+    ``omega`` is one q x q estimate or a (b, q, q) stack of them, and ``d``
+    is (..., q) or (..., b, q) to match: every leading index of d is a
+    further discrepancy against the same estimates.  Each is solved as its
+    own single right-hand side, so a value does not depend on what else is
+    in the stack.  The result has d's leading shape.
+    """
     try:
         L = np.linalg.cholesky(omega)
-        w = np.linalg.solve(L, d)
-        return float(w @ w)
     except np.linalg.LinAlgError:
+        if omega.ndim > 2:
+            return np.stack([_quadratic_forms(o, d[..., i, :]) for i, o in enumerate(omega)],
+                            axis=-1)
         # rank-classified PD but too ill-conditioned for Cholesky: invert on
         # the numerically significant eigenspace only
         vals, vecs = np.linalg.eigh(omega)
         tol = max(vals[-1], 0.0) * omega.shape[0] * EPS
         keep = vals > tol
-        if not np.any(keep):
-            return 0.0
-        proj = vecs.T @ d
-        return float(np.sum(proj[keep] ** 2 / vals[keep]))
+        proj = (vecs.T @ d[..., None])[..., keep, 0]
+        return np.sum(proj**2 / vals[keep], axis=-1)
+    w = np.linalg.solve(L, d[..., None])[..., 0]
+    return np.vecdot(w, w)
 
 
 def test_statistic(

@@ -8,15 +8,29 @@ bandwidth and the scalar AR(1) recursion, which pin bitwise equalities and
 so keep numpy's scalar arithmetic, and the scalar kernel evaluation, the
 kernel Toeplitz matrix, the AR(1) and MA(d) correlation matrices, the seeded
 AR(1) sampler and the stand-alone gradient check at the end, conveniences
-that only tests need.
+that only tests need.  The scalar statistic at the end is the one-response
+pipeline the library's block engine replaced, kept with its numpy calls so
+that the engine must reproduce it bitwise.
 """
 import math
 
 import numpy as np
 
 from hactest import TestEngine
-from hactest.diagnostics import _gradient_exists_at
+from hactest.bandwidth import compute_bandwidth
+from hactest.diagnostics import FD_AGREEMENT, FD_STEPS, _gradient_exists_at
 from hactest.kernels import lag_weights
+from hactest.prewhiten import (
+    BANDWIDTH_UNDEFINED,
+    POSITIVE_DEFINITE,
+    RECOLOR_SINGULAR,
+    SINGULAR_NONNEG,
+    VAR_RANK_DEFICIENT,
+    ZERO,
+    _kernel_lag_sum,
+)
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def am_bandwidth_oracle(Z, omega, j, c1, c2, n):
@@ -363,3 +377,118 @@ def gradient_exists(problem, y, config, *, check_numerically=True):
     result = engine.result(y)
     assert result.defined, "the gradient check needs a defined statistic"
     return _gradient_exists_at(engine, y, result, check_numerically)
+
+
+def rank_oracle(a):
+    """Numeric rank of one matrix: singular values above max(shape) * eps * sigma_max."""
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > max(a.shape) * EPS * s[0]))
+
+
+def quadratic_form_oracle(omega, d):
+    """d' omega^{-1} d for one positive definite omega, guaranteed >= 0."""
+    try:
+        L = np.linalg.cholesky(omega)
+        w = np.linalg.solve(L, d)
+        return float(w @ w)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(omega)
+        tol = max(vals[-1], 0.0) * omega.shape[0] * EPS
+        keep = vals > tol
+        if not np.any(keep):
+            return 0.0
+        proj = vecs.T @ d
+        return float(np.sum(proj[keep] ** 2 / vals[keep]))
+
+
+class ScalarStatistic:
+    """The statistic one response at a time, as the library computed it
+    before its engine took blocks: the same numpy calls on 1-D and 2-D
+    arrays, with no leading axis anywhere.  The bandwidth rule and the
+    kernel lag sum are the library's own, which run per response on both
+    paths and have oracles of their own above.
+
+    ``evaluate(y)`` returns ``(kind, t, omega, bandwidth)``: ``kind`` is the
+    undefinedness reason, or the definiteness class of a well-defined
+    estimate; ``t`` is 0.0 unless the class is PositiveDefinite; ``omega``
+    is None when undefined; ``bandwidth`` is the rule outcome (None before
+    step III).
+    """
+
+    def __init__(self, problem, config):
+        self.problem, self.config = problem, config
+        X, R = problem.X, problem.R
+        n, k = problem.n, problem.k
+        xtx = X.T @ X
+        self.beta_op = np.linalg.solve(xtx, X.T)
+        self.annihilator = np.eye(n) - X @ self.beta_op
+        self.g = np.linalg.solve(xtx, R.T).T
+        self.eye_k = np.eye(k)
+        self.resid_tol = max(n, k) * EPS
+
+    def fit(self, y):
+        X = self.problem.X
+        n, k, p = self.problem.n, self.problem.k, self.config.p
+        u = self.annihilator @ y
+        if np.linalg.norm(u) <= self.resid_tol * np.linalg.norm(y):
+            return None
+        V = X.T * u
+        V1 = np.vstack([V[:, p - l : n - l] for l in range(1, p + 1)])
+        Vp = V[:, p:]
+        if rank_oracle(V1) < k * p:
+            return None
+        A = np.linalg.solve(V1 @ V1.T, V1 @ Vp.T).T
+        D = self.eye_k - A.reshape(k, p, k).sum(axis=1)
+        s = np.linalg.svd(D, compute_uv=False)
+        if s[-1] == 0.0 or s[0] / s[-1] > 1.0 / EPS:
+            recolor = None
+        else:
+            recolor = np.linalg.solve(D, self.eye_k)
+        return V1, A, Vp - A @ V1, recolor
+
+    def evaluate(self, y):
+        y = np.asarray(y, dtype=float)
+        problem, config = self.problem, self.config
+        n, p = problem.n, config.p
+        fit = self.fit(y)
+        if fit is None:
+            return VAR_RANK_DEFICIENT, 0.0, None, None
+        V1, _A, Z, recolor = fit
+        if recolor is None:
+            return RECOLOR_SINGULAR, 0.0, None, None
+        bw = compute_bandwidth(config.rule, Z, n, p)
+        if not bw.is_defined:
+            return BANDWIDTH_UNDEFINED, 0.0, None, bw
+        B = (self.g @ recolor) @ Z
+        lag_sum = _kernel_lag_sum(B, config.kernel, bw.m)
+        omega = n * lag_sum
+        omega = (omega + omega.T) / 2.0
+        rank = rank_oracle(B)
+        if rank == 0:
+            return ZERO, 0.0, omega, bw
+        rank = min(rank, max(Z.shape[1] - V1.shape[0], 0))
+        if rank < B.shape[0]:
+            return SINGULAR_NONNEG, 0.0, omega, bw
+        d = problem.R @ (self.beta_op @ y) - problem.r
+        return POSITIVE_DEFINITE, quadratic_form_oracle(omega, d), omega, bw
+
+
+def fd_gradients_agree_oracle(problem, config, y):
+    """``diagnose``'s finite-difference check with one scalar statistic per bumped response."""
+    scalar = ScalarStatistic(problem, config)
+    n = y.shape[0]
+    grads = []
+    for h in FD_STEPS:
+        g = np.empty(n)
+        for j in range(n):
+            bump = np.zeros(n)
+            bump[j] = h
+            t_up = scalar.evaluate(y + bump)[1]
+            t_dn = scalar.evaluate(y - bump)[1]
+            g[j] = (t_up - t_dn) / (2.0 * h)
+        grads.append(g)
+    scale = max(1.0, max(float(np.linalg.norm(g)) for g in grads))
+    worst = max(float(np.linalg.norm(a - b)) for a, b in zip(grads[:-1], grads[1:]))
+    return worst <= FD_AGREEMENT * scale

@@ -1,0 +1,93 @@
+"""The benchmark's hook contract: every traced name exists, every metric reads.
+
+perfbench/hooks.py wraps named library callables and builds its per-layer
+metrics from what those wrappers see.  A refactor that renames a hooked
+name, or stops calling one on a workload's path, makes the benchmark's
+metrics absent instead of failing.  These tests install the benchmark's
+own hooks around one tiny call per workload and require that no hook is
+missing and no metric is absent.  Nothing under perfbench/ is changed.
+"""
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hactest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's hooks and tracer modules, imported as run.py imports them."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import hooks
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return hooks, tracer
+
+
+def traced(bench, call):
+    """Run call() under the benchmark's hooks; (missing hooks, absent metrics, counts)."""
+    hooks, tracer_module = bench
+    tracer = tracer_module.Tracer()
+    tracer.install(hooks.HOOKS, hooks.PROXIES)
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    values, absent = hooks.layer_metrics(
+        tracer_module.summarize(tracer), tracer.counts, 1, tracer.missing)
+    assert set(values) | set(absent) == set(hooks.LAYER_METRICS)
+    return tracer.missing, absent, tracer.counts
+
+
+def adjusted_design(n, rule, kernel, p, seed):
+    X = np.random.default_rng(seed).standard_normal((n, 2))
+    problem = hactest.RegressionProblem(X, [[1.0, 0.0]], [0.0])
+    config = hactest.EstimatorConfig(
+        hactest.get_kernel(kernel), hactest.default_rule(rule, kernel), p=p)
+    return hactest.build_adjusted(problem, config)
+
+
+def test_calibrate_reads_every_metric(bench):
+    adjusted = adjusted_design(24, "newey-west", "bartlett", 1, 20260507)
+    mc = hactest.McConfig(replications=100, seed=1, family=hactest.AR1Grid((0.0, 0.9)))
+    missing, absent, _ = traced(
+        bench, lambda: hactest.calibrate_critical_value(adjusted, mc, 0.1))
+    assert missing == []
+    assert absent == {}
+
+
+def test_power_curve_reads_every_metric(bench):
+    adjusted = adjusted_design(30, "andrews", "qs", 2, 20260508)
+    mc = hactest.McConfig(replications=100, seed=2, family=hactest.AR1Grid((0.3,)))
+    missing, absent, _ = traced(
+        bench, lambda: hactest.power_curve(adjusted, mc, 10.0, (0.0, 1.0)))
+    assert missing == []
+    assert absent == {}
+
+
+def test_diagnose_on_a_tie_reads_every_metric(bench):
+    # C is the statistic at e+ under a kink-free kernel and a data-driven
+    # rule, so diagnose runs the finite-difference gradient check
+    config = hactest.EstimatorConfig(
+        hactest.get_kernel("qs"), hactest.default_rule("andrews", "qs"), p=1)
+    rng = np.random.default_rng(3)
+    while True:
+        problem = hactest.RegressionProblem(rng.standard_normal((12, 2)), [[1.0, 0.0]], [0.0])
+        t_plus = hactest.test_statistic(problem, np.ones(12), config)
+        if t_plus.defined and t_plus.t_value > 0.0:
+            break
+    report = []
+    missing, absent, counts = traced(
+        bench, lambda: report.append(hactest.diagnose(problem, config, t_plus.t_value)))
+    assert report[0].evidence["kind_plus"] == "tie"
+    # the bumped responses of the gradient check reach the bandwidth rule
+    # one by one, besides the two boundary evaluations
+    assert counts["bandwidth_calls"] > 2
+    assert missing == []
+    assert absent == {}

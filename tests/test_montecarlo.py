@@ -8,6 +8,7 @@ from hactest import (
     AR1Grid,
     DEFAULT_RHO_GRID,
     AdjustedProblem,
+    AugmentationImpossibleError,
     CalibrationNotApplicableError,
     EstimatorConfig,
     ExplicitList,
@@ -306,6 +307,22 @@ class TestCalibration:
         tiny, _ = random_problem(rng, n=4, k=2)
         with pytest.raises(CalibrationNotApplicableError, match="too small"):
             calibrate_critical_value(tiny, mc, 0.2, est_config=CONFIG)
+
+    def test_refuses_as_too_small_when_the_adjusted_statistic_is_never_defined(self):
+        # scenario 3 appends both directions: kbar = 4 needs n >= p(kbar+1) + q
+        # = 6, so build_adjusted refuses this 5 x 2 design and the advice to
+        # calibrate the adjusted problem would lead nowhere
+        X = np.array([[1, 2], [3, 5], [2, 7], [4, 1], [5, 3]], dtype=float)
+        problem = RegressionProblem(X, [[1.0, 0.0]], [0.0])
+        config = EstimatorConfig(BARTLETT, default_rule("andrews", "bartlett"), p=1)
+        with pytest.raises(AugmentationImpossibleError, match="n >= p"):
+            build_adjusted(problem, config)
+        mc = McConfig(replications=100, seed=0, family=AR1Grid((0.0,)))
+        with pytest.raises(CalibrationNotApplicableError, match="too small to augment"):
+            calibrate_critical_value(problem, mc, 0.2, est_config=config)
+        # the design is refused before a missing est_config is noticed
+        with pytest.raises(CalibrationNotApplicableError):
+            calibrate_critical_value(problem, mc, 0.2)
 
     def test_adjusted_target_is_always_accepted(self, rng):
         problem, _ = random_problem(rng, n=12, k=2, q=1, r_zero=True)

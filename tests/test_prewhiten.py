@@ -10,6 +10,7 @@ from hactest import (
     FixedBRule,
     NeweyWestRule,
     OmegaEngine,
+    PrewhitenFit,
     RegressionProblem,
     assemble_omega,
     build_adjusted,
@@ -32,21 +33,26 @@ from hactest.prewhiten import (
     OmegaOutcome,
     _kernel_lag_sum,
 )
-from hactest.testing import _quadratic_form
 
 from .conftest import config_grid, random_problem
 from .oracles import (
     gamma_oracle,
     kernel_eval,
     kernel_lag_sum_oracle,
+    quadratic_form_oracle,
     toeplitz_statistic_oracle,
 )
 
 
 def fit_var_ols(problem, y, p):
-    """Step 1 alone, through the engine that runs it inside the pipeline."""
+    """Step 1 alone, through the engine that runs it inside the pipeline:
+    None when the VAR regressor matrix is rank deficient."""
     config = EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p)
-    return OmegaEngine(problem, config).fit(np.asarray(y, dtype=float))
+    engine = OmegaEngine(problem, config)
+    rows, V1, A, Z, recolor, regular = engine._fit(np.asarray(y, dtype=float)[None])
+    if not rows:
+        return None
+    return PrewhitenFit(V1=V1[0], A=A[0], Z=Z[0], recolor=recolor[0] if regular[0] else None)
 
 
 def scores(problem, y):
@@ -296,7 +302,7 @@ class TestOmegaFromRestrictionRows:
                 assert np.max(np.abs(out.omega - want)) <= 1e-12 * np.max(np.abs(want))
                 if res.defined:
                     np.linalg.cholesky(want)
-                    t = _quadratic_form(want, res.discrepancy)
+                    t = quadratic_form_oracle(want, res.discrepancy)
                     assert abs(res.t_value - t) <= 1e-10 * max(1.0, t)
         assert POSITIVE_DEFINITE in classes
 

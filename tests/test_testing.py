@@ -28,11 +28,11 @@ from hactest.model import _ar1_path
 from hactest.testing import (
     REASON_ADJUSTMENT_UNNECESSARY,
     REASON_HYPOTHESIS_INVOLVES_INTERCEPT,
-    _quadratic_form,
+    _quadratic_forms,
 )
 
 from .conftest import config_grid, random_problem
-from .oracles import kernel_eval, kernel_lag_sum_oracle
+from .oracles import kernel_eval, kernel_lag_sum_oracle, quadratic_form_oracle
 from .test_prewhiten import location_model
 
 
@@ -141,13 +141,27 @@ class TestInvariance:
 
 class TestQuadraticForm:
     def test_diagonal_case(self):
-        got = _quadratic_form(np.diag([2.0, 8.0]), np.array([2.0, 4.0]))
-        assert got == pytest.approx(4.0, rel=1e-14)
+        got = _quadratic_forms(np.diag([2.0, 8.0])[None], np.array([[2.0, 4.0]]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(4.0, rel=1e-14)
 
     def test_singular_fallback_uses_pseudoinverse(self):
         omega = np.array([[1.0, 1.0], [1.0, 1.0]])
         d = np.array([1.0, 1.0])
-        assert _quadratic_form(omega, d) == pytest.approx(1.0, rel=1e-12)
+        assert _quadratic_forms(omega[None], d[None])[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_each_estimate_and_discrepancy_is_its_own_form(self, rng):
+        # a stack mixing a Cholesky-able estimate with one that needs the
+        # eigenspace fallback, and two discrepancies per estimate: each value
+        # is the one-estimate, one-discrepancy form
+        omegas = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        d = rng.standard_normal((3, 2, 2))
+        got = _quadratic_forms(omegas, d)
+        assert got.shape == (3, 2)
+        for s in range(3):
+            for b in range(2):
+                assert got[s, b] == _quadratic_forms(omegas[b : b + 1], d[s, b : b + 1])[0]
+                assert got[s, b] == quadratic_form_oracle(omegas[b], d[s, b])
 
 
 class TestSelectScenario:
