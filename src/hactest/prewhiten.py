@@ -209,9 +209,11 @@ class OmegaEngine:
         ``rows`` lists the responses whose VAR regressor matrix has full
         rank, and the arrays stack their fits in that order.  A response in
         span(X) is rank deficient, because its residual, hence every score,
-        vanishes.  ``regular`` is False where ``I - sum_l A_l`` is
-        numerically singular; ``recolor`` is NaN there.  When no response
-        has a full-rank regressor matrix, the arrays are None.
+        vanishes; so is one whose normal equations are exactly singular
+        although the SVD rank check passed.  ``regular`` is False where
+        ``I - sum_l A_l`` is numerically singular; ``recolor`` is NaN there.
+        When no response has a full-rank regressor matrix, the arrays are
+        None.
         """
         X = self.problem.X
         n, k, p = self.problem.n, self.problem.k, self.config.p
@@ -232,8 +234,12 @@ class OmegaEngine:
         Vp = V[:, :, p:]
         # normal equations, not an SVD solve: structurally-zero cross
         # products must give an exactly zero coefficient block
-        G = V1 @ V1.swapaxes(1, 2)
-        A = np.linalg.solve(G, V1 @ Vp.swapaxes(1, 2)).swapaxes(1, 2)
+        solved, A = _solve_each(V1 @ V1.swapaxes(1, 2), V1 @ Vp.swapaxes(1, 2))
+        if len(solved) < len(rows):
+            rows, V1, Vp = [rows[j] for j in solved], V1[solved], Vp[solved]
+            if not rows:
+                return rows, None, None, None, None, []
+        A = A.swapaxes(1, 2)
         D = self._eye_k - np.add.reduce(A.reshape(len(rows), k, p, k), axis=2)
         recolor, regular = solve_well_conditioned(D, self._eye_k)
         return rows, V1, A, Vp - A @ V1, recolor, regular
@@ -285,6 +291,28 @@ class OmegaEngine:
             status=WELL_DEFINED, omega=block.omega[0], m=bw.m, B=block.B[0], fit=fit,
             bandwidth=bw, kernel=self.config.kernel, definiteness=block.definiteness[0],
         )
+
+
+def _solve_each(G: np.ndarray, rhs: np.ndarray):
+    """Solve ``G_i x = rhs_i`` for each exactly regular ``G_i`` of a stack.
+
+    Returns ``(solved, x)``: the indices of the systems solved, and their
+    solutions stacked in that order.  The stack is one call; only when some
+    ``G_i`` is exactly singular, which fails that call, is each system
+    solved alone, so every solution has the bits one call gives it.
+    """
+    try:
+        return range(len(G)), np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    solved, x = [], []
+    for i, (g, b) in enumerate(zip(G, rhs)):
+        try:
+            x.append(np.linalg.solve(g, b))
+        except np.linalg.LinAlgError:
+            continue
+        solved.append(i)
+    return solved, np.array(x).reshape((len(solved),) + rhs.shape[1:])
 
 
 def _norms(Y: np.ndarray) -> list:

@@ -18,11 +18,12 @@ distribution target — is unchanged.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import EPS, numeric_rank
+from ._linalg import EPS, numeric_rank, readonly
 from .bandwidth import FixedBRule, resolve_omega
 from .model import (
     RegressionProblem,
@@ -224,40 +225,65 @@ _APPENDED = {
 }
 
 
+#: each problem's boundary geometry, computed on first use.  A problem hashes
+#: by identity and holds read-only copies of its arrays, so an entry never
+#: goes stale, and it is freed together with its problem.
+_GEOMETRY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _span_geometry(problem: RegressionProblem) -> ScenarioSelection:
-    """Where e+ and e- sit relative to span(X): the one pass that decides it.
+    """Where e+ and e- sit relative to span(X), computed once per problem.
 
     For each direction: membership in span(X) and the restriction image
     R beta_hat(e).  The geometry alone settles two cases, returned as
     ``reason``: a direction inside the span with a nonzero image
     (REASON_HYPOTHESIS_INVOLVES_INTERCEPT), else both directions inside the
-    span (REASON_ADJUSTMENT_UNNECESSARY).  ``scenario`` is always None here;
-    select_scenario refines the rest.
+    span (REASON_ADJUSTMENT_UNNECESSARY).  Otherwise ``scenario`` and
+    ``kbar`` name the augmentation the geometry calls for; whether n has
+    room for it is select_scenario's check, made on every call.  Later
+    calls on the same problem return the same read-only selection.
     """
-    X, R = problem.X, problem.R
+    geometry = _GEOMETRY.get(problem)
+    if geometry is None:
+        geometry = _GEOMETRY[problem] = _boundary_geometry(problem)
+    return geometry
+
+
+def _boundary_geometry(problem: RegressionProblem) -> ScenarioSelection:
+    """The one pass behind _span_geometry: two least-squares fits, and the
+    rank of [X, e+, e-] when neither direction lies in the span."""
+    X, R, n = problem.X, problem.R, problem.n
     r_norm = float(np.linalg.norm(R, ord=2))
     in_span, images, involved = [], [], False
-    for e in (constant_vector(problem.n), alternating_vector(problem.n)):
+    for e in (constant_vector(n), alternating_vector(n)):
         coef, *_ = np.linalg.lstsq(X, e, rcond=None)
         inside = bool(
-            float(np.linalg.norm(e - X @ coef)) <= MEMBERSHIP_RTOL * float(np.sqrt(problem.n))
+            float(np.linalg.norm(e - X @ coef)) <= MEMBERSHIP_RTOL * float(np.sqrt(n))
         )
         image = R @ coef
         scale = max(1.0, r_norm * float(np.linalg.norm(coef)))
         image_zero = float(np.linalg.norm(image)) <= IMAGE_RTOL * scale
         involved = involved or (inside and not image_zero)
         in_span.append(inside)
-        images.append(image)
+        images.append(readonly(image))
+    reason = scenario = kbar = None
     if involved:
         reason = REASON_HYPOTHESIS_INVOLVES_INTERCEPT
     elif all(in_span):
         reason = REASON_ADJUSTMENT_UNNECESSARY
+    elif in_span[0]:
+        scenario = 1
+    elif in_span[1]:
+        scenario = 2
     else:
-        reason = None
+        stacked = np.column_stack([X, constant_vector(n), alternating_vector(n)])
+        scenario = 3 if numeric_rank(stacked) == problem.k + 2 else 4
+    if scenario is not None:
+        kbar = problem.k + len(_APPENDED[scenario])
     return ScenarioSelection(
-        scenario=None,
+        scenario=scenario,
         reason=reason,
-        kbar=None,
+        kbar=kbar,
         plus_in_span=in_span[0],
         minus_in_span=in_span[1],
         image_plus=images[0],
@@ -275,27 +301,18 @@ def select_scenario(problem: RegressionProblem) -> ScenarioSelection:
     in the span but the two directions are collinear modulo the span — append
     the constant only.
 
-    Raises AugmentationImpossibleError when the augmented design could not
-    have full column rank for this n.
+    The geometry behind the decision is computed once per problem (see
+    _span_geometry), and every call returns the same read-only selection.
+    Raises AugmentationImpossibleError, on every call, when the augmented
+    design could not have full column rank for this n.
     """
-    geometry = _span_geometry(problem)
-    if geometry.reason is not None:
-        return geometry
-    n, k = problem.n, problem.k
-    if geometry.plus_in_span:
-        scenario = 1
-    elif geometry.minus_in_span:
-        scenario = 2
-    else:
-        stacked = np.column_stack([problem.X, constant_vector(n), alternating_vector(n)])
-        scenario = 3 if numeric_rank(stacked) == k + 2 else 4
-    kbar = k + len(_APPENDED[scenario])
-    if kbar >= n:
+    selection = _span_geometry(problem)
+    if selection.applicable and selection.kbar >= problem.n:
         raise AugmentationImpossibleError(
-            f"augmented design would have kbar = {kbar} columns with only "
-            f"n = {n} observations"
+            f"augmented design would have kbar = {selection.kbar} columns with only "
+            f"n = {problem.n} observations"
         )
-    return dataclasses.replace(geometry, scenario=scenario, kbar=kbar)
+    return selection
 
 
 def _padded_rule(rule, k: int, extra: int):
@@ -310,6 +327,8 @@ def _padded_rule(rule, k: int, extra: int):
 def build_adjusted(problem: RegressionProblem, config: EstimatorConfig) -> AdjustedProblem:
     """Construct the augmented problem for whichever scenario applies.
 
+    The scenario is select_scenario's, so the boundary geometry is computed
+    once per problem however often the problem is adjusted or diagnosed.
     Raises AdjustmentNotApplicableError when no scenario applies, and
     AugmentationImpossibleError when the augmented shape (n, kbar, q, p)
     leaves the adjusted statistic undefined at every response

@@ -439,7 +439,10 @@ class ScalarStatistic:
         Vp = V[:, p:]
         if rank_oracle(V1) < k * p:
             return None
-        A = np.linalg.solve(V1 @ V1.T, V1 @ Vp.T).T
+        try:
+            A = np.linalg.solve(V1 @ V1.T, V1 @ Vp.T).T
+        except np.linalg.LinAlgError:  # exactly singular normal equations
+            return None
         D = self.eye_k - A.reshape(k, p, k).sum(axis=1)
         s = np.linalg.svd(D, compute_uv=False)
         if s[-1] == 0.0 or s[0] / s[-1] > 1.0 / EPS:

@@ -91,3 +91,25 @@ def test_diagnose_on_a_tie_reads_every_metric(bench):
     assert counts["bandwidth_calls"] > 2
     assert missing == []
     assert absent == {}
+
+
+def test_the_diagnose_workload_sequence_reads_every_metric(bench):
+    # one generic design through what the diagnose workload runs per op:
+    # diagnose, then select_scenario and build_adjusted, which read the
+    # boundary geometry diagnose computed; with nothing absent,
+    # testing.scenario_us_per_op reads too
+    X = np.random.default_rng(20260509).standard_normal((30, 2))
+    problem = hactest.RegressionProblem(X, [[1.0, 0.0]], [0.0])
+    config = hactest.EstimatorConfig(
+        hactest.get_kernel("bartlett"), hactest.default_rule("newey-west", "bartlett"), p=1)
+    scenarios = []
+
+    def sequence():
+        hactest.diagnose(problem, config, 3.0)
+        scenarios.append(hactest.select_scenario(problem).scenario)
+        scenarios.append(hactest.build_adjusted(problem, config).scenario)
+
+    missing, absent, _ = traced(bench, sequence)
+    assert scenarios == [3, 3]
+    assert missing == []
+    assert absent == {}

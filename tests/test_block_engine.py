@@ -196,15 +196,23 @@ def test_degenerate_fixtures_match_the_scalar_statistic(rng, fixture):
     assert kinds[3] == kind and kinds[-1] == kind
 
 
-def test_a_singular_normal_equation_raises_as_one_response_does():
+def test_a_singular_normal_equation_is_rank_deficient_in_a_mixed_block(rng):
+    # the SVD rank check passes, but V1 V1' is exactly singular at y: both
+    # paths report VarRankDeficient there, and the block's other responses
+    # keep the class and the estimate they get alone
     problem = RegressionProblem([[-1.0, 2.0], [2.0, -2.0], [-1.0, 2.0], [2.0, -2.0]],
                                 np.eye(2), np.zeros(2))
     config = EstimatorConfig(BARTLETT, FixedBRule(b=0.5), p=1)
     y = np.array([-1.0, -2.0, -1.0, -1.0])
-    with pytest.raises(np.linalg.LinAlgError):
-        ScalarStatistic(problem, config).evaluate(y)
-    with pytest.raises(np.linalg.LinAlgError):
-        Engine(problem, config).t_values(np.vstack([np.ones(4), y]))
+    scalar = ScalarStatistic(problem, config)
+    assert scalar.evaluate(y)[0] == VAR_RANK_DEFICIENT
+    Y = np.vstack([rng.standard_normal((3, 4)), y, [1.0, 2.0, 3.0, 4.0], y])
+    kinds = assert_matches_oracle(problem, config, Y)
+    assert kinds[3] == kinds[-1] == VAR_RANK_DEFICIENT
+    block = Engine(problem, config).omega_engine.outcomes(Y)
+    assert 4 in block.defined
+    for j, i in enumerate(block.defined):
+        assert np.array_equal(block.omega[j], scalar.evaluate(Y[i])[2])
 
 
 @pytest.mark.parametrize("rule, kernel", [("andrews", "qs"), ("newey-west", "parzen"),

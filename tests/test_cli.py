@@ -181,6 +181,17 @@ class TestTest:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    def test_singular_normal_equations_are_a_typed_outcome(self, runner):
+        # finite input whose VAR normal equations are exactly singular
+        result = runner.invoke(main, [
+            "test", "--x=-1,2;2,-2;-1,2;2,-2", "--y=-1,-2,-1,-1", "--R", "1,0;0,1",
+            "--rule", "fixed-b", "--b", "0.5", "--p", "1", "--json",
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["defined"] is False
+        assert payload["reason"] == "VarRankDeficient"
+
     @pytest.mark.parametrize("rule, flags", [
         ("fixed-b", ["--b", "1", "--m", "3"]),
         ("andrews", ["--b", "1"]),

@@ -1,4 +1,6 @@
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hactest import (
     build_adjusted,
     constant_vector,
     default_rule,
+    diagnose,
     get_kernel,
     null_point,
     select_scenario,
@@ -220,6 +223,69 @@ class TestSelectScenario:
         problem, _ = random_problem(rng, n=4, k=2)
         with pytest.raises(AugmentationImpossibleError):
             select_scenario(problem)
+
+
+class TestGeometryOncePerProblem:
+    """The boundary geometry is computed once per problem, and the memo
+    behind that neither changes a result nor keeps a problem alive."""
+
+    CONFIG = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)
+
+    def sequence(self, problem):
+        """diagnose, select_scenario, build_adjusted: the design-level path."""
+        report = diagnose(problem, self.CONFIG, 3.0)
+        selection = select_scenario(problem)
+        adjusted = build_adjusted(problem, self.CONFIG)
+        return report.evidence, selection, adjusted
+
+    def test_one_pass_serves_the_whole_sequence(self, rng, monkeypatch):
+        problem, _ = random_problem(rng, n=30, k=2, q=1)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        evidence, selection, adjusted = self.sequence(problem)
+        assert len(calls) == 2
+        assert select_scenario(problem) is selection
+        assert not selection.image_plus.flags.writeable
+        assert not selection.image_minus.flags.writeable
+        fresh = RegressionProblem(problem.X, problem.R, problem.r)
+        want_evidence, want, want_adjusted = self.sequence(fresh)
+        assert len(calls) == 4
+        for field in ("scenario", "reason", "kbar", "plus_in_span", "minus_in_span"):
+            assert getattr(selection, field) == getattr(want, field)
+        for side in ("image_plus", "image_minus"):
+            assert getattr(selection, side).tobytes() == getattr(want, side).tobytes()
+            assert np.array(evidence[side]).tobytes() == np.array(want_evidence[side]).tobytes()
+        assert {key: v for key, v in evidence.items() if not key.startswith("image_")} == {
+            key: v for key, v in want_evidence.items() if not key.startswith("image_")}
+        assert adjusted.scenario == want_adjusted.scenario
+        for field in ("X", "R", "r"):
+            got, expect = getattr(adjusted.problem, field), getattr(want_adjusted.problem, field)
+            assert got.tobytes() == expect.tobytes() and got.shape == expect.shape
+        assert adjusted.config == want_adjusted.config
+
+    def test_the_memo_keeps_no_problem_alive(self, rng):
+        problem, _ = random_problem(rng, n=30, k=2, q=1)
+        self.sequence(problem)
+        ref = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert ref() is None
+
+    def test_an_impossible_augmentation_raises_every_time_and_is_freed(self, rng):
+        problem, _ = random_problem(rng, n=4, k=2)
+        diagnose(problem, self.CONFIG, 3.0)
+        for _ in range(2):
+            try:
+                select_scenario(problem)
+            except AugmentationImpossibleError:
+                pass
+            else:
+                raise AssertionError("n = 4 leaves no room for the augmentation")
+        ref = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert ref() is None
 
 
 class TestBuildAdjusted:
