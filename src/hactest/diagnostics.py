@@ -24,10 +24,6 @@ with the evidence it rests on.  A tie is certified only where the
 statistic is differentiable; for a data-driven bandwidth that claim is
 cross-checked by central differences at three step sizes: 3 x 2n
 statistics, which the engine evaluates as blocks of bumped responses.
-``witness_design`` constructs, for any feasible (n, k, p), a design and
-response at which the VAR fit is exactly zero and the covariance estimate
-is positive definite — a certificate that the dimension requirement is
-sharp when every coefficient is restricted.
 """
 from __future__ import annotations
 
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import RULE_NAMES, FixedBRule
+from .bandwidth import FixedBRule
 from .model import (
     RegressionProblem,
     alternating_vector,
@@ -44,7 +40,7 @@ from .model import (
     constant_vector,
     null_point,
 )
-from .prewhiten import EstimatorConfig, min_definite_n, never_definite
+from .prewhiten import EstimatorConfig, never_definite
 from .testing import (
     REASON_ADJUSTMENT_UNNECESSARY,
     REASON_HYPOTHESIS_INVOLVES_INTERCEPT,
@@ -275,37 +271,3 @@ def diagnose(
         evidence=evidence,
     )
 
-
-def witness_design(n: int, k: int, p: int, rule_kind: str = "fixed-b"):
-    """A design and response at which the prewhitened estimate is exactly PD.
-
-    Returns ``(y, X)`` with integer-valued entries arranged so that, in exact
-    float arithmetic: the OLS residual of y is the constant vector, every
-    VAR coefficient block is exactly zero, the data-driven bandwidths are
-    exactly zero, and the covariance estimate is positive definite for all
-    three bandwidth rules (with unit score weights).
-
-    Requires ``n >= p(k+1) + k``, the shape bound at q = k — plus one more
-    observation for the autoregressive plug-in rule, whose per-row variances
-    need one extra residual column.  The bound is sharp: below it no design
-    at all gives a defined statistic when every coefficient is restricted.
-    """
-    if rule_kind not in RULE_NAMES:
-        raise ValueError(f"rule_kind must be one of {RULE_NAMES}, got {rule_kind!r}")
-    n, k, p = int(n), int(k), int(p)
-    if k < 1 or p < 1:
-        raise ValueError(f"need k >= 1 and p >= 1, got k = {k}, p = {p}")
-    need = min_definite_n(k, k, p) + (1 if rule_kind == "andrews" else 0)
-    if n < need:
-        raise ValueError(
-            f"witness design needs n >= {need} for k = {k}, p = {p}, "
-            f"rule {rule_kind!r}; got n = {n}"
-        )
-    # Unit lower-bidiagonal differences: every column of H sums to zero
-    # exactly (so X' e+ = 0 in floats), any k rows of H are unimodular, and
-    # spacing the rows p+1 apart makes all VAR cross-products exactly zero.
-    g = np.eye(k) - np.eye(k, k=-1)
-    h = np.vstack([-g.sum(axis=0), g])
-    X = np.zeros((n, k))
-    X[np.arange(k + 1) * (p + 1), :] = h
-    return np.ones(n), X

@@ -1,10 +1,10 @@
-"""Linear model containers, covariance families, and exact Gaussian AR(1) sampling.
+"""Linear model containers, the AR(1) covariance family, and exact AR(1) sampling.
 
 The testing problem is the Gaussian linear regression ``y = X beta + u`` with
 ``Cov(u) = sigma^2 * Sigma`` for an unknown correlation matrix ``Sigma``, and
 the hypothesis ``R beta = r``.  This module holds the problem container, the
-covariance families that Monte Carlo studies range over, and exact sampling
-from the AR(1) correlation matrix ``Lambda(rho)`` with entries ``rho**|i-j|``.
+AR(1) grid that Monte Carlo studies range over, and exact sampling from the
+AR(1) correlation matrix ``Lambda(rho)`` with entries ``rho**|i-j|``.
 
 The constant vector ``e_plus = (1, ..., 1)`` and the alternating vector
 ``e_minus = (-1, 1, -1, ...)`` are the rank-one limits of ``Lambda(rho)`` as
@@ -13,7 +13,7 @@ strongly dependent errors, which is what the diagnostics module probes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,10 @@ def check_response(problem: RegressionProblem, y) -> np.ndarray:
 
 
 def _check_rhos(rhos) -> tuple[float, ...]:
-    """``rhos`` as a non-empty tuple of floats, each in (-1, 1)."""
+    """``rhos`` as a non-empty tuple of floats, each a scalar in (-1, 1)."""
+    rhos = tuple(rhos)
+    if any(np.ndim(v) != 0 for v in rhos):
+        raise ValueError("AR(1) parameter rho must be a scalar, got an array")
     rhos = tuple(float(v) for v in rhos)
     if not rhos:
         raise ValueError("rho grid must be non-empty")
@@ -121,39 +124,6 @@ class AR1Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "rhos", _check_rhos(self.rhos))
-
-
-@dataclass(frozen=True, eq=False)
-class ExplicitList:
-    """Covariance family given by explicit SPD correlation matrices.
-
-    Each matrix must be exactly symmetric.  ``factors`` holds the lower
-    Cholesky factor of each, computed once by the positive-definiteness check.
-    """
-
-    matrices: tuple[np.ndarray, ...] = field(default=())
-    factors: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mats, factors = [], []
-        if len(self.matrices) == 0:
-            raise ValueError("explicit covariance family must be non-empty")
-        for i, m in enumerate(self.matrices):
-            m = np.atleast_2d(check_finite(f"covariance matrix {i}", m))
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(f"covariance matrix {i} is not square")
-            if not np.array_equal(m, m.T):
-                raise ValueError(f"covariance matrix {i} is not symmetric")
-            try:
-                factors.append(readonly(np.linalg.cholesky(m)))
-            except np.linalg.LinAlgError:
-                raise ValueError(f"covariance matrix {i} is not positive definite")
-            mats.append(readonly(m))
-        object.__setattr__(self, "matrices", tuple(mats))
-        object.__setattr__(self, "factors", tuple(factors))
-
-
-CovarianceFamily = AR1Grid | ExplicitList
 
 
 def constant_vector(n: int) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Monte Carlo critical values, size, and power for the robust test.
 
-Null rejection rates are driven by a covariance family (AR(1) grids by
-default, explicit matrices if preferred); the worst-case rate over the
-family is the empirical size.  Calibration finds the smallest critical
-value whose empirical size stays below the target level, reusing one
-simulated statistic array per family member (common random numbers), which
-makes the empirical size exactly nonincreasing in C and the search a clean
-bisection.
+Null rejection rates are driven by a family of AR(1) correlation matrices
+``Lambda(rho)``, one member per rho of an ``AR1Grid``; the worst-case rate
+over the family is the empirical size.  Calibration finds the smallest
+critical value whose empirical size stays below the target level, reusing
+one simulated statistic array per family member (common random numbers),
+which makes the empirical size exactly nonincreasing in C and the search a
+clean bisection.
 
 The innovations of replication ``idx`` of a run seeded ``s`` depend only
 on ``(s, idx)``: they come from ``default_rng(SeedSequence((s, idx)))``, so
@@ -42,8 +42,6 @@ import numpy as np
 
 from .model import (
     AR1Grid,
-    CovarianceFamily,
-    ExplicitList,
     RegressionProblem,
     _ar1_path,
     check_finite,
@@ -85,11 +83,13 @@ class McConfig:
 
     replications: int
     seed: int = 0
-    family: CovarianceFamily = field(default_factory=lambda: AR1Grid(DEFAULT_RHO_GRID))
+    family: AR1Grid = field(default_factory=lambda: AR1Grid(DEFAULT_RHO_GRID))
 
     def __post_init__(self):
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise ValueError(f"replications must be an integer >= 1, got {self.replications}")
+        if not isinstance(self.family, AR1Grid):
+            raise ValueError(f"family must be an AR1Grid, got {type(self.family).__name__}")
         seed = check_seed(self.seed)
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", seed)
@@ -100,7 +100,7 @@ class CurvePoint:
     """One (family member, alternative distance) rejection rate."""
 
     label: str
-    rho: float | None
+    rho: float
     distance: float
     rate: float
     ci: float
@@ -147,34 +147,9 @@ def _rho_label(rho: float) -> str:
     return label if float(label) == rho else repr(rho)
 
 
-def _family_members(family: CovarianceFamily):
-    """Yield (label, rho-or-None, sampler-spec) per family member.
-
-    The sampler spec is a float rho for AR(1) members and the lower Cholesky
-    factor of the covariance matrix for explicit ones.  Distinct members get
-    distinct labels.
-    """
-    if isinstance(family, AR1Grid):
-        return [(_rho_label(rho), float(rho), float(rho)) for rho in family.rhos]
-    if isinstance(family, ExplicitList):
-        return [
-            (f"matrix{i}", None, chol) for i, chol in enumerate(family.factors)
-        ]
-    raise ValueError(f"unsupported covariance family: {type(family).__name__}")
-
-
-def _make_sampler(spec, n: int):
-    """Map a block of standard normal n-vectors (rows) to u ~ N(0, Sigma) rows.
-
-    An AR(1) member runs its recursion over the whole block at once.  An
-    explicit member multiplies row by row: one matrix product over the block
-    would round differently from the product with each row.
-    """
-    if np.ndim(spec) == 0:
-        return lambda z: _ar1_path(spec, z)
-    if spec.shape != (n, n):
-        raise ValueError(f"covariance matrix must be {n} x {n}, got {spec.shape}")
-    return lambda z: np.array([spec @ row for row in z])
+def _family_members(family: AR1Grid):
+    """(label, rho) per family member; distinct members get distinct labels."""
+    return [(_rho_label(rho), rho) for rho in family.rhos]
 
 
 def _resolve_target(target, est_config: EstimatorConfig | None):
@@ -200,7 +175,7 @@ def _resolve_target(target, est_config: EstimatorConfig | None):
 
 
 def _family_statistics(engine, sim_problem, mc: McConfig, betas):
-    """(label, rho-or-None, statistic rows per beta) for each family member.
+    """(label, rho, statistic rows per beta) for each family member.
 
     Replication idx draws one z from ``default_rng(SeedSequence((seed,
     idx)))``.  Replications are drawn in blocks of up to BLOCK_ROWS; each
@@ -215,7 +190,6 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
     augmented span and the padded restriction columns are zero.
     """
     members = _family_members(mc.family)
-    samplers = [_make_sampler(spec, sim_problem.n) for _label, _rho, spec in members]
     mu = sim_problem.X @ betas[0]
     shifts = np.array([sim_problem.R @ (beta - betas[0]) for beta in betas[1:]])
     out = np.zeros((len(members), len(betas), mc.replications))
@@ -225,10 +199,10 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
         for row, idx in zip(z, block):
             rng = np.random.default_rng(np.random.SeedSequence((mc.seed, idx)))
             row[:] = rng.standard_normal(sim_problem.n)
-        for i, sampler in enumerate(samplers):
+        for i, (_label, rho) in enumerate(members):
             # keep only what the shifted forms read, not every result
             omegas, discrepancies, defined = [], [], []
-            for y, idx in zip(mu + sampler(z), block):
+            for y, idx in zip(mu + _ar1_path(rho, z), block):
                 res = engine.result(y)
                 out[i, 0, idx] = res.t_value
                 if res.defined and len(shifts):
@@ -238,7 +212,7 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
             if defined:
                 d = np.array(discrepancies)[None] + shifts[:, None, :]
                 out[i][1:, defined] = _quadratic_forms(np.array(omegas), d)
-    return [(label, rho, rows) for (label, rho, _cov), rows in zip(members, out)]
+    return [(label, rho, rows) for (label, rho), rows in zip(members, out)]
 
 
 def simulate_statistics(
@@ -252,14 +226,12 @@ def simulate_statistics(
 ) -> np.ndarray:
     """Statistic values over ``reps`` draws of y = X beta + u.
 
-    ``cov`` is an AR(1) rho or an explicit covariance matrix: the simulation
-    is that of a one-member family.  Replication idx draws from
-    ``default_rng(SeedSequence((seed, idx)))``, so equal seeds give
-    bitwise-equal arrays and equal (seed, idx) pairs share innovations across
-    covariance members and alternatives.
+    ``cov`` is an AR(1) rho: the simulation is that of a one-member family.
+    Replication idx draws from ``default_rng(SeedSequence((seed, idx)))``,
+    so equal seeds give bitwise-equal arrays and equal (seed, idx) pairs
+    share innovations across covariance members and alternatives.
     """
-    family = AR1Grid((cov,)) if np.ndim(cov) == 0 else ExplicitList((cov,))
-    mc = McConfig(replications=reps, seed=seed, family=family)
+    mc = McConfig(replications=reps, seed=seed, family=AR1Grid((cov,)))
     engine, sim_problem = _resolve_target(target, est_config)
     beta = check_finite("beta", beta)
     if beta.shape != (sim_problem.k,):
@@ -334,7 +306,7 @@ def calibrate_critical_value(
     if isinstance(target, RegressionProblem):
         _refuse_unadjusted(target, est_config)
     engine, sim_problem = _resolve_target(target, est_config)
-    # (label, rho-or-None, sorted null statistics) per member, in family order
+    # (label, rho, sorted null statistics) per member, in family order
     members = [
         (label, rho, np.sort(rows[0]))
         for label, rho, rows in _family_statistics(engine, sim_problem, mc, [null_point(sim_problem)])

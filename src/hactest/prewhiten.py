@@ -49,7 +49,7 @@ from .bandwidth import BandwidthOutcome, BandwidthRule, compute_bandwidth
 from .kernels import KernelSpec, lag_weights
 from .model import RegressionProblem, check_response
 
-#: OmegaOutcome.status values
+#: OmegaOutcome.status values, derived from whether there is a reason
 WELL_DEFINED = "well-defined"
 UNDEFINED = "undefined"
 
@@ -58,7 +58,7 @@ VAR_RANK_DEFICIENT = "VarRankDeficient"
 RECOLOR_SINGULAR = "RecolorSingular"
 BANDWIDTH_UNDEFINED = "BandwidthUndefined"
 
-#: classify_definiteness results
+#: OmegaOutcome.definiteness classes
 POSITIVE_DEFINITE = "PositiveDefinite"
 SINGULAR_NONNEG = "SingularNonneg"
 ZERO = "Zero"
@@ -111,12 +111,11 @@ class OmegaOutcome:
     ``m`` the bandwidth value, ``B`` the q x (n-p) matrix whose row rank
     determines definiteness, ``definiteness`` that class, ``fit`` the step-1
     pieces, and ``kernel`` the kernel that smoothed them.  ``bandwidth``
-    carries the rule outcome (including the undefinedness sub-reason when
-    status is undefined at step III).  ``psi``, the recolored k x k
-    long-run matrix, is formed on first read.
+    carries the rule outcome (including the undefinedness sub-reason at
+    step III).  ``status`` is read from ``reason``, None when well-defined.
+    ``psi``, the recolored k x k long-run matrix, is formed on first read.
     """
 
-    status: str
     reason: str | None = None
     omega: np.ndarray | None = None
     m: float | None = None
@@ -126,13 +125,13 @@ class OmegaOutcome:
     kernel: KernelSpec | None = None
     definiteness: str | None = None
 
-    @classmethod
-    def not_defined(cls, reason: str, bandwidth: BandwidthOutcome | None = None) -> "OmegaOutcome":
-        return cls(status=UNDEFINED, reason=reason, bandwidth=bandwidth)
-
     @property
     def well_defined(self) -> bool:
-        return self.status == WELL_DEFINED
+        return self.reason is None
+
+    @property
+    def status(self) -> str:
+        return WELL_DEFINED if self.reason is None else UNDEFINED
 
     @cached_property
     def psi(self) -> np.ndarray | None:
@@ -195,7 +194,7 @@ class OmegaEngine:
         # below this, an OLS residual norm is indistinguishable from the
         # roundoff of projecting a vector that lies in span(X)
         self._resid_tol = max(n, k) * EPS
-        # B has rank at most m - kp: see classify_definiteness
+        # B has rank at most m - kp: see _definiteness
         self._rank_cap = max(n - config.p - k * config.p, 0)
         # the stacks of a block without a well-defined response: V1, A, Z,
         # recolor, B and omega
@@ -285,11 +284,11 @@ class OmegaEngine:
         block = self.outcomes(y[None])
         reason, bw = block.reasons[0], block.bandwidths[0]
         if reason is not None:
-            return OmegaOutcome.not_defined(reason, bandwidth=bw)
+            return OmegaOutcome(reason=reason, bandwidth=bw)
         fit = PrewhitenFit(V1=block.V1[0], A=block.A[0], Z=block.Z[0], recolor=block.recolor[0])
         return OmegaOutcome(
-            status=WELL_DEFINED, omega=block.omega[0], m=bw.m, B=block.B[0], fit=fit,
-            bandwidth=bw, kernel=self.config.kernel, definiteness=block.definiteness[0],
+            omega=block.omega[0], m=bw.m, B=block.B[0], fit=fit, bandwidth=bw,
+            kernel=self.config.kernel, definiteness=block.definiteness[0],
         )
 
 
@@ -346,7 +345,7 @@ def assemble_omega(problem: RegressionProblem, y, config: EstimatorConfig) -> Om
 
 def min_definite_n(k: int, q: int, p: int) -> int:
     """``p(k+1) + q``: below it B has rank at most ``n - p - kp < q`` (the
-    cap of classify_definiteness), so the estimate is never positive definite."""
+    cap of _definiteness), so the estimate is never positive definite."""
     return p * (k + 1) + q
 
 
@@ -357,14 +356,7 @@ def never_definite(n: int, k: int, q: int, p: int) -> bool:
 
 
 def _definiteness(B: np.ndarray, cap: int) -> list:
-    """The class of each B of a stack, by numeric row rank capped at ``cap``."""
-    q = B.shape[-2]
-    return [ZERO if r == 0 else SINGULAR_NONNEG if min(r, cap) < q else POSITIVE_DEFINITE
-            for r in numeric_rank(B)]
-
-
-def classify_definiteness(outcome: OmegaOutcome) -> str:
-    """Classify a well-defined estimate by the numeric row rank of B.
+    """The class of each B of a stack, by numeric row rank capped at ``cap``.
 
     The estimate is always nonnegative definite; it is singular exactly when
     ``rank(B) < q`` and zero exactly when ``B = 0``, so the SVD of B decides
@@ -372,15 +364,12 @@ def classify_definiteness(outcome: OmegaOutcome) -> str:
 
     The numeric rank is additionally capped by a structural fact: the VAR
     residual rows are orthogonal to the rowspace of the kp regressor rows,
-    so the true Z (hence B) has rank at most ``m - kp``.  Least-squares
-    roundoff puts full-rank dust into the computed Z; in the undersized
-    regime ``m - kp < q`` (where the statistic degenerates identically)
-    that dust would otherwise masquerade as a positive definite estimate.
+    so the true Z (hence B) has rank at most ``cap = m - kp``, m = n - p.
+    Least-squares roundoff puts full-rank dust into the computed Z; in the
+    undersized regime ``m - kp < q`` (where the statistic degenerates
+    identically) that dust would otherwise masquerade as a positive
+    definite estimate.
     """
-    if not outcome.well_defined:
-        raise ValueError("classification requires a well-defined covariance outcome")
-    B = outcome.B
-    cap = B.shape[0]
-    if outcome.fit is not None:
-        cap = max(outcome.fit.Z.shape[1] - outcome.fit.V1.shape[0], 0)
-    return _definiteness(B[None], cap)[0]
+    q = B.shape[-2]
+    return [ZERO if r == 0 else SINGULAR_NONNEG if min(r, cap) < q else POSITIVE_DEFINITE
+            for r in numeric_rank(B)]

@@ -6,9 +6,9 @@ routines, so that agreement between the two is evidence of correctness
 rather than shared code.  The exceptions are the full-lag Newey-West
 bandwidth and the scalar AR(1) recursion, which pin bitwise equalities and
 so keep numpy's scalar arithmetic, and the scalar kernel evaluation, the
-kernel Toeplitz matrix, the AR(1) and MA(d) correlation matrices, the seeded
-AR(1) sampler and the stand-alone gradient check at the end, conveniences
-that only tests need.  The scalar statistic at the end is the one-response
+kernel Toeplitz matrix, the AR(1) correlation matrix, the witness design and
+the stand-alone gradient check at the end, conveniences that only tests
+need.  The scalar statistic at the end is the one-response
 pipeline the library's block engine replaced, kept with its numpy calls so
 that the engine must reproduce it bitwise.
 """
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from hactest import TestEngine
-from hactest.bandwidth import compute_bandwidth
+from hactest.bandwidth import RULE_NAMES, compute_bandwidth
 from hactest.diagnostics import FD_AGREEMENT, FD_STEPS, _gradient_exists_at
 from hactest.kernels import lag_weights
 from hactest.prewhiten import (
@@ -28,6 +28,7 @@ from hactest.prewhiten import (
     VAR_RANK_DEFICIENT,
     ZERO,
     _kernel_lag_sum,
+    min_definite_n,
 )
 
 EPS = float(np.finfo(np.float64).eps)
@@ -323,51 +324,39 @@ def ar1_matrix(rho, n: int) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Coerce ``None`` / int / SeedSequence / Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def witness_design(n: int, k: int, p: int, rule_kind: str = "fixed-b"):
+    """A design and response at which the prewhitened estimate is exactly PD.
 
+    Returns ``(y, X)`` with integer-valued entries arranged so that, in exact
+    float arithmetic: the OLS residual of y is the constant vector, every
+    VAR coefficient block is exactly zero, the data-driven bandwidths are
+    exactly zero, and the covariance estimate is positive definite for all
+    three bandwidth rules (with unit score weights).
 
-def sample_gaussian_ar1(rho, sigma, mu, n, seed):
-    """Draw ``y = mu + sigma * u`` with u a stationary Gaussian AR(1) path.
-
-    ``mu`` is a scalar or an (n,) mean; ``seed`` is None, an int, a
-    SeedSequence or a Generator, and identical seeds give identical draws.
+    Requires ``n >= p(k+1) + k``, the shape bound at q = k — plus one more
+    observation for the autoregressive plug-in rule, whose per-row variances
+    need one extra residual column.  The bound is sharp: below it no design
+    at all gives a defined statistic when every coefficient is restricted.
     """
-    rho = float(rho)
-    if not abs(rho) < 1.0:
-        raise ValueError(f"AR(1) parameter must satisfy |rho| < 1, got {rho}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    u = ar1_path_oracle(rho, as_generator(seed).standard_normal(int(n)))
-    return np.asarray(mu, dtype=float) + float(sigma) * u
-
-
-def ma_closure_matrix(alpha, n: int) -> np.ndarray:
-    """Correlation matrix of the MA(d) process with coefficients ``alpha``.
-
-    The lag-h autocorrelation is ``sum_j alpha_j alpha_{j+h} / sum_j alpha_j**2``
-    for |h| <= d and exactly zero beyond, so the result is banded with unit
-    diagonal.  ``alpha`` is normalized with leading coefficient 1.
-    """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.ndim != 1 or alpha.size == 0:
-        raise ValueError("alpha must be a non-empty coefficient vector")
-    if alpha[0] != 1.0:
-        raise ValueError("leading MA coefficient alpha_0 must equal 1")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    d = alpha.size - 1
-    total = float(alpha @ alpha)
-    gamma = np.zeros(n)
-    gamma[0] = 1.0
-    for h in range(1, min(d, n - 1) + 1):
-        gamma[h] = float(alpha[: d + 1 - h] @ alpha[h:]) / total
-    idx = np.arange(n)
-    return gamma[np.abs(idx[:, None] - idx[None, :])]
+    if rule_kind not in RULE_NAMES:
+        raise ValueError(f"rule_kind must be one of {RULE_NAMES}, got {rule_kind!r}")
+    n, k, p = int(n), int(k), int(p)
+    if k < 1 or p < 1:
+        raise ValueError(f"need k >= 1 and p >= 1, got k = {k}, p = {p}")
+    need = min_definite_n(k, k, p) + (1 if rule_kind == "andrews" else 0)
+    if n < need:
+        raise ValueError(
+            f"witness design needs n >= {need} for k = {k}, p = {p}, "
+            f"rule {rule_kind!r}; got n = {n}"
+        )
+    # Unit lower-bidiagonal differences: every column of H sums to zero
+    # exactly (so X' e+ = 0 in floats), any k rows of H are unimodular, and
+    # spacing the rows p+1 apart makes all VAR cross-products exactly zero.
+    g = np.eye(k) - np.eye(k, k=-1)
+    h = np.vstack([-g.sum(axis=0), g])
+    X = np.zeros((n, k))
+    X[np.arange(k + 1) * (p + 1), :] = h
+    return np.ones(n), X
 
 
 def gradient_exists(problem, y, config, *, check_numerically=True):

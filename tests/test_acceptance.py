@@ -41,7 +41,6 @@ from hactest import (
     power_curve,
     select_scenario,
     simulate_statistics,
-    witness_design,
 )
 from hactest import test_statistic as evaluate_statistic
 from hactest.bandwidth import (
@@ -62,6 +61,7 @@ from .oracles import (
     rectangular_cutoff_oracle,
     toeplitz_statistic_oracle,
     toeplitz_weights,
+    witness_design,
 )
 
 NW_BARTLETT = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)

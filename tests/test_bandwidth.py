@@ -9,7 +9,6 @@ from hactest import (
     compute_bandwidth,
     default_rule,
     get_kernel,
-    resolve_omega,
 )
 from hactest.bandwidth import (
     DENOMINATOR_ZERO,
@@ -21,6 +20,7 @@ from hactest.bandwidth import (
     bandwidth_kv,
     bandwidth_nw,
     rectangular_cutoff,
+    resolve_omega,
 )
 
 from .oracles import (

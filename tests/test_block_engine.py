@@ -21,7 +21,6 @@ from hactest import (
     default_rule,
     get_kernel,
     null_point,
-    witness_design,
 )
 from hactest import TestEngine as Engine
 from hactest import test_statistic as evaluate
@@ -44,7 +43,7 @@ from hactest.prewhiten import (
 )
 
 from .conftest import config_grid, random_problem
-from .oracles import ScalarStatistic, fd_gradients_agree_oracle, rank_oracle
+from .oracles import ScalarStatistic, fd_gradients_agree_oracle, rank_oracle, witness_design
 
 CHUNKS = (1, 7, None)
 

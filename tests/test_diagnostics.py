@@ -26,14 +26,13 @@ from hactest import (
     default_rule,
     diagnose,
     select_scenario,
-    witness_design,
 )
 from hactest import TestEngine as Engine
 from hactest import test_statistic as evaluate
 from hactest.diagnostics import _kernel_hits_kink
 
 from .conftest import config_grid, random_problem
-from .oracles import gradient_exists, kernel_hits_kink_oracle
+from .oracles import gradient_exists, kernel_hits_kink_oracle, witness_design
 
 FIXED_B = FixedBRule(b=1.0)
 

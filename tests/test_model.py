@@ -3,7 +3,6 @@ import pytest
 
 from hactest import (
     AR1Grid,
-    ExplicitList,
     RegressionProblem,
     alternating_vector,
     constant_vector,
@@ -16,8 +15,6 @@ from .oracles import (
     ar1_matrix,
     ar1_path_oracle,
     ar1_transfer_matrix,
-    ma_closure_matrix,
-    sample_gaussian_ar1,
 )
 
 
@@ -167,20 +164,35 @@ class TestAr1:
             assert got.shape == shape
             assert np.array_equal(got, want.reshape(shape))
 
-    def test_sampler_is_seed_deterministic(self):
-        a = sample_gaussian_ar1(0.9, 1.0, np.zeros(8), 8, seed=3)
-        b = sample_gaussian_ar1(0.9, 1.0, np.zeros(8), 8, seed=3)
-        c = sample_gaussian_ar1(0.9, 1.0, np.zeros(8), 8, seed=4)
-        d = sample_gaussian_ar1(0.9, 1.0, np.zeros(8), 8, seed=np.random.default_rng(3))
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, d)
-        assert not np.array_equal(a, c)
+    def test_path_covariance_is_lambda(self):
+        # row i of the path of I is column i of the transfer matrix T, and
+        # Cov(u) = T T' is Lambda(rho)
+        for rho in (-0.99, -0.3, 0.0, 0.5, 0.99):
+            paths = _ar1_path(rho, np.eye(9))
+            assert np.allclose(paths.T @ paths, ar1_matrix(rho, 9), rtol=0, atol=1e-13)
 
-    def test_sampler_scale_and_shift(self):
-        mu = np.full(8, 7.0)
-        base = sample_gaussian_ar1(0.5, 1.0, np.zeros(8), 8, seed=11)
-        scaled = sample_gaussian_ar1(0.5, 2.0, mu, 8, seed=11)
-        assert np.array_equal(scaled, mu + 2.0 * base)
+    def test_path_scales_with_the_innovations(self, rng):
+        z = rng.standard_normal((5, 12))
+        for rho in (-0.8, 0.0, 0.95):
+            base = _ar1_path(rho, z)
+            assert np.array_equal(_ar1_path(rho, 2.0 * z), 2.0 * base)
+            assert np.array_equal(_ar1_path(rho, -z), -base)
+
+    def test_negative_rho_is_the_alternating_mirror(self, rng):
+        # Lambda(-rho) = D Lambda(rho) D with D = diag(e_minus), path by path
+        z = rng.standard_normal((4, 11))
+        d = alternating_vector(11)
+        for rho in (0.3, 0.9999):
+            assert np.array_equal(_ar1_path(-rho, d * z), d * _ar1_path(rho, z))
+
+    def test_path_leaves_the_innovations_unwritten(self, rng):
+        z = rng.standard_normal((3, 8))
+        z.flags.writeable = False
+        want = z.copy()
+        for rho in (0.0, 0.6):
+            out = _ar1_path(rho, z)
+            assert out is not z and out.flags.writeable
+        assert np.array_equal(z, want)
 
 
 class TestCovarianceFamilies:
@@ -189,56 +201,21 @@ class TestCovarianceFamilies:
             AR1Grid((0.0, 1.0))
         AR1Grid((0.0, 0.9999))
 
-    def test_explicit_list_requires_spd(self, rng):
-        with pytest.raises(ValueError):
-            ExplicitList((np.array([[1.0, 2.0], [0.0, 1.0]]),))
-        with pytest.raises(ValueError):
-            ExplicitList((np.array([[1.0, 2.0], [2.0, 1.0]]),))
-        ExplicitList((np.eye(3),))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_rejects_non_finite_rhos(self, bad):
+        with pytest.raises(ValueError, match="must lie in"):
+            AR1Grid((0.0, bad))
 
-    def test_explicit_list_requires_exact_symmetry(self):
-        # within np.allclose's tolerance, so this used to be accepted and
-        # sampled through the lower triangle alone
-        mat = np.eye(3)
-        mat[0, 1] = 5e-9
-        with pytest.raises(ValueError, match="covariance matrix 0 is not symmetric"):
-            ExplicitList((mat,))
+    def test_grid_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            AR1Grid(())
 
-    def test_explicit_list_leaves_the_callers_matrix_writeable(self):
-        mat = np.eye(3)
-        fam = ExplicitList((mat,))
-        assert mat.flags.writeable
-        mat[0, 0] = 7.0
-        assert np.array_equal(fam.matrices[0], np.eye(3))
-        assert not fam.matrices[0].flags.writeable
-        assert np.array_equal(fam.factors[0], np.eye(3))
+    def test_grid_rejects_a_non_scalar_rho(self):
+        with pytest.raises(ValueError, match="must be a scalar"):
+            AR1Grid((0.1, np.array([0.2, 0.3])))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_explicit_list_rejects_non_finite_entries(self, bad):
-        # a symmetric matrix with an inf on the diagonal used to be accepted,
-        # and a power curve over it raised LinAlgError
-        mat = np.eye(3)
-        mat[2, 2] = bad
-        with pytest.raises(ValueError, match="covariance matrix 1 must be finite"):
-            ExplicitList((np.eye(3), mat))
-
-
-class TestMaClosure:
-    def test_degenerate_is_identity(self):
-        assert np.allclose(ma_closure_matrix((1.0,), 5), np.eye(5))
-
-    def test_ma1_band(self):
-        theta = 0.5
-        got = ma_closure_matrix((1.0, theta), 4)
-        off = theta / (1.0 + theta**2)
-        assert np.allclose(np.diag(got), 1.0)
-        assert np.allclose(np.diag(got, 1), off)
-        assert np.allclose(np.diag(got, 2), 0.0)
-
-    def test_leading_coefficient_must_be_one(self):
-        with pytest.raises(ValueError):
-            ma_closure_matrix((2.0, 0.5), 5)
-
-    def test_is_positive_definite(self, rng):
-        got = ma_closure_matrix((1.0, 0.8, -0.3), 8)
-        np.linalg.cholesky(got)
+    def test_grid_holds_plain_floats(self):
+        grid = AR1Grid([0, np.float32(0.5), np.array(-0.25)])
+        assert grid.rhos == (0.0, 0.5, -0.25)
+        assert all(type(v) is float for v in grid.rhos)
+        assert hash(grid) == hash(AR1Grid((0.0, 0.5, -0.25)))

@@ -31,13 +31,17 @@ def test_single_path_names_and_dead_fields_stay_gone():
     assert not hasattr(hactest.model, "ma_closure_matrix")
     assert not hasattr(hactest.kernels, "kernel_eval")
     assert not hasattr(hactest.diagnostics, "gradient_exists")
-    assert len(hactest.__all__) == 64
+    assert len(hactest.__all__) == 59
 
     def field_names(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
     assert field_names(hactest.McConfig) == {"replications", "seed", "family"}
     assert field_names(hactest.PrewhitenFit) == {"V1", "A", "Z", "recolor"}
+    # an outcome's status is read from its reason, never stored beside it
+    assert "status" not in field_names(hactest.OmegaOutcome)
+    assert hactest.OmegaOutcome(reason=hactest.VAR_RANK_DEFICIENT).status == "undefined"
+    assert hactest.OmegaOutcome().status == "well-defined"
     assert "y" not in field_names(hactest.RegressionProblem)
     assert "original_config" not in field_names(hactest.AdjustedProblem)
     # calibration stops within delta / 10 of delta; c_hi stays, it shows
@@ -47,12 +51,18 @@ def test_single_path_names_and_dead_fields_stay_gone():
 
 def test_surface_no_program_calls_stays_gone():
     # the kernel set is fixed, with no registry and no admission check; the
-    # AR(1) family is AR1Grid alone; the AR(1) correlation matrix and the
-    # kernel Toeplitz matrix live in tests/oracles.py
+    # covariance family is AR1Grid alone, with no explicit-matrix family,
+    # family union or per-member sampler factory; the definiteness class
+    # travels on OmegaOutcome.definiteness; the AR(1) correlation matrix,
+    # the kernel Toeplitz matrix and the witness design live in
+    # tests/oracles.py; the omega presets stay in hactest.bandwidth
     removed = {
         hactest.kernels: ("register_kernel", "PSD_TRIALS", "PSD_SEED", "_REGISTRY",
                           "toeplitz_weights"),
-        hactest.model: ("AR1Restricted", "ar1_matrix"),
+        hactest.model: ("AR1Restricted", "ar1_matrix", "ExplicitList", "CovarianceFamily"),
+        hactest.montecarlo: ("ExplicitList", "CovarianceFamily", "_make_sampler"),
+        hactest.prewhiten: ("classify_definiteness",),
+        hactest.diagnostics: ("witness_design",),
     }
     for module, names in removed.items():
         for name in names:
@@ -60,6 +70,10 @@ def test_surface_no_program_calls_stays_gone():
             assert name not in hactest.__all__, name
             assert not hasattr(module, name), (module.__name__, name)
     assert isinstance(hactest.kernels._KERNELS, tuple)
+    for name in ("OMEGA_PRESETS", "resolve_omega"):
+        assert not hasattr(hactest, name), name
+        assert name not in hactest.__all__, name
+        assert hasattr(hactest.bandwidth, name), name
 
 
 def test_settings_the_statistic_does_not_read_stay_gone():

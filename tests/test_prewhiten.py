@@ -14,7 +14,6 @@ from hactest import (
     RegressionProblem,
     assemble_omega,
     build_adjusted,
-    classify_definiteness,
     default_rule,
     get_kernel,
 )
@@ -31,6 +30,7 @@ from hactest.prewhiten import (
     WELL_DEFINED,
     ZERO,
     OmegaOutcome,
+    _definiteness,
     _kernel_lag_sum,
 )
 
@@ -178,7 +178,13 @@ class TestOmegaOutcome:
         assert out.m == 7.0
         assert out.psi[0, 0] == pytest.approx(1.0 / 7.0, rel=1e-15)
         assert out.omega[0, 0] == pytest.approx(1.0 / 56.0, rel=1e-14)
-        assert classify_definiteness(out) == POSITIVE_DEFINITE
+        assert out.definiteness == POSITIVE_DEFINITE
+
+    def test_status_is_read_from_reason(self):
+        assert OmegaOutcome().status == WELL_DEFINED
+        for reason in (VAR_RANK_DEFICIENT, RECOLOR_SINGULAR, BANDWIDTH_UNDEFINED):
+            out = OmegaOutcome(reason=reason)
+            assert out.status == UNDEFINED and not out.well_defined
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_response_is_rejected(self, bad):
@@ -296,7 +302,7 @@ class TestOmegaFromRestrictionRows:
                 res = engine.result(rng.standard_normal(problem.n) * scale)
                 out = res.omega
                 assert out.status == WELL_DEFINED
-                classes.add(classify_definiteness(out))
+                classes.add(out.definiteness)
                 g = engine.omega_engine.g
                 want = symmetrize(problem.n * g @ out.psi @ g.T)
                 assert np.max(np.abs(out.omega - want)) <= 1e-12 * np.max(np.abs(want))
@@ -325,20 +331,27 @@ class TestOmegaFromRestrictionRows:
         assert out.psi is None
 
 
-class TestClassifyDefiniteness:
-    def _outcome(self, B):
-        return OmegaOutcome(status=WELL_DEFINED, B=np.asarray(B, dtype=float))
+class TestDefiniteness:
+    """``_definiteness`` classes a stack of B by row rank, capped at m - kp."""
 
     def test_zero(self):
-        assert classify_definiteness(self._outcome(np.zeros((2, 5)))) == ZERO
+        assert _definiteness(np.zeros((1, 2, 5)), 5) == [ZERO]
 
     def test_singular_nonneg(self):
-        B = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
-        assert classify_definiteness(self._outcome(B)) == SINGULAR_NONNEG
+        B = np.array([[[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]])
+        assert _definiteness(B, 3) == [SINGULAR_NONNEG]
 
     def test_positive_definite(self, rng):
-        assert classify_definiteness(self._outcome(rng.standard_normal((2, 8)))) == POSITIVE_DEFINITE
+        assert _definiteness(rng.standard_normal((1, 2, 8)), 8) == [POSITIVE_DEFINITE]
 
-    def test_requires_well_defined(self):
-        with pytest.raises(ValueError):
-            classify_definiteness(OmegaOutcome.not_defined(VAR_RANK_DEFICIENT))
+    def test_the_cap_decides_over_full_row_rank(self, rng):
+        # roundoff dust can give B full row rank q; below the cap m - kp < q
+        # the true rank is less than q, so the class is singular
+        B = rng.standard_normal((2, 2, 8))
+        assert _definiteness(B, 2) == [POSITIVE_DEFINITE] * 2
+        assert _definiteness(B, 1) == [SINGULAR_NONNEG] * 2
+
+    def test_a_stack_is_classed_member_by_member(self, rng):
+        B = np.stack([np.zeros((2, 6)), np.outer([1.0, -3.0], rng.standard_normal(6)),
+                      rng.standard_normal((2, 6))])
+        assert _definiteness(B, 6) == [ZERO, SINGULAR_NONNEG, POSITIVE_DEFINITE]
