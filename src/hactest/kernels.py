@@ -67,7 +67,9 @@ def _quadratic_spectral(x: np.ndarray) -> np.ndarray:
     # precision at the branch point).
     z = 1.2 * np.pi * np.abs(x)
     # near z = 0 the closed form divides by zero or overflows, and those
-    # points are overwritten below; a huge z gives 3 / inf = 0, the limit
+    # points are overwritten below; a huge z gives 3 / inf = 0, the limit,
+    # but past |x| = 4.7e307 z itself overflows, and sin(inf) is NaN (see
+    # _TINY for why lag_weights passes no such ratio)
     with np.errstate(all="ignore"):
         out = np.asarray(3.0 / (z * z) * (np.sin(z) / z - np.cos(z)))
     small = z < 5e-3
@@ -98,6 +100,14 @@ QUADRATIC_SPECTRAL = KernelSpec(
 
 _KERNELS = (BARTLETT, PARZEN, QUADRATIC_SPECTRAL)
 
+#: a bandwidth at or below this weighs every lag past zero 0, as M = 0 does:
+#: its ratios i/M are >= 1e300, where every kernel is 0 (Bartlett's and
+#: Parzen's supports end at 1, and the quadratic-spectral closed form is 0
+#: once z * z overflows, past |x| = 3.6e153).  Dividing by it could
+#: overflow to inf, where the quadratic-spectral form is NaN; above it, i/M
+#: stays below that form's NaN zone (|x| > 4.7e307) for any order m < 4.7e7
+_TINY = 1e-300
+
 
 def kernel_names() -> tuple[str, ...]:
     return tuple(sorted(kernel.name for kernel in _KERNELS))
@@ -111,21 +121,33 @@ def get_kernel(name: str) -> KernelSpec:
     raise ValueError(f"unknown kernel {name!r}; known kernels: {', '.join(kernel_names())}")
 
 
-def lag_weights(kernel: KernelSpec, m: int, bandwidth: float) -> np.ndarray:
-    """The weights kappa(i/bandwidth) at lags i = 0 .. m-1.
+def lag_weights(kernel: KernelSpec, m: int, bandwidths) -> np.ndarray:
+    """The weights kappa(i/M) at lags i = 0 .. m-1, one row per bandwidth M.
 
-    The kernel is evaluated at lags 1 .. m-1 only; lag 0 weighs exactly 1.0.
-    A zero bandwidth means "keep only lag zero": every other weight is 0.
+    ``bandwidths`` is a sequence of a block's b bandwidths, and the weights
+    are b x m.  The kernel is evaluated once, at lags 1 .. m-1 of every row
+    whose M > _TINY; lag 0 weighs exactly 1.0.  A zero bandwidth means
+    "keep only lag zero": every other weight of its row is 0, and the row is
+    not evaluated.  A bandwidth at or below _TINY is taken as zero: every
+    kernel weighs its ratios i/M >= 1e300 zero anyway.
     """
     m = int(m)
     if m < 1:
         raise ValueError(f"matrix order must be >= 1, got {m}")
-    bandwidth = float(bandwidth)
-    if bandwidth < 0:
-        raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
-    w = np.zeros(m)
-    w[0] = 1.0
-    if bandwidth > 0.0 and m > 1:
-        w[1:] = kernel.evaluate(np.arange(1, m) / bandwidth)
+    lowest = min(bandwidths, default=0.0)
+    if lowest < 0:
+        raise ValueError(f"bandwidth must be >= 0, got {lowest}")
+    w = np.zeros((len(bandwidths), m))
+    w[:, 0] = 1.0
+    if lowest > _TINY:
+        rows, positive = slice(None), bandwidths  # every row: no gather
+    else:
+        rows = [i for i, bw in enumerate(bandwidths) if bw > _TINY]
+        positive = [bandwidths[i] for i in rows]
+    if m == 1 or not positive:
+        return w
+    # one row divides by its float, a block by a column of them: the same
+    # bits, and a block of one then costs what a lone row did
+    M = float(positive[0]) if len(positive) == 1 else np.array(positive, dtype=float)[:, None]
+    w[rows, 1:] = kernel.evaluate(np.arange(1, m) / M)
     return w
-

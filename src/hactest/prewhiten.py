@@ -29,11 +29,14 @@ definiteness of ``Omega`` is exactly the row rank of ``B``.
 
 :class:`OmegaEngine` runs the steps on a block of responses at once: the
 projection, the VAR fit, the rank and conditioning decisions, the
-recoloring, ``B`` and the definiteness class are stacked numpy calls over
-the block, each of which gives every response the bits it would get alone.
-The bandwidth rule and the kernel lag sum see one response at a time.  One
-response is a block of one, so a value never depends on the block it was
-evaluated in.
+recoloring, ``B``, the kernel lag sum and the definiteness class are
+stacked numpy calls over the block, each of which gives every response the
+bits it would get alone.  The lag sum weighs the whole block in one kernel
+evaluation and multiplies by ``B'`` in one stacked product; only its
+convolution runs row by row, as no stacked form found keeps its bits.  The
+bandwidth rule sees one response at a time: perfbench's per-layer counters
+read one rule outcome per ``compute_bandwidth`` call.  One response is a
+block of one, so a value never depends on the block it was evaluated in.
 """
 from __future__ import annotations
 
@@ -139,7 +142,7 @@ class OmegaOutcome:
         if not self.well_defined:
             return None
         recolor = self.fit.recolor
-        psi_white = _kernel_lag_sum(self.fit.Z, self.kernel, self.m)
+        psi_white = _kernel_lag_sum(self.fit.Z[None], self.kernel, [self.m])[0]
         return symmetrize(recolor @ psi_white @ recolor.T)
 
 
@@ -174,8 +177,8 @@ class OmegaEngine:
     loops pay per response vector only for the data-dependent steps.  The
     steps run on a block of responses at once (:meth:`outcomes`), as
     stacked numpy calls that give every response the values it would get
-    alone; one response is a block of one.  Only the bandwidth rule and the
-    kernel lag sum run response by response.
+    alone; one response is a block of one.  Only the bandwidth rule runs
+    response by response, and the lag sum's convolution row by row.
     """
 
     def __init__(self, problem: RegressionProblem, config: EstimatorConfig):
@@ -254,7 +257,7 @@ class OmegaEngine:
         rows, V1, A, Z, recolor, regular = self._fit(Y)
         reasons = [VAR_RANK_DEFICIENT] * len(Y)
         bandwidths = [None] * len(Y)
-        keep = []
+        keep, ms = [], []
         for j, (i, ok) in enumerate(zip(rows, regular)):
             if not ok:
                 reasons[i] = RECOLOR_SINGULAR
@@ -264,6 +267,7 @@ class OmegaEngine:
             if bw.is_defined:
                 reasons[i] = None
                 keep.append(j)
+                ms.append(bw.m)
             else:
                 reasons[i] = BANDWIDTH_UNDEFINED
         if not keep:
@@ -272,10 +276,7 @@ class OmegaEngine:
             V1, A, Z, recolor = V1[keep], A[keep], Z[keep], recolor[keep]
             rows = [rows[j] for j in keep]
         B = (self.g @ recolor) @ Z
-        q = B.shape[1]
-        omega = [symmetrize(n * _kernel_lag_sum(b, config.kernel, bandwidths[i].m))
-                 for b, i in zip(B, rows)]
-        omega = np.array(omega).reshape(len(rows), q, q)
+        omega = symmetrize(n * _kernel_lag_sum(B, config.kernel, ms))
         return OmegaBlock(reasons, bandwidths, rows, V1, A, Z, recolor, B, omega,
                           _definiteness(B, self._rank_cap))
 
@@ -320,22 +321,29 @@ def _norms(Y: np.ndarray) -> list:
     return [math.sqrt(v) for v in np.vecdot(Y, Y).tolist()]
 
 
-def _kernel_lag_sum(Z: np.ndarray, kernel: KernelSpec, m_value: float) -> np.ndarray:
-    """sum_{|i| < m} kappa(i / M) Gamma_i = Z W Z' / m, with the M = 0 convention.
+def _kernel_lag_sum(Z: np.ndarray, kernel: KernelSpec, bandwidths) -> np.ndarray:
+    """sum_{|i| < m} kappa(i / M) Gamma_i = Z W Z' / m at each matrix of a stack.
 
-    ``Z`` is any block of rows over the m residual columns: the residuals
-    themselves (k rows, for ``Psi_white``) or their image ``B`` (q rows, for
-    ``Omega``).  ``Z W`` is one convolution per row with the symmetric
-    weights cut to the last weighted lag, so a compact kernel at a small M
-    costs O(rows m M), not O(rows m^2).  At M = 0 only the lag-zero term
-    survives (W is the identity), so the sum collapses to Gamma_0.
+    ``Z`` is a (b, r, m) stack of blocks of r rows over the m residual
+    columns: the residuals themselves (k rows, for ``Psi_white``) or their
+    image ``B`` (q rows, for ``Omega``).  ``bandwidths`` gives each matrix
+    its M, and the weights of the whole stack are one ``lag_weights`` call.
+    ``Z W`` is one convolution per row, with its matrix's symmetric weights
+    cut to their last nonzero lag, so a compact kernel at a small M costs
+    O(r m M), not O(r m^2); at M = 0 only lag zero survives (W is the
+    identity).  The convolutions stay row by row because the stacked forms
+    (an FFT sum, a Toeplitz product) sum in another order.  The products
+    with ``Z'`` are one stacked call, which gives every matrix the bits it
+    gets alone.
     """
-    m = Z.shape[1]
-    w = lag_weights(kernel, m, m_value)
-    reach = int(w.nonzero()[0][-1])
-    v = np.concatenate((w[reach:0:-1], w[: reach + 1]))
-    ZW = np.array([np.convolve(row, v)[reach : reach + m] for row in Z])
-    return ZW @ Z.T / m
+    r, m = Z.shape[1:]
+    ZW = np.empty_like(Z)
+    for i, w in enumerate(lag_weights(kernel, m, bandwidths)):
+        reach = int(w.nonzero()[0][-1])
+        v = np.concatenate((w[reach:0:-1], w[: reach + 1]))
+        for j in range(r):
+            ZW[i, j] = np.convolve(Z[i, j], v)[reach : reach + m]
+    return ZW @ Z.swapaxes(1, 2) / m
 
 
 def assemble_omega(problem: RegressionProblem, y, config: EstimatorConfig) -> OmegaOutcome:

@@ -4,13 +4,13 @@ Everything here is deliberately written with explicit Python loops over
 scalars (plus `math`), independent of the package's vectorized numpy
 routines, so that agreement between the two is evidence of correctness
 rather than shared code.  The exceptions are the full-lag Newey-West
-bandwidth and the scalar AR(1) recursion, which pin bitwise equalities and
-so keep numpy's scalar arithmetic, and the scalar kernel evaluation, the
-kernel Toeplitz matrix, the AR(1) correlation matrix, the witness design and
-the stand-alone gradient check at the end, conveniences that only tests
-need.  The scalar statistic at the end is the one-response
-pipeline the library's block engine replaced, kept with its numpy calls so
-that the engine must reproduce it bitwise.
+bandwidth, the scalar AR(1) recursion and the per-response convolved lag
+sum, which pin bitwise equalities and so keep numpy's arithmetic, and the
+scalar kernel evaluation, the kernel Toeplitz matrix, the AR(1) correlation
+matrix, the witness design and the stand-alone gradient check at the end,
+conveniences that only tests need.  The scalar statistic at the end is the
+one-response pipeline the library's block engine replaced, kept with its
+numpy calls so that the engine must reproduce it bitwise.
 """
 import math
 
@@ -27,7 +27,6 @@ from hactest.prewhiten import (
     SINGULAR_NONNEG,
     VAR_RANK_DEFICIENT,
     ZERO,
-    _kernel_lag_sum,
     min_definite_n,
 )
 
@@ -190,6 +189,28 @@ def kernel_lag_sum_oracle(Z, kernel_fn, m_value):
     return np.array(out)
 
 
+def convolved_lag_sum(Z, kernel, m_value):
+    """Z W Z' / m for one (r, m) block of rows, one convolution per row.
+
+    The per-response lag sum the library ran before its engine took blocks,
+    weights included: the kernel at lags 1 .. m-1 over M, lag 0 weighing
+    1.0, only lag 0 at M = 0, and weight 0 where i / M is past 1e300 or
+    overflows.  The engine's stacked lag sum must reproduce it bitwise,
+    matrix by matrix.
+    """
+    m = Z.shape[1]
+    w = np.zeros(m)
+    w[0] = 1.0
+    if m_value > 0.0 and m > 1:
+        with np.errstate(all="ignore"):
+            x = np.arange(1, m) / m_value
+            w[1:] = np.where(x > 1e300, 0.0, kernel.evaluate(x))
+    reach = int(w.nonzero()[0][-1])
+    v = np.concatenate((w[reach:0:-1], w[: reach + 1]))
+    ZW = np.array([np.convolve(row, v)[reach : reach + m] for row in Z])
+    return ZW @ Z.T / m
+
+
 def ar1_path_oracle(rho, z):
     """The AR(1) recursion u_1 = z_1, u_t = rho u_{t-1} + sqrt(1-rho^2) z_t, one step at a time.
 
@@ -307,7 +328,7 @@ def toeplitz_weights(kernel, m: int, bandwidth: float) -> np.ndarray:
     Built from the library's ``lag_weights``, so the diagonal is exactly 1.0
     and a zero bandwidth gives the identity.
     """
-    w = lag_weights(kernel, m, bandwidth)
+    w = lag_weights(kernel, m, [bandwidth])[0]
     idx = np.arange(w.size)
     return w[np.abs(idx[:, None] - idx[None, :])]
 
@@ -395,9 +416,10 @@ def quadratic_form_oracle(omega, d):
 class ScalarStatistic:
     """The statistic one response at a time, as the library computed it
     before its engine took blocks: the same numpy calls on 1-D and 2-D
-    arrays, with no leading axis anywhere.  The bandwidth rule and the
-    kernel lag sum are the library's own, which run per response on both
-    paths and have oracles of their own above.
+    arrays, with no leading axis anywhere.  The kernel lag sum is
+    ``convolved_lag_sum`` above, the per-response form the engine's stacked
+    one replaced.  The bandwidth rule is the library's own, which runs per
+    response on both paths and has oracles of its own above.
 
     ``evaluate(y)`` returns ``(kind, t, omega, bandwidth)``: ``kind`` is the
     undefinedness reason, or the definiteness class of a well-defined
@@ -454,7 +476,7 @@ class ScalarStatistic:
         if not bw.is_defined:
             return BANDWIDTH_UNDEFINED, 0.0, None, bw
         B = (self.g @ recolor) @ Z
-        lag_sum = _kernel_lag_sum(B, config.kernel, bw.m)
+        lag_sum = convolved_lag_sum(B, config.kernel, bw.m)
         omega = n * lag_sum
         omega = (omega + omega.T) / 2.0
         rank = rank_oracle(B)

@@ -15,6 +15,8 @@ import pytest
 
 import hactest
 
+from .oracles import kernel_eval
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -113,3 +115,31 @@ def test_the_diagnose_workload_sequence_reads_every_metric(bench):
     assert scenarios == [3, 3]
     assert missing == []
     assert absent == {}
+
+
+@pytest.mark.parametrize("kernel", ["bartlett", "qs"])
+def test_the_kernel_counts_read_the_points_and_weights_of_the_lag_sum(bench, kernel):
+    # kernels.points_per_op counts the lag ratios the kernel is evaluated
+    # at, and prewhiten.lag_products_per_op the nonzero weights a traced
+    # result smooths with; a block evaluates m - 1 lags at each response
+    n, p = 30, 1
+    X = np.random.default_rng(20260510).standard_normal((n, 2))
+    problem = hactest.RegressionProblem(X, [[1.0, 0.0]], [0.0])
+    config = hactest.EstimatorConfig(
+        hactest.get_kernel(kernel), hactest.default_rule("newey-west", kernel), p=p)
+    engine = hactest.TestEngine(problem, config)
+    Y = np.random.default_rng(20260511).standard_normal((9, n))
+    block = engine.omega_engine.outcomes(Y)
+    assert block.defined == list(range(len(Y)))
+    assert all(bw.m > 0.0 for bw in block.bandwidths)
+    _, _, counts = traced(bench, lambda: engine.t_values(Y))
+    assert counts["kernel_points"] == len(Y) * (n - p - 1)
+
+    result = engine.result(Y[0])
+    m_value = result.omega.m
+    weights = [kernel_eval(config.kernel, i / m_value) for i in range(1, n - p)]
+    _, _, counts = traced(bench, lambda: engine.result(Y[0]))
+    assert counts["kernel_points"] == n - p - 1
+    assert counts["lag_products"] == sum(w != 0.0 for w in weights)
+    if kernel == "bartlett":
+        assert 0 < counts["lag_products"] < n - p - 1

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +155,33 @@ class TestTest:
         assert result.exit_code == 0
         assert "t: 56" in result.output
         assert "reject: false" in result.output
+
+    SUBNORMAL_M = [
+        "test", "--x", "1,0.5;1,-0.3;1,1.2;1,0.1;1,-0.8;1,0.4;1,2.0;1,-1.1",
+        "--y", "0.3,-0.2,1.1,0.4,-0.9,0.2,1.5,-0.4", "--R", "0,1",
+        "--rule", "fixed-b", "--m", "1e-310",
+    ]
+
+    @pytest.mark.parametrize("kernel", ["bartlett", "parzen", "qs"])
+    def test_a_subnormal_bandwidth_gives_a_finite_statistic_without_a_warning(self, runner,
+                                                                               kernel):
+        # every lag ratio i / M past lag zero is huge or overflows to inf,
+        # where each kernel weighs 0: the statistic is the one that keeps
+        # lag zero only, whatever the kernel
+        def reject_constant(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [*self.SUBNORMAL_M, "--kernel", kernel, "--json"])
+            text = runner.invoke(main, [*self.SUBNORMAL_M, "--kernel", kernel])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output, parse_constant=reject_constant)
+        assert payload["defined"] is True and math.isfinite(payload["t"])
+        bartlett = runner.invoke(main, [*self.SUBNORMAL_M, "--kernel", "bartlett", "--json"])
+        assert payload["t"] == json.loads(bartlett.output)["t"]
+        assert text.exit_code == 0, text.output
+        assert "t: nan" not in text.output and "defined: true" in text.output
 
     def test_wrong_restriction_shape_exits_two(self, runner):
         result = runner.invoke(main, [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from hactest import (
     get_kernel,
     kernel_names,
 )
+
+from hactest.kernels import lag_weights
 
 from .oracles import kernel_eval, qs_kernel_oracle, toeplitz_weights
 
@@ -113,6 +117,7 @@ class TestToeplitzWeights:
                 assert seen == []
                 continue
             assert len(seen) == 1 and np.array_equal(seen[0], np.arange(1, m) / bw)
+            assert seen[0].shape == (m - 1,)
             assert np.array_equal(w[0, 1:], kernel.evaluate(np.arange(1, m) / bw))
             assert np.array_equal(w, w.T)
 
@@ -130,3 +135,58 @@ class TestToeplitzWeights:
             w = toeplitz_weights(kernel, m, bw)
             assert np.linalg.eigvalsh(w)[0] > -1e-10 * m
 
+
+class TestLagWeights:
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
+    def test_a_block_is_one_evaluation_over_its_positive_rows(self, kernel, rng):
+        seen = []
+
+        def evaluate(x):
+            seen.append(np.array(x))
+            return kernel.evaluate(x)
+
+        counting = KernelSpec(kernel.name, evaluate, kernel.nondifferentiable_points,
+                              kernel.compact_support)
+        for m in (1, 2, 6, 40, 97):
+            for ms in ([0.0, 3.5, 0.0, 0.7, 2.0 * m], rng.uniform(0.01, 2.0 * m, 9).tolist(),
+                       [0.0, 0.0]):
+                seen.clear()
+                w = lag_weights(counting, m, ms)
+                assert w.shape == (len(ms), m)
+                positive = [bw for bw in ms if bw > 0.0]
+                if m == 1 or not positive:
+                    assert seen == []
+                else:
+                    want = np.array([np.arange(1, m) / bw for bw in positive])
+                    assert len(seen) == 1 and np.array_equal(seen[0].reshape(want.shape), want)
+                for row, bw in zip(w, ms):
+                    alone = np.zeros(m)
+                    alone[0] = 1.0
+                    if bw > 0.0 and m > 1:
+                        alone[1:] = kernel.evaluate(np.arange(1, m) / bw)
+                    assert np.array_equal(row, alone)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("bw", [1e-310, 5e-324, 1e-307, 5e-299, 1e-298])
+    def test_a_tiny_bandwidth_weighs_the_far_lags_zero_without_a_warning(self, kernel, bw):
+        # a tiny M puts the larger ratios i / M past 1e300 or overflows them
+        # to inf (where the quadratic-spectral closed form is NaN); those
+        # weigh 0 with no warning, and every nearer ratio keeps its value
+        m = 98
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = lag_weights(kernel, m, [bw, 2.0])
+        with np.errstate(over="ignore"):
+            x = np.arange(1, m) / bw
+        near = x <= 1e300
+        assert w[0, 0] == 1.0
+        assert np.all(w[0, 1:][~near] == 0.0)
+        assert np.array_equal(w[0, 1:][near], kernel.evaluate(x[near]))
+        assert np.array_equal(w[1], lag_weights(kernel, m, [2.0])[0])
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            lag_weights(BARTLETT, 0, [1.0])
+        with pytest.raises(ValueError):
+            lag_weights(BARTLETT, 3, [1.0, -1.0])
+        assert lag_weights(BARTLETT, 3, []).shape == (0, 3)

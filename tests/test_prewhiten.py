@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from hactest.prewhiten import (
 
 from .conftest import config_grid, random_problem
 from .oracles import (
+    convolved_lag_sum,
     gamma_oracle,
     kernel_eval,
     kernel_lag_sum_oracle,
@@ -142,6 +144,11 @@ class TestVarFit:
         assert fit is None
 
 
+def lag_sum_of_one(Z, kernel, m_value):
+    """The engine's lag sum for one block of rows: a stack of one."""
+    return _kernel_lag_sum(Z[None], kernel, [m_value])[0]
+
+
 class TestKernelLagSum:
     # M = 0, M < 1 (lag zero only for compact kernels), M inside and past the order
     @pytest.mark.parametrize("m_value", [0.0, 0.6, 1.5, 2.5, 7.0, 150.0])
@@ -150,7 +157,7 @@ class TestKernelLagSum:
             weight = functools.lru_cache(maxsize=None)(lambda x: kernel_eval(kernel, x))
             for m in (1, 2, 6, 17, 97):
                 Z = rng.standard_normal((2, m))
-                got = _kernel_lag_sum(Z, kernel, m_value)
+                got = lag_sum_of_one(Z, kernel, m_value)
                 want = kernel_lag_sum_oracle(Z, weight, m_value)
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -162,12 +169,36 @@ class TestKernelLagSum:
         for i in range(1, 8):
             w = kernel_eval(kernel, i / m_value)
             want = want + w * (gamma_oracle(Z, i) + gamma_oracle(Z, -i))
-        got = _kernel_lag_sum(Z, kernel, m_value)
+        got = lag_sum_of_one(Z, kernel, m_value)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_zero_bandwidth_keeps_lag_zero_only(self, rng):
         Z = rng.standard_normal((2, 6))
-        assert np.allclose(_kernel_lag_sum(Z, BARTLETT, 0.0), gamma_oracle(Z, 0))
+        assert np.allclose(lag_sum_of_one(Z, BARTLETT, 0.0), gamma_oracle(Z, 0))
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("kernel", [BARTLETT, get_kernel("parzen"), get_kernel("qs")],
+                             ids=lambda k: k.name)
+    def test_a_stack_is_the_per_response_sum_bitwise(self, rng, kernel, q):
+        # mixed M in one stack: lag zero only, below one lag, a few lags,
+        # the whole order and past it, and tiny M, whose larger lag ratios
+        # pass 1e300 or overflow to inf; in blocks of 1, of 7 and all at once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (1, 2, 6, 29, 98):
+                ms = [0.0, 0.6, 1.5, 7.0, float(m), m + 0.5, 3.0 * m, 1e-310, 5e-324, 1e-307, 1e-300,
+                      2e-300]
+                ms = [ms[i] for i in rng.permutation(len(ms))] + [0.0, 0.0]
+                ms += rng.uniform(0.1, 1.5 * m, 9).tolist()
+                Z = rng.standard_normal((len(ms), q, m))
+                want = [convolved_lag_sum(z, kernel, M) for z, M in zip(Z, ms)]
+                for size in (1, 7, len(ms)):
+                    for start in range(0, len(ms), size):
+                        block = slice(start, start + size)
+                        got = _kernel_lag_sum(Z[block], kernel, ms[block])
+                        assert got.shape == (len(want[block]), q, q)
+                        for g, w in zip(got, want[block]):
+                            assert np.array_equal(g, w)
 
 
 class TestOmegaOutcome:
@@ -319,7 +350,7 @@ class TestOmegaFromRestrictionRows:
                 out = OmegaEngine(problem, config).outcome(y)
                 fit = out.fit
                 want = symmetrize(
-                    fit.recolor @ _kernel_lag_sum(fit.Z, config.kernel, out.m) @ fit.recolor.T
+                    fit.recolor @ convolved_lag_sum(fit.Z, config.kernel, out.m) @ fit.recolor.T
                 )
                 assert np.array_equal(out.psi, want)
                 assert out.psi is out.psi
