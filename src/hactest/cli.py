@@ -22,10 +22,17 @@ import sys
 import click
 import numpy as np
 
-from .bandwidth import RULE_NAMES, AndrewsRule, FixedBRule, NeweyWestRule, default_rule
+from .bandwidth import (
+    OMEGA_PRESETS,
+    RULE_NAMES,
+    AndrewsRule,
+    FixedBRule,
+    NeweyWestRule,
+    default_rule,
+)
 from .diagnostics import diagnose as run_diagnose
 from .kernels import get_kernel, kernel_names
-from .model import AR1Grid, RegressionProblem
+from .model import AR1Grid, RegressionProblem, check_finite
 from .montecarlo import (
     DEFAULT_RHO_GRID,
     CalibrationNotApplicableError,
@@ -58,7 +65,7 @@ def _parse_vector(spec: str, header: bool = False) -> np.ndarray:
 
 
 def _parse_omega(text: str):
-    if text in ("ones", "zero-first"):
+    if text in OMEGA_PRESETS:
         return text
     return tuple(float(v) for v in text.split(","))
 
@@ -273,12 +280,12 @@ def estimate(x_spec, y_spec, header, restriction_spec, target_spec,
     else:
         payload = {
             "status": outcome.status,
-            "bandwidth": outcome.m,
+            "bandwidth": outcome.bandwidth.m,
             "psi": outcome.psi.tolist(),
         }
         lines = [
             f"status: {outcome.status}",
-            f"bandwidth: {outcome.m:g}",
+            f"bandwidth: {outcome.bandwidth.m:g}",
             f"psi:\n{np.array2string(outcome.psi)}",
         ]
         if restriction_spec is not None:
@@ -287,30 +294,19 @@ def estimate(x_spec, y_spec, header, restriction_spec, target_spec,
     _emit(payload, as_json, out, lines)
 
 
-def _result_payload(res):
-    payload = {
-        "t": res.t_value,
-        "defined": res.defined,
-        "reject": res.reject,
-        "C": res.critical_value,
-    }
-    if not res.omega.well_defined:
-        payload["reason"] = res.omega.reason
-    if res.scenario is not None:
-        payload["scenario"] = res.scenario
-    return payload
-
-
-def _result_lines(res):
+def _result_output(res, critical_value):
+    """(payload, lines) of a statistic and, given a finite C, the decision
+    ``t >= C``: inclusive, and an undefined statistic compares as its 0."""
+    payload = {"t": res.t_value, "defined": res.defined, "reject": None, "C": critical_value}
     lines = [f"t: {res.t_value:.10g}", f"defined: {str(res.defined).lower()}"]
     if not res.omega.well_defined:
+        payload["reason"] = res.omega.reason
         lines.append(f"reason: {res.omega.reason}")
-    if res.critical_value is not None:
-        lines.append(f"C: {res.critical_value:g}")
-        lines.append(f"reject: {str(res.reject).lower()}")
-    if res.scenario is not None:
-        lines.append(f"scenario: {res.scenario}")
-    return lines
+    if critical_value is not None:
+        check_finite("critical value", critical_value)
+        payload["reject"] = reject = bool(res.t_value >= critical_value)
+        lines += [f"C: {critical_value:g}", f"reject: {str(reject).lower()}"]
+    return payload, lines
 
 
 @main.command(name="test")
@@ -328,8 +324,8 @@ def test_cmd(x_spec, y_spec, header, restriction_spec, target_spec,
     problem = _problem_from(x_spec, restriction_spec, target_spec, header)
     y = _parse_vector(y_spec, header)
     config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
-    res = test_statistic(problem, y, config, critical_value)
-    _emit(_result_payload(res), as_json, out, _result_lines(res))
+    payload, lines = _result_output(test_statistic(problem, y, config), critical_value)
+    _emit(payload, as_json, out, lines)
 
 
 @main.command()
@@ -366,9 +362,10 @@ def adjust(x_spec, y_spec, header, restriction_spec, target_spec,
         f"omega_bar: {omega_bar}",
     ]
     if y_spec is not None:
-        res = adjusted_statistic(adj, _parse_vector(y_spec, header), critical_value)
-        payload.update(_result_payload(res))
-        lines.extend(_result_lines(res))
+        res = adjusted_statistic(adj, _parse_vector(y_spec, header))
+        res_payload, res_lines = _result_output(res, critical_value)
+        payload.update(res_payload)
+        lines.extend(res_lines)
     _emit(payload, as_json, out, lines)
 
 

@@ -40,7 +40,7 @@ from .model import (
     constant_vector,
     null_point,
 )
-from .prewhiten import EstimatorConfig, never_definite
+from .prewhiten import BLOCK_ROWS, EstimatorConfig, never_definite
 from .testing import (
     REASON_ADJUSTMENT_UNNECESSARY,
     REASON_HYPOTHESIS_INVOLVES_INTERCEPT,
@@ -65,9 +65,6 @@ TIE_RTOL = 1e-9
 FD_AGREEMENT = 0.25
 #: finite-difference step sizes of that cross-check
 FD_STEPS = (1e-4, 1e-5, 1e-6)
-#: bumped responses the cross-check evaluates as one block; bounds the
-#: memory a block holds, whatever n
-FD_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +104,7 @@ def _fd_gradients_agree(engine: TestEngine, y: np.ndarray) -> bool:
     """Central-difference gradients at the FD_STEPS; True if they stabilize.
 
     Each step's 2n bumped responses ``y + h e_j`` and ``y - h e_j`` go to
-    the engine as blocks of up to FD_BLOCK_ROWS responses.  A response's
+    the engine as blocks of up to BLOCK_ROWS responses.  A response's
     statistic does not depend on the block it is evaluated in, so the
     gradients are those of one evaluation per bumped response.
     """
@@ -116,8 +113,8 @@ def _fd_gradients_agree(engine: TestEngine, y: np.ndarray) -> bool:
     for h in FD_STEPS:
         bump = h * np.eye(n)
         Y = np.concatenate((y + bump, y - bump))
-        t = np.concatenate([engine.t_values(Y[i : i + FD_BLOCK_ROWS])
-                            for i in range(0, 2 * n, FD_BLOCK_ROWS)])
+        t = np.concatenate([engine.t_values(Y[i : i + BLOCK_ROWS])
+                            for i in range(0, 2 * n, BLOCK_ROWS)])
         grads.append((t[:n] - t[n:]) / (2.0 * h))
     scale = max(1.0, max(float(np.linalg.norm(g)) for g in grads))
     worst = max(
@@ -147,7 +144,7 @@ def _gradient_exists_at(
         # rational function wherever it is defined
         return True
     kernel = engine.config.kernel
-    m_value = result.omega.m
+    m_value = result.omega.bandwidth.m
     m = engine.problem.n - engine.config.p
     if m_value == 0.0:
         analytic = True if kernel.compact_support else None
@@ -206,8 +203,8 @@ def diagnose(
     mu0 = problem.X @ null_point(problem)
     e_plus = constant_vector(n)
     e_minus = alternating_vector(n)
-    res_plus = engine.result(mu0 + e_plus, critical_value)
-    res_minus = engine.result(mu0 + e_minus, critical_value)
+    res_plus = engine.result(mu0 + e_plus)
+    res_minus = engine.result(mu0 + e_minus)
 
     geometry = _span_geometry(problem)
 

@@ -59,17 +59,21 @@ def _parzen(x: np.ndarray) -> np.ndarray:
     return out
 
 
+#: |x| up to which the quadratic-spectral z = 1.2 pi |x| stays finite
+_QS_FAR = 4.7e307
+
+
 def _quadratic_spectral(x: np.ndarray) -> np.ndarray:
     # closed form 25/(12 pi^2 x^2) * (sin(z)/z - cos(z)) with z = 6 pi x / 5,
     # equivalently (3/z^2)(sin(z)/z - cos(z)).  Near zero the subtraction
     # cancels catastrophically, so the points there are overwritten with the
     # series 1 - z^2/10 + z^4/280 (next term z^6/15120 is below machine
-    # precision at the branch point).
-    z = 1.2 * np.pi * np.abs(x)
+    # precision at the branch point).  Past |x| = _QS_FAR, z would overflow
+    # to inf, where sin and cos are NaN, so |x| is clamped to it: the form
+    # gives the limit 0 there.  A NaN stays NaN.
+    z = 1.2 * np.pi * np.minimum(np.abs(x), _QS_FAR)
     # near z = 0 the closed form divides by zero or overflows, and those
-    # points are overwritten below; a huge z gives 3 / inf = 0, the limit,
-    # but past |x| = 4.7e307 z itself overflows, and sin(inf) is NaN (see
-    # _TINY for why lag_weights passes no such ratio)
+    # points are overwritten below; a huge z gives 3 / inf = 0, the limit
     with np.errstate(all="ignore"):
         out = np.asarray(3.0 / (z * z) * (np.sin(z) / z - np.cos(z)))
     small = z < 5e-3
@@ -104,8 +108,8 @@ _KERNELS = (BARTLETT, PARZEN, QUADRATIC_SPECTRAL)
 #: its ratios i/M are >= 1e300, where every kernel is 0 (Bartlett's and
 #: Parzen's supports end at 1, and the quadratic-spectral closed form is 0
 #: once z * z overflows, past |x| = 3.6e153).  Dividing by it could
-#: overflow to inf, where the quadratic-spectral form is NaN; above it, i/M
-#: stays below that form's NaN zone (|x| > 4.7e307) for any order m < 4.7e7
+#: overflow to inf with a warning; above it, i/M stays finite for any order
+#: m < 1.7e8, so its rows are evaluated
 _TINY = 1e-300
 
 

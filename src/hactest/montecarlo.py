@@ -48,7 +48,7 @@ from .model import (
     check_seed,
     null_point,
 )
-from .prewhiten import EstimatorConfig
+from .prewhiten import BLOCK_ROWS, EstimatorConfig
 from .testing import (
     REASON_ADJUSTMENT_UNNECESSARY,
     AdjustedProblem,
@@ -67,10 +67,6 @@ DEFAULT_RHO_GRID = (
 
 #: reported probabilities need at least this many replications
 MIN_REPORTED_REPS = 100
-
-#: replications drawn and mapped to errors together; bounds the memory a
-#: simulation holds, whatever its replication count
-BLOCK_ROWS = 128
 
 
 class CalibrationNotApplicableError(ValueError):

@@ -66,6 +66,10 @@ POSITIVE_DEFINITE = "PositiveDefinite"
 SINGULAR_NONNEG = "SingularNonneg"
 ZERO = "Zero"
 
+#: responses drawn or evaluated together as one block; bounds the memory a
+#: block holds, whatever n or the number of responses
+BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -91,39 +95,25 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class PrewhitenFit:
-    """Step-1 output: VAR regressors, coefficients, residuals, recoloring inverse.
-
-    ``V1`` stacks the p lagged blocks of the score series (kp rows),
-    ``A`` holds the coefficient blocks and ``Z`` the k VAR residual rows.
-    ``recolor`` is ``(I - sum_l A_l)^{-1}``, or None when that matrix is
-    numerically singular (undefinedness condition (II)).
-    """
-
-    V1: np.ndarray
-    A: np.ndarray
-    Z: np.ndarray
-    recolor: np.ndarray | None
-
-
-@dataclass(frozen=True, eq=False)
 class OmegaOutcome:
     """Either the assembled covariance estimate or a typed undefinedness.
 
     When well-defined: ``omega`` is the q x q restriction covariance,
-    ``m`` the bandwidth value, ``B`` the q x (n-p) matrix whose row rank
-    determines definiteness, ``definiteness`` that class, ``fit`` the step-1
-    pieces, and ``kernel`` the kernel that smoothed them.  ``bandwidth``
-    carries the rule outcome (including the undefinedness sub-reason at
-    step III).  ``status`` is read from ``reason``, None when well-defined.
-    ``psi``, the recolored k x k long-run matrix, is formed on first read.
+    ``B`` the q x (n-p) matrix whose row rank determines definiteness,
+    ``definiteness`` that class, ``Z`` the k x (n-p) VAR residuals,
+    ``recolor`` the recoloring inverse ``(I - sum_l A_l)^{-1}``, and
+    ``kernel`` the kernel that smoothed them.  ``bandwidth`` carries the
+    rule outcome: the value ``bandwidth.m`` when well-defined, the
+    undefinedness sub-reason at step III.  ``status`` is read from
+    ``reason``.  ``psi``, the recolored k x k long-run matrix, is formed
+    from ``Z`` and ``recolor`` on first read.
     """
 
     reason: str | None = None
     omega: np.ndarray | None = None
-    m: float | None = None
     B: np.ndarray | None = None
-    fit: PrewhitenFit | None = None
+    Z: np.ndarray | None = None
+    recolor: np.ndarray | None = None
     bandwidth: BandwidthOutcome | None = None
     kernel: KernelSpec | None = None
     definiteness: str | None = None
@@ -141,8 +131,8 @@ class OmegaOutcome:
         """``D^{-1} (Z W Z' / (n-p)) D^{-T}``, or None when not well-defined."""
         if not self.well_defined:
             return None
-        recolor = self.fit.recolor
-        psi_white = _kernel_lag_sum(self.fit.Z[None], self.kernel, [self.m])[0]
+        recolor = self.recolor
+        psi_white = _kernel_lag_sum(self.Z[None], self.kernel, [self.bandwidth.m])[0]
         return symmetrize(recolor @ psi_white @ recolor.T)
 
 
@@ -153,16 +143,14 @@ class OmegaBlock(NamedTuple):
     and its undefinedness reason otherwise; ``bandwidths[i]`` is the rule's
     outcome there, None when step 1 failed first.  ``defined`` indexes the
     well-defined responses in block order, and the arrays stack their
-    pieces along a leading axis, in that order: the step-1 fit (``V1``,
-    ``A``, ``Z``, ``recolor``), ``B`` and ``omega``; ``definiteness`` lists
-    their classes.
+    pieces along a leading axis, in that order: the VAR residuals ``Z``,
+    the recoloring inverse ``recolor``, ``B`` and ``omega``;
+    ``definiteness`` lists their classes.
     """
 
     reasons: list
     bandwidths: list
     defined: list
-    V1: np.ndarray
-    A: np.ndarray
     Z: np.ndarray
     recolor: np.ndarray
     B: np.ndarray
@@ -199,11 +187,11 @@ class OmegaEngine:
         self._resid_tol = max(n, k) * EPS
         # B has rank at most m - kp: see _definiteness
         self._rank_cap = max(n - config.p - k * config.p, 0)
-        # the stacks of a block without a well-defined response: V1, A, Z,
-        # recolor, B and omega
-        m, kp, q = n - config.p, k * config.p, problem.q
+        # the stacks of a block without a well-defined response: Z, recolor,
+        # B and omega
+        m, q = n - config.p, problem.q
         self._no_stacks = tuple(np.empty((0,) + shape) for shape in
-                                ((kp, m), (k, kp), (k, m), (k, k), (q, m), (q, q)))
+                                ((k, m), (k, k), (q, m), (q, q)))
 
     def _fit(self, Y: np.ndarray):
         """Step 1 at every row of Y: ``(rows, V1, A, Z, recolor, regular)``.
@@ -215,7 +203,9 @@ class OmegaEngine:
         although the SVD rank check passed.  ``regular`` is False where
         ``I - sum_l A_l`` is numerically singular; ``recolor`` is NaN there.
         When no response has a full-rank regressor matrix, the arrays are
-        None.
+        None.  The estimate reads only ``Z`` and ``recolor``; the regressors
+        ``V1`` and coefficients ``A`` are returned so that the fit itself
+        can be checked.
         """
         X = self.problem.X
         n, k, p = self.problem.n, self.problem.k, self.config.p
@@ -254,7 +244,7 @@ class OmegaEngine:
         """
         config = self.config
         n, p = self.problem.n, config.p
-        rows, V1, A, Z, recolor, regular = self._fit(Y)
+        rows, _, _, Z, recolor, regular = self._fit(Y)
         reasons = [VAR_RANK_DEFICIENT] * len(Y)
         bandwidths = [None] * len(Y)
         keep, ms = [], []
@@ -273,11 +263,11 @@ class OmegaEngine:
         if not keep:
             return OmegaBlock(reasons, bandwidths, [], *self._no_stacks, [])
         if len(keep) < len(rows):
-            V1, A, Z, recolor = V1[keep], A[keep], Z[keep], recolor[keep]
+            Z, recolor = Z[keep], recolor[keep]
             rows = [rows[j] for j in keep]
         B = (self.g @ recolor) @ Z
         omega = symmetrize(n * _kernel_lag_sum(B, config.kernel, ms))
-        return OmegaBlock(reasons, bandwidths, rows, V1, A, Z, recolor, B, omega,
+        return OmegaBlock(reasons, bandwidths, rows, Z, recolor, B, omega,
                           _definiteness(B, self._rank_cap))
 
     def outcome(self, y: np.ndarray) -> OmegaOutcome:
@@ -286,10 +276,9 @@ class OmegaEngine:
         reason, bw = block.reasons[0], block.bandwidths[0]
         if reason is not None:
             return OmegaOutcome(reason=reason, bandwidth=bw)
-        fit = PrewhitenFit(V1=block.V1[0], A=block.A[0], Z=block.Z[0], recolor=block.recolor[0])
         return OmegaOutcome(
-            omega=block.omega[0], m=bw.m, B=block.B[0], fit=fit, bandwidth=bw,
-            kernel=self.config.kernel, definiteness=block.definiteness[0],
+            omega=block.omega[0], B=block.B[0], Z=block.Z[0], recolor=block.recolor[0],
+            bandwidth=bw, kernel=self.config.kernel, definiteness=block.definiteness[0],
         )
 
 

@@ -28,7 +28,6 @@ from .bandwidth import FixedBRule, resolve_omega
 from .model import (
     RegressionProblem,
     alternating_vector,
-    check_finite,
     check_response,
     constant_vector,
 )
@@ -62,20 +61,17 @@ class AugmentationImpossibleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TestResult:
-    """Statistic value plus everything needed to interpret it.
+    """The statistic at one response and the estimate it was formed from.
 
-    ``defined`` is False when the covariance estimate is undefined or not
-    positive definite; the statistic is 0 by convention in that case.
-    ``discrepancy`` is ``R beta_hat - r`` when defined, None otherwise.
-    ``reject`` is None unless a critical value was supplied.
+    ``defined`` is False when the covariance estimate ``omega`` is undefined
+    or not positive definite; the statistic is 0 by convention in that case.
+    ``discrepancy`` is ``R beta_hat - r`` when defined, None otherwise.  A
+    decision against a critical value is the caller's: ``t_value >= C``.
     """
 
     t_value: float
     defined: bool
-    reject: bool | None
-    critical_value: float | None
     omega: OmegaOutcome
-    scenario: int | None = None
     discrepancy: np.ndarray | None = None
 
 
@@ -118,10 +114,11 @@ class AdjustedProblem:
 class TestEngine:
     """Evaluates the statistic repeatedly for one (problem, config).
 
-    ``result`` evaluates one response and explains the value;
-    ``t_values`` evaluates a block of responses at once and returns the
-    values alone.  Both run the same stacked engine, so a response's value
-    does not depend on the block it is evaluated in.
+    ``result`` evaluates one response and returns the value with the
+    estimate behind it; ``t_values`` evaluates a block of responses at once
+    and returns the values alone.  Both run the same stacked engine, so a
+    response's value does not depend on the block it is evaluated in.
+    Neither takes a critical value: comparing T with C is the caller's.
     """
 
     def __init__(self, problem: RegressionProblem, config: EstimatorConfig):
@@ -129,12 +126,7 @@ class TestEngine:
         self.config = config
         self.omega_engine = OmegaEngine(problem, config)
 
-    def result(
-        self,
-        y,
-        critical_value: float | None = None,
-        scenario: int | None = None,
-    ) -> TestResult:
+    def result(self, y) -> TestResult:
         y = np.asarray(y, dtype=float)
         out = self.omega_engine.outcome(y)
         t = 0.0
@@ -142,16 +134,7 @@ class TestEngine:
         if out.definiteness == POSITIVE_DEFINITE:
             t, d = self._forms(out.omega, y)
             t = float(t)
-        reject = None if critical_value is None else bool(t >= critical_value)
-        return TestResult(
-            t_value=t,
-            defined=d is not None,
-            reject=reject,
-            critical_value=critical_value,
-            omega=out,
-            scenario=scenario,
-            discrepancy=d,
-        )
+        return TestResult(t_value=t, defined=d is not None, omega=out, discrepancy=d)
 
     def t_values(self, Y) -> np.ndarray:
         """The statistic at every row of a (b x n) response block, 0 where not defined."""
@@ -198,22 +181,10 @@ def _quadratic_forms(omega: np.ndarray, d: np.ndarray):
     return np.vecdot(w, w)
 
 
-def test_statistic(
-    problem: RegressionProblem,
-    y,
-    config: EstimatorConfig,
-    critical_value: float | None = None,
-) -> TestResult:
+def test_statistic(problem: RegressionProblem, y, config: EstimatorConfig) -> TestResult:
     """Evaluate the statistic once; use TestEngine for repeated evaluation."""
-    return _evaluate_once(problem, config, y, critical_value)
-
-
-def _evaluate_once(problem, config, y, critical_value, scenario=None) -> TestResult:
-    """Validate one response vector and critical value, then evaluate."""
     y = check_response(problem, y)
-    if critical_value is not None:
-        check_finite("critical value", critical_value)
-    return TestEngine(problem, config).result(y, critical_value, scenario)
+    return TestEngine(problem, config).result(y)
 
 
 #: the boundary directions each scenario appends, in column order
@@ -362,11 +333,6 @@ def build_adjusted(problem: RegressionProblem, config: EstimatorConfig) -> Adjus
     )
 
 
-def adjusted_statistic(
-    adjusted: AdjustedProblem,
-    y,
-    critical_value: float | None = None,
-) -> TestResult:
+def adjusted_statistic(adjusted: AdjustedProblem, y) -> TestResult:
     """Evaluate the adjusted statistic T-bar at one response vector."""
-    return _evaluate_once(adjusted.problem, adjusted.config, y, critical_value,
-                          adjusted.scenario)
+    return test_statistic(adjusted.problem, y, adjusted.config)

@@ -301,7 +301,7 @@ def toeplitz_statistic_oracle(problem, outcome, kernel_fn):
     B = outcome.B
     q, m = B.shape
     n = problem.n
-    mv = outcome.m
+    mv = outcome.bandwidth.m
     W = [[0.0] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):

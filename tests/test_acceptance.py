@@ -63,6 +63,7 @@ from .oracles import (
     toeplitz_weights,
     witness_design,
 )
+from .test_prewhiten import fit_var_ols
 
 NW_BARTLETT = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)
 REPS = 10_000
@@ -218,7 +219,7 @@ def test_witness_designs_zero_the_var_fit_and_keep_omega_definite():
                 )
                 out = OmegaEngine(problem, config).outcome(y)
                 assert out.status == WELL_DEFINED
-                assert np.all(out.fit.A == 0.0)
+                assert np.all(fit_var_ols(problem, y, p).A == 0.0)
                 assert float(np.min(np.linalg.eigvalsh(out.omega))) > 0.0
                 combos += 1
     assert combos == 18

@@ -136,7 +136,7 @@ def test_the_kernel_counts_read_the_points_and_weights_of_the_lag_sum(bench, ker
     assert counts["kernel_points"] == len(Y) * (n - p - 1)
 
     result = engine.result(Y[0])
-    m_value = result.omega.m
+    m_value = result.omega.bandwidth.m
     weights = [kernel_eval(config.kernel, i / m_value) for i in range(1, n - p)]
     _, _, counts = traced(bench, lambda: engine.result(Y[0]))
     assert counts["kernel_points"] == n - p - 1

@@ -156,6 +156,34 @@ class TestTest:
         assert "t: 56" in result.output
         assert "reject: false" in result.output
 
+    def test_rejection_is_inclusive_at_the_critical_value(self, runner):
+        args = ["test", "--x", LOCATION_X, "--y", LOCATION_Y, "--R", "1", "--rule", "fixed-b"]
+        t = json.loads(runner.invoke(main, [*args, "--json"]).output)["t"]
+        for c, reject in ((t, "true"), (t * (1 + 1e-9), "false")):
+            result = runner.invoke(main, [*args, "--C", repr(c)])
+            assert result.exit_code == 0, result.output
+            assert f"reject: {reject}" in result.output.splitlines()
+            payload = json.loads(runner.invoke(main, [*args, "--C", repr(c), "--json"]).output)
+            assert payload["C"] == c and payload["reject"] is (reject == "true")
+
+    def test_an_undefined_statistic_compares_against_c_as_zero(self, runner):
+        args = ["test", "--x", LOCATION_X, "--y", "2,2,2,2,2,2,2,2", "--R", "1",
+                "--rule", "fixed-b", "--json"]
+        for c, reject in (("0", True), ("0.5", False)):
+            payload = json.loads(runner.invoke(main, [*args, "--C", c]).output)
+            assert payload["defined"] is False and payload["t"] == 0.0
+            assert payload["reject"] is reject
+
+    @pytest.mark.parametrize("command", ["test", "adjust"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_a_non_finite_critical_value_exits_two(self, runner, design_files, command, bad):
+        result = runner.invoke(main, [
+            command, "--x", design_files["x"], "--y", design_files["y"], "--R", "0,1",
+            "--rule", "fixed-b", f"--C={bad}",
+        ])
+        assert result.exit_code == 2
+        assert "critical value must be finite" in result.output
+
     SUBNORMAL_M = [
         "test", "--x", "1,0.5;1,-0.3;1,1.2;1,0.1;1,-0.8;1,0.4;1,2.0;1,-1.1",
         "--y", "0.3,-0.2,1.1,0.4,-0.9,0.2,1.5,-0.4", "--R", "0,1",
@@ -278,6 +306,16 @@ class TestAdjust:
         assert payload["scenario"] == 1
         assert payload["defined"] is True
         assert payload["reject"] is False
+
+    def test_with_response_prints_the_scenario_once(self, runner, design_files):
+        result = runner.invoke(main, [
+            "adjust", "--x", design_files["x"], "--y", design_files["y"],
+            "--R", "0,1", "--rule", "fixed-b", "--C", "1000000",
+        ])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert [line for line in lines if line.startswith("scenario:")] == ["scenario: 1"]
+        assert "reject: false" in lines
 
     def test_refuses_when_unnecessary(self, runner, calibratable_files):
         result = runner.invoke(main, [

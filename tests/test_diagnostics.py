@@ -33,6 +33,7 @@ from hactest.diagnostics import _kernel_hits_kink
 
 from .conftest import config_grid, random_problem
 from .oracles import gradient_exists, kernel_hits_kink_oracle, witness_design
+from .test_prewhiten import fit_var_ols
 
 FIXED_B = FixedBRule(b=1.0)
 
@@ -241,7 +242,7 @@ class TestGradientExists:
         problem = RegressionProblem(X, np.array([[1.0]]), np.zeros(1))
         config = EstimatorConfig(BARTLETT, default_rule("andrews", "bartlett"), p=1)
         result = evaluate(problem, y, config)
-        assert result.defined and result.omega.m == 0.0
+        assert result.defined and result.omega.bandwidth.m == 0.0
         assert gradient_exists(problem, y, config, check_numerically=False) is True
 
     def test_zero_bandwidth_with_unbounded_support_is_uncertified(self):
@@ -249,7 +250,7 @@ class TestGradientExists:
         problem = RegressionProblem(X, np.array([[1.0]]), np.zeros(1))
         config = EstimatorConfig(QUADRATIC_SPECTRAL, default_rule("andrews", "qs"), p=1)
         result = evaluate(problem, y, config)
-        assert result.defined and result.omega.m == 0.0
+        assert result.defined and result.omega.bandwidth.m == 0.0
         assert gradient_exists(problem, y, config) is None
 
     def test_generic_data_driven_point_is_certified(self, rng):
@@ -322,7 +323,8 @@ class TestWitnessDesign:
         result = evaluate(problem, y, config)
         assert result.defined
         out = result.omega
-        assert np.array_equal(out.fit.A, np.zeros_like(out.fit.A))
+        A = fit_var_ols(problem, y, p).A
+        assert np.array_equal(A, np.zeros_like(A))
         if rule_kind != "fixed-b":
             assert out.bandwidth.m == 0.0
         assert np.linalg.eigvalsh(out.omega).min() > 0.0

@@ -65,6 +65,33 @@ class TestBuiltins:
         above = kernel_eval(QUADRATIC_SPECTRAL, x_star * (1 + 1e-9))
         assert abs(below - above) < 1e-10
 
+    def test_qs_is_zero_past_overflow_and_nan_stays_nan_without_a_warning(self):
+        # z = 1.2 pi |x| overflows past 4.77e307, where sin and cos are NaN;
+        # the kernel's limit there is 0
+        x = np.array([5e307, 1.7976931348623157e308, np.inf, -np.inf, -5e307, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = QUADRATIC_SPECTRAL.evaluate(x)
+            assert kernel_eval(QUADRATIC_SPECTRAL, np.inf) == 0.0
+        assert np.array_equal(got[:-1], np.zeros(5)) and np.isnan(got[-1])
+
+    def test_qs_keeps_its_bits_up_to_the_overflow(self, rng):
+        def closed_form(x):
+            # the evaluation without the clamp, where it does not overflow
+            z = 1.2 * np.pi * np.abs(x)
+            with np.errstate(all="ignore"):
+                out = 3.0 / (z * z) * (np.sin(z) / z - np.cos(z))
+            small = z < 5e-3
+            out[small] = 1.0 - z[small] ** 2 / 10.0 + z[small] ** 4 / 280.0
+            return out
+
+        x = 10.0 ** rng.uniform(-10, 307.6, 4000) * rng.choice([-1.0, 1.0], 4000)
+        x = np.concatenate((x, [0.0, 1e-3, 3.6e153, 1e300, 4.7e307, -4.7e307]))
+        assert np.max(np.abs(x)) <= 4.7e307
+        # bit patterns, so that the sign of a zero counts too
+        got = QUADRATIC_SPECTRAL.evaluate(x)
+        assert np.array_equal(got.view(np.uint64), closed_form(x).view(np.uint64))
+
     def test_qs_has_unbounded_support(self):
         assert not QUADRATIC_SPECTRAL.compact_support
         assert kernel_eval(QUADRATIC_SPECTRAL, 3.7) != 0.0

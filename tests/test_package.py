@@ -20,24 +20,34 @@ def test_single_path_names_and_dead_fields_stay_gone():
     # returns beta0; the AR(1) sampler, Gamma_i, the MA(d) correlation
     # matrix, the scalar kernel evaluation and the stand-alone gradient
     # check live in tests/oracles.py; the bandwidth rules stay behind
-    # compute_bandwidth in hactest.bandwidth
+    # compute_bandwidth in hactest.bandwidth; an outcome holds the two
+    # step-1 arrays psi reads, with no fit record beside them
     for name in ("rejection_probability", "empirical_size", "SizeReport",
                  "NullPoint", "sample_gaussian_ar1", "compute_gamma",
                  "ma_closure_matrix", "kernel_eval", "bandwidth_am", "bandwidth_nw",
                  "bandwidth_kv", "rectangular_cutoff", "toeplitz_weights",
-                 "gradient_exists"):
+                 "gradient_exists", "PrewhitenFit"):
         assert not hasattr(hactest, name), name
         assert name not in hactest.__all__, name
     assert not hasattr(hactest.model, "ma_closure_matrix")
     assert not hasattr(hactest.kernels, "kernel_eval")
     assert not hasattr(hactest.diagnostics, "gradient_exists")
-    assert len(hactest.__all__) == 59
+    assert not hasattr(hactest.prewhiten, "PrewhitenFit")
+    assert len(hactest.__all__) == 58
 
     def field_names(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
     assert field_names(hactest.McConfig) == {"replications", "seed", "family"}
-    assert field_names(hactest.PrewhitenFit) == {"V1", "A", "Z", "recolor"}
+    # a result holds the statistic and the estimate behind it; the decision
+    # against C, and the scenario of an adjusted problem, are the caller's
+    assert field_names(hactest.TestResult) == {"t_value", "defined", "omega", "discrepancy"}
+    # the bandwidth value is read from the rule outcome, and the VAR
+    # regressors and coefficients stay inside the engine
+    assert field_names(hactest.OmegaOutcome) == {
+        "reason", "omega", "B", "Z", "recolor", "bandwidth", "kernel", "definiteness"}
+    assert set(hactest.prewhiten.OmegaBlock._fields) == {
+        "reasons", "bandwidths", "defined", "Z", "recolor", "B", "omega", "definiteness"}
     # an outcome's status is read from its reason, never stored beside it
     assert "status" not in field_names(hactest.OmegaOutcome)
     assert hactest.OmegaOutcome(reason=hactest.VAR_RANK_DEFICIENT).status == "undefined"
@@ -90,3 +100,10 @@ def test_settings_the_statistic_does_not_read_stay_gone():
     assert "direction" not in params(hactest.power_curve)
     assert params(hactest.SizePowerCurve.to_csv) == {"self"}
     assert hactest.diagnostics.FD_STEPS == (1e-4, 1e-5, 1e-6)
+    # the statistic takes no critical value: comparing T with C is the caller's
+    assert params(hactest.TestEngine.result) == {"self", "y"}
+    assert params(hactest.test_statistic) == {"problem", "y", "config"}
+    assert params(hactest.adjusted_statistic) == {"adjusted", "y"}
+    # one block size, beside the engine
+    assert hactest.montecarlo.BLOCK_ROWS is hactest.prewhiten.BLOCK_ROWS
+    assert not hasattr(hactest.diagnostics, "FD_BLOCK_ROWS")

@@ -1,5 +1,6 @@
 import functools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hactest import (
     FixedBRule,
     NeweyWestRule,
     OmegaEngine,
-    PrewhitenFit,
     RegressionProblem,
     assemble_omega,
     build_adjusted,
@@ -48,13 +48,15 @@ from .oracles import (
 
 def fit_var_ols(problem, y, p):
     """Step 1 alone, through the engine that runs it inside the pipeline:
-    None when the VAR regressor matrix is rank deficient."""
+    the regressors ``V1``, coefficients ``A``, residuals ``Z`` and
+    ``recolor`` (None when singular), or None when the VAR regressor matrix
+    is rank deficient."""
     config = EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p)
     engine = OmegaEngine(problem, config)
     rows, V1, A, Z, recolor, regular = engine._fit(np.asarray(y, dtype=float)[None])
     if not rows:
         return None
-    return PrewhitenFit(V1=V1[0], A=A[0], Z=Z[0], recolor=recolor[0] if regular[0] else None)
+    return SimpleNamespace(V1=V1[0], A=A[0], Z=Z[0], recolor=recolor[0] if regular[0] else None)
 
 
 def scores(problem, y):
@@ -206,7 +208,7 @@ class TestOmegaOutcome:
         problem, y, config = location_model()
         out = assemble_omega(problem, y, config)
         assert out.status == WELL_DEFINED
-        assert out.m == 7.0
+        assert out.bandwidth.m == 7.0
         assert out.psi[0, 0] == pytest.approx(1.0 / 7.0, rel=1e-15)
         assert out.omega[0, 0] == pytest.approx(1.0 / 56.0, rel=1e-14)
         assert out.definiteness == POSITIVE_DEFINITE
@@ -285,10 +287,8 @@ class TestOmegaOutcome:
             assert out.B.shape == (problem.q, 15)
             assert np.array_equal(out.omega, out.omega.T)
             assert np.array_equal(out.psi, out.psi.T)
-            assert out.m == out.bandwidth.m
-            want_b = problem.R @ np.linalg.solve(
-                problem.X.T @ problem.X, out.fit.recolor @ out.fit.Z
-            )
+            assert out.Z.shape == (2, 15) and out.recolor.shape == (2, 2)
+            want_b = problem.R @ np.linalg.solve(problem.X.T @ problem.X, out.recolor @ out.Z)
             assert np.allclose(out.B, want_b, rtol=1e-10, atol=1e-12)
 
     def test_matches_toeplitz_representation(self, rng):
@@ -308,7 +308,7 @@ class TestOmegaOutcome:
         a = engine.outcome(y)
         b = assemble_omega(problem, y, config)
         assert np.array_equal(a.omega, b.omega)
-        assert a.m == b.m
+        assert a.bandwidth.m == b.bandwidth.m
 
 
 class TestOmegaFromRestrictionRows:
@@ -348,10 +348,8 @@ class TestOmegaFromRestrictionRows:
             for config in config_grid(p):
                 problem, y = random_problem(rng, n=20, k=2, q=1)
                 out = OmegaEngine(problem, config).outcome(y)
-                fit = out.fit
-                want = symmetrize(
-                    fit.recolor @ convolved_lag_sum(fit.Z, config.kernel, out.m) @ fit.recolor.T
-                )
+                lag_sum = convolved_lag_sum(out.Z, config.kernel, out.bandwidth.m)
+                want = symmetrize(out.recolor @ lag_sum @ out.recolor.T)
                 assert np.array_equal(out.psi, want)
                 assert out.psi is out.psi
 

@@ -53,24 +53,14 @@ class TestStatistic:
         result = evaluate(problem, y, config)
         assert result.defined
         assert result.t_value == pytest.approx(56.0, rel=1e-12)
-        assert result.reject is None and result.critical_value is None
         assert result.omega.omega[0, 0] == pytest.approx(1.0 / 56.0, rel=1e-14)
 
-    def test_rejection_is_inclusive_at_the_critical_value(self):
-        problem, y, config = location_model()
-        t = evaluate(problem, y, config).t_value
-        assert evaluate(problem, y, config, critical_value=t).reject is True
-        assert evaluate(problem, y, config, critical_value=t * (1 + 1e-9)).reject is False
-
-    def test_undefined_statistic_is_zero_and_never_rejects(self, rng):
+    def test_undefined_statistic_is_zero(self, rng):
         problem, _ = random_problem(rng, n=10, k=2)
         y = problem.X @ np.array([1.0, -1.0])
-        result = evaluate(problem, y, config_grid()[0], critical_value=0.0)
+        result = evaluate(problem, y, config_grid()[0])
         assert not result.defined
         assert result.t_value == 0.0
-        # by the zero convention the statistic still compares against C
-        assert result.reject is True
-        assert evaluate(problem, y, config_grid()[0], critical_value=0.5).reject is False
 
     def test_nonnegative_on_random_draws(self, rng):
         for config in config_grid():
@@ -383,12 +373,12 @@ class TestBuildAdjusted:
 
 
 class TestAdjustedStatistic:
-    def test_records_scenario_and_is_defined(self, rng):
+    def test_is_defined_at_a_scenario_three_design(self, rng):
         problem, y = random_problem(rng, n=14, k=2, q=1)
         config = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)
         adjusted = build_adjusted(problem, config)
         result = adjusted_statistic(adjusted, y)
-        assert result.scenario == 3
+        assert adjusted.scenario == 3
         assert result.defined and result.t_value >= 0.0
 
     def test_adjusted_invariance(self, rng):
@@ -421,12 +411,3 @@ class TestInputValidation:
             evaluate(problem, y[:-1], config)
         with pytest.raises(ValueError, match="y has length 13, expected n = 14"):
             adjusted_statistic(build_adjusted(problem, config), y[:-1])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_critical_value_is_rejected(self, rng, bad):
-        problem, y = random_problem(rng, n=14, k=2, q=1)
-        config = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)
-        with pytest.raises(ValueError, match="critical value must be finite"):
-            evaluate(problem, y, config, bad)
-        with pytest.raises(ValueError, match="critical value must be finite"):
-            adjusted_statistic(build_adjusted(problem, config), y, bad)
