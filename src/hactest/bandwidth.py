@@ -6,7 +6,8 @@ Three rules are provided:
   OLS and plugs the fitted parameters into one of two weighted ratios
   (``j = 1`` or ``j = 2``), giving ``M = c1 * (alpha_j * n)**c2``.
 * :class:`NeweyWestRule` — the "real-bandwidth" nonparametric rule built
-  from weighted autocovariances of the scalar series ``omega' Z``.
+  from the autocovariances of the scalar series ``omega' Z`` up to Newey
+  and West's rectangular lag cutoff.
 * :class:`FixedBRule` — a deterministic bandwidth, either proportional to
   the residual length (``M = b * (n - p)``) or an explicit constant.
 
@@ -128,14 +129,9 @@ class AndrewsRule:
 class NeweyWestRule:
     """Nonparametric (real-bandwidth) rule ``M = cbar2 * ((num/den)**2 * n)**cbar3``.
 
-    ``num`` and ``den`` are lag-weighted sums of the autocovariances of the
-    scalar series ``omega' Z``; ``weights`` selects the lag weights:
-
-    * ``None`` — rectangular weights with the conventional cutoff
-      ``floor(4 * (n/100)**(2/9))``;
-    * an int — rectangular weights with that cutoff;
-    * a sequence — explicit nonnegative weights indexed by |lag|, with
-      weight 1 at lag zero (padded with zeros beyond its length).
+    ``num`` and ``den`` are sums of the autocovariances of the scalar
+    series ``omega' Z`` over the lags |i| <= floor(4 * (n/100)**(2/9)),
+    each with rectangular weight 1: Newey & West's (1994) cutoff.
 
     ``cbar1`` must be a positive integer (a zero exponent is not a valid
     member of this rule family).
@@ -145,7 +141,6 @@ class NeweyWestRule:
     cbar2: float
     cbar3: float
     omega: str | tuple[float, ...] = "ones"
-    weights: int | tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not (isinstance(self.cbar1, (int, np.integer)) and self.cbar1 >= 1):
@@ -156,20 +151,6 @@ class NeweyWestRule:
             raise ValueError(f"cbar3 must be positive, got {self.cbar3}")
         object.__setattr__(self, "cbar1", int(self.cbar1))
         object.__setattr__(self, "omega", _validate_omega_field(self.omega))
-        w = self.weights
-        if w is None:
-            return
-        if isinstance(w, (int, np.integer)) and not isinstance(w, bool):
-            if w < 0:
-                raise ValueError(f"rectangular weight cutoff must be >= 0, got {w}")
-            object.__setattr__(self, "weights", int(w))
-            return
-        w = tuple(float(v) for v in np.atleast_1d(np.asarray(w, dtype=float)))
-        if not w or w[0] != 1.0:
-            raise ValueError("explicit lag weights must start with w(0) = 1")
-        if any(v < 0 for v in w):
-            raise ValueError("lag weights must be nonnegative")
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -294,27 +275,16 @@ def _row_weights(omega, k: int) -> np.ndarray:
 def _nw_constants(rule: NeweyWestRule, k: int, m: int, n: int):
     """What bandwidth_nw needs besides Z, computed once per (rule, k, m, n).
 
-    Returns the row weights omega, the lag weights w over lags 0 .. m-1,
-    the weighted lags as a tuple, and ``|i|**cbar1 * w_i`` over lags
-    1 .. m-1; the arrays are read-only, since every call shares them.
+    Returns the row weights omega, the number of weighted lags (0 up to the
+    rectangular cutoff, at most m), the lag weights w over lags 0 .. m-1,
+    and ``|i|**cbar1 * w_i`` over lags 1 .. m-1; the arrays are read-only,
+    since every call shares them.
     """
-    w = _nw_weights(rule, m, n)
+    lags = min(rectangular_cutoff(n) + 1, m)
+    w = np.zeros(m)
+    w[:lags] = 1.0
     lag_w = np.arange(m)[1:] ** rule.cbar1 * w[1:]
-    return (_row_weights(rule.omega, k), readonly(w),
-            tuple(np.flatnonzero(w).tolist()), readonly(lag_w))
-
-
-def _nw_weights(rule: NeweyWestRule, m: int, n: int) -> np.ndarray:
-    w = rule.weights
-    if w is None or isinstance(w, int):
-        cutoff = rectangular_cutoff(n) if w is None else w
-        out = np.zeros(m)
-        out[: min(cutoff + 1, m)] = 1.0
-        return out
-    out = np.zeros(m)
-    take = min(len(w), m)
-    out[:take] = w[:take]
-    return out
+    return _row_weights(rule.omega, k), lags, readonly(w), readonly(lag_w)
 
 
 def bandwidth_nw(Z: np.ndarray, rule: NeweyWestRule, n: int) -> BandwidthOutcome:
@@ -323,19 +293,21 @@ def bandwidth_nw(Z: np.ndarray, rule: NeweyWestRule, n: int) -> BandwidthOutcome
     With ``s = omega' Z`` and autocovariances
     ``sbar_i = m^{-1} sum_{j>|i|} s_j s_{j-|i|}``, the bandwidth is
     ``cbar2 * ((num/den)**2 * n)**cbar3`` where ``den = sum_i w(i) sbar_i``
-    and ``num = sum_i |i|**cbar1 w(i) sbar_i`` over |i| < m.
+    and ``num = sum_i |i|**cbar1 w(i) sbar_i`` over |i| < m, with the
+    rectangular weights ``w(i) = 1`` up to ``rectangular_cutoff(n)`` and 0
+    past it.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise ValueError("Z must be a k x (n-p) matrix")
     k, m = Z.shape
-    omega, w, weighted, lag_w = _nw_constants(rule, k, m, n)
+    omega, lags, w, lag_w = _nw_constants(rule, k, m, n)
 
     s = omega @ Z
     # only weighted lags contribute; the rest stay exact zeros, which leave
     # both dot products below bitwise unchanged
     sbar = np.zeros(m)
-    for i in weighted:
+    for i in range(lags):
         sbar[i] = s[i:] @ s[: m - i] / m
     # the |i| sums run over negative and positive lags; sbar is even in the lag
     den = float(w[0] * sbar[0] + 2.0 * (w[1:] @ sbar[1:]))

@@ -340,6 +340,8 @@ def adjust(x_spec, y_spec, header, restriction_spec, target_spec,
            kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp,
            critical_value, as_json, out):
     """Augment the design with boundary directions; optionally test with it."""
+    if critical_value is not None and y_spec is None:
+        raise ValueError("--C needs --y")
     problem = _problem_from(x_spec, restriction_spec, target_spec, header)
     config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
     adj = build_adjusted(problem, config)

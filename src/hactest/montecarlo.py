@@ -93,10 +93,10 @@ class McConfig:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One (family member, alternative distance) rejection rate."""
+    """One (family member, alternative distance) rejection rate; the member
+    is named by its label, which reads back as its AR(1) rho."""
 
     label: str
-    rho: float
     distance: float
     rate: float
     ci: float
@@ -104,14 +104,10 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class SizePowerCurve:
-    """Rejection rates per (member, distance); at distance 0 alone,
-    ``max_rate`` is the empirical size."""
+    """Rejection rates per (member, distance); at distance 0 alone, the
+    largest rate is the empirical size."""
 
     points: tuple
-
-    @property
-    def max_rate(self) -> float:
-        return max(p.rate for p in self.points)
 
     def to_csv(self) -> str:
         lines = ["rho,distance,rate,ci"]
@@ -385,10 +381,10 @@ def power_curve(
 ) -> SizePowerCurve:
     """Rejection rates across the family at alternatives R beta - r = d u.
 
-    ``distances`` are the standardized violation lengths d (0 reproduces the
-    null, so ``distances=(0.0,)`` gives the empirical size as ``max_rate``)
-    along the equal-weight unit vector u = (1, ..., 1) / sqrt(q) in
-    restriction space.
+    ``distances`` are the standardized violation lengths d along the
+    equal-weight unit vector u = (1, ..., 1) / sqrt(q) in restriction space.
+    0 reproduces the null, so the largest rate of a ``distances=(0.0,)``
+    curve is the empirical size.  Each point's member is its rho's label.
     """
     check_finite("critical value", critical_value)
     _check_reported_reps(mc.replications)
@@ -403,11 +399,11 @@ def power_curve(
     points = []
     # the engine evaluates at the null point, so a distance-0 statistic is
     # the quadratic form at a zero shift: exactly the engine's own value
-    for label, rho, rows in _family_statistics(engine, sim_problem, mc, [beta0, *betas]):
+    for label, _rho, rows in _family_statistics(engine, sim_problem, mc, [beta0, *betas]):
         for d, stats in zip(distances, rows[1:]):
             rate = float(np.mean(stats >= critical_value))
             points.append(
-                CurvePoint(label=label, rho=rho, distance=d,
-                           rate=rate, ci=_binomial_ci(rate, mc.replications))
+                CurvePoint(label=label, distance=d, rate=rate,
+                           ci=_binomial_ci(rate, mc.replications))
             )
     return SizePowerCurve(tuple(points))

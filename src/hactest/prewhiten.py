@@ -24,8 +24,9 @@ over the ``n - p`` lags: q convolutions, not one per score row.  That is
 matrix ``Psi = D^{-1} Psi_white D^{-T}``, ``Psi_white = Z W Z' / (n-p)``,
 in another order of the same products; ``Psi`` is formed only when it is
 read.  The lag-by-lag expansion ``sum_{|i| < n-p} kappa(i / M) Gamma_i``
-is kept as the test suite's oracle.  ``B`` is exposed because the
-definiteness of ``Omega`` is exactly the row rank of ``B``.
+is kept as the test suite's oracle.  The definiteness of ``Omega`` is
+exactly the row rank of ``B``, so the class is decided where ``B`` is
+formed; ``B`` itself is not kept.
 
 :class:`OmegaEngine` runs the steps on a block of responses at once: the
 projection, the VAR fit, the rank and conditioning decisions, the
@@ -99,19 +100,17 @@ class OmegaOutcome:
     """Either the assembled covariance estimate or a typed undefinedness.
 
     When well-defined: ``omega`` is the q x q restriction covariance,
-    ``B`` the q x (n-p) matrix whose row rank determines definiteness,
-    ``definiteness`` that class, ``Z`` the k x (n-p) VAR residuals,
-    ``recolor`` the recoloring inverse ``(I - sum_l A_l)^{-1}``, and
-    ``kernel`` the kernel that smoothed them.  ``bandwidth`` carries the
-    rule outcome: the value ``bandwidth.m`` when well-defined, the
-    undefinedness sub-reason at step III.  ``status`` is read from
-    ``reason``.  ``psi``, the recolored k x k long-run matrix, is formed
-    from ``Z`` and ``recolor`` on first read.
+    ``definiteness`` its class (the row rank of ``B``, which is not kept),
+    ``Z`` the k x (n-p) VAR residuals, ``recolor`` the recoloring inverse
+    ``(I - sum_l A_l)^{-1}``, and ``kernel`` the kernel that smoothed them.
+    ``bandwidth`` carries the rule outcome: the value ``bandwidth.m`` when
+    well-defined, the undefinedness sub-reason at step III.  ``status`` is
+    read from ``reason``.  ``psi``, the recolored k x k long-run matrix, is
+    formed from ``Z`` and ``recolor`` on first read.
     """
 
     reason: str | None = None
     omega: np.ndarray | None = None
-    B: np.ndarray | None = None
     Z: np.ndarray | None = None
     recolor: np.ndarray | None = None
     bandwidth: BandwidthOutcome | None = None
@@ -144,8 +143,8 @@ class OmegaBlock(NamedTuple):
     outcome there, None when step 1 failed first.  ``defined`` indexes the
     well-defined responses in block order, and the arrays stack their
     pieces along a leading axis, in that order: the VAR residuals ``Z``,
-    the recoloring inverse ``recolor``, ``B`` and ``omega``;
-    ``definiteness`` lists their classes.
+    the recoloring inverse ``recolor`` and ``omega``; ``definiteness``
+    lists their classes, read from the row rank of ``B``.
     """
 
     reasons: list
@@ -153,7 +152,6 @@ class OmegaBlock(NamedTuple):
     defined: list
     Z: np.ndarray
     recolor: np.ndarray
-    B: np.ndarray
     omega: np.ndarray
     definiteness: list
 
@@ -187,11 +185,11 @@ class OmegaEngine:
         self._resid_tol = max(n, k) * EPS
         # B has rank at most m - kp: see _definiteness
         self._rank_cap = max(n - config.p - k * config.p, 0)
-        # the stacks of a block without a well-defined response: Z, recolor,
-        # B and omega
+        # the stacks of a block without a well-defined response: Z, recolor
+        # and omega
         m, q = n - config.p, problem.q
         self._no_stacks = tuple(np.empty((0,) + shape) for shape in
-                                ((k, m), (k, k), (q, m), (q, q)))
+                                ((k, m), (k, k), (q, q)))
 
     def _fit(self, Y: np.ndarray):
         """Step 1 at every row of Y: ``(rows, V1, A, Z, recolor, regular)``.
@@ -267,7 +265,7 @@ class OmegaEngine:
             rows = [rows[j] for j in keep]
         B = (self.g @ recolor) @ Z
         omega = symmetrize(n * _kernel_lag_sum(B, config.kernel, ms))
-        return OmegaBlock(reasons, bandwidths, rows, Z, recolor, B, omega,
+        return OmegaBlock(reasons, bandwidths, rows, Z, recolor, omega,
                           _definiteness(B, self._rank_cap))
 
     def outcome(self, y: np.ndarray) -> OmegaOutcome:
@@ -277,7 +275,7 @@ class OmegaEngine:
         if reason is not None:
             return OmegaOutcome(reason=reason, bandwidth=bw)
         return OmegaOutcome(
-            omega=block.omega[0], B=block.B[0], Z=block.Z[0], recolor=block.recolor[0],
+            omega=block.omega[0], Z=block.Z[0], recolor=block.recolor[0],
             bandwidth=bw, kernel=self.config.kernel, definiteness=block.definiteness[0],
         )
 

@@ -296,9 +296,11 @@ def toeplitz_statistic_oracle(problem, outcome, kernel_fn):
     """The statistic's covariance through its Toeplitz representation.
 
     Omega = (n / m) * B W B' where W_ij = kappa(|i - j| / M) (identity when
-    M = 0).  Independent of the lag-sum assembly used by the library.
+    M = 0), with ``B = R (X'X)^{-1} recolor Z`` built here from the
+    problem and the outcome's ``recolor`` and ``Z``.  Independent of the
+    lag-sum assembly used by the library.
     """
-    B = outcome.B
+    B = problem.R @ np.linalg.solve(problem.X.T @ problem.X, outcome.recolor @ outcome.Z)
     q, m = B.shape
     n = problem.n
     mv = outcome.bandwidth.m

@@ -393,7 +393,7 @@ def test_adjusted_test_calibrates_controls_size_and_recovers_power():
     _passed(
         "calibrated augmented test",
         f"C={cal.critical_value:.4f}, calibrated size {cal.size:.4f}, "
-        f"validation max {validation.max_rate:.4f}, powers "
+        f"validation max {max(p.rate for p in validation.points):.4f}, powers "
         + ", ".join(f"rho={r:g}: {p:.3f}" for r, p in powers.items())
         + f", {elapsed:.0f}s",
     )

@@ -15,7 +15,6 @@ from hactest.bandwidth import (
     RHO_UNDEFINED,
     RHO_UNIT,
     SIGMA_ALL_ZERO,
-    _nw_weights,
     bandwidth_am,
     bandwidth_kv,
     bandwidth_nw,
@@ -88,11 +87,6 @@ class TestRuleValidation:
             NeweyWestRule(cbar1=0, cbar2=1.0, cbar3=0.2)
         with pytest.raises(ValueError):
             NeweyWestRule(cbar1=1.5, cbar2=1.0, cbar3=0.2)
-        with pytest.raises(ValueError):
-            NeweyWestRule(cbar1=1, cbar2=1.0, cbar3=0.2, weights=(0.5, 1.0))
-        with pytest.raises(ValueError):
-            NeweyWestRule(cbar1=1, cbar2=1.0, cbar3=0.2, weights=-2)
-        NeweyWestRule(cbar1=1, cbar2=1.0, cbar3=0.2, weights=(1.0, 0.5, 0.25))
 
     def test_fixed_b(self):
         with pytest.raises(ValueError):
@@ -187,6 +181,20 @@ class TestAndrewsBandwidth:
             assert got.m == pytest.approx(want, rel=1e-12)
 
 
+#: the n at which the rectangular cutoff is 1, 2, 3 and 4 lags
+N_BY_CUTOFF = {1: (3, 4), 2: (5, 27), 3: (28, 99), 4: (100, 160)}
+
+
+def draw_shape(rng, cutoff):
+    """(n, m): an n whose rectangular cutoff is ``cutoff`` lags, and m = n - p
+    residual columns for a p in 1 .. 3 that leaves m >= 2, so at the
+    smallest n the cutoff can reach past the last lag."""
+    lo, hi = N_BY_CUTOFF[cutoff]
+    n = int(rng.integers(lo, hi + 1))
+    assert rectangular_cutoff_oracle(n) == cutoff
+    return n, n - int(rng.integers(1, min(3, n - 2) + 1))
+
+
 class TestNeweyWestBandwidth:
     def test_rectangular_cutoff_values(self):
         assert rectangular_cutoff(100) == 4
@@ -201,62 +209,43 @@ class TestNeweyWestBandwidth:
         assert out.reason == DENOMINATOR_ZERO
 
     def test_denominator_zero_by_exact_cancellation(self):
-        # sbar_0 = 9 and sbar_1 = -4.5, so w = (1, 1) cancels the
-        # denominator exactly in floating point
-        rule = NeweyWestRule(cbar1=1, cbar2=1.1447, cbar3=1.0 / 3.0, weights=(1.0, 1.0))
-        out = bandwidth_nw(np.array([[3.0, -3.0]]), rule, 3)
+        # sbar_0 = 9 and sbar_1 = -4.5, and at n = 3 the cutoff is lag 1, so
+        # the weights (1, 1) cancel the denominator exactly in floating point
+        assert rectangular_cutoff(3) == 1
+        out = bandwidth_nw(np.array([[3.0, -3.0]]), default_rule("newey-west", "bartlett"), 3)
         assert out.reason == DENOMINATOR_ZERO
 
     def test_matches_oracle_on_random_matrices(self, rng):
         for trial in range(50):
+            n, m = draw_shape(rng, cutoff=trial % 4 + 1)
             k = int(rng.integers(1, 4))
-            m = int(rng.integers(3, 30))
             Z = rng.standard_normal((k, m))
-            n = m + int(rng.integers(1, 3))
             cbar1 = int(rng.integers(1, 3))
             cbar2 = float(rng.uniform(0.5, 3.0))
             cbar3 = float(rng.uniform(0.1, 0.6))
-            if trial % 3 == 0:
-                weights = None
-                wlist = [1.0] * (rectangular_cutoff_oracle(n) + 1)
-            elif trial % 3 == 1:
-                cutoff = int(rng.integers(0, 6))
-                weights = cutoff
-                wlist = [1.0] * (cutoff + 1)
-            else:
-                wlist = [1.0] + [float(v) for v in rng.uniform(0.0, 1.0, size=4)]
-                weights = tuple(wlist)
-            rule = NeweyWestRule(cbar1=cbar1, cbar2=cbar2, cbar3=cbar3, weights=weights)
+            wlist = [1.0] * (rectangular_cutoff_oracle(n) + 1)
+            rule = NeweyWestRule(cbar1=cbar1, cbar2=cbar2, cbar3=cbar3)
             got = bandwidth_nw(Z, rule, n)
             status, want = nw_bandwidth_oracle(Z, np.ones(k), cbar1, cbar2, cbar3, wlist, n)
             assert status == "ok" and got.is_defined
             assert got.m == pytest.approx(want, rel=1e-12)
 
     def test_weighted_lags_only_is_bitwise_the_full_lag_sum(self, rng):
-        # zero-weight lags contributed exact zeros to both sums, so skipping
-        # their autocovariances leaves M bitwise unchanged
+        # lags past the cutoff contributed exact zeros to both sums, so
+        # skipping their autocovariances leaves M bitwise unchanged
         for trial in range(240):
+            n, m = draw_shape(rng, cutoff=trial % 4 + 1)
             k = int(rng.integers(1, 5))
-            m = int(rng.integers(2, 121))
-            n = m + int(rng.integers(1, 4))
             Z = rng.standard_normal((k, m))
-            if trial % 3 == 0:
-                weights = None
-            elif trial % 3 == 1:
-                weights = int(rng.integers(0, m + 2))
-            else:
-                w = rng.uniform(0.0, 1.0, size=int(rng.integers(1, m + 3)))
-                w[rng.random(w.size) < 0.5] = 0.0  # interior zeros
-                w[0] = 1.0
-                weights = tuple(w)
+            w = np.zeros(m)
+            w[: rectangular_cutoff_oracle(n) + 1] = 1.0
             omega = rng.uniform(0.0, 2.0, size=k)
             omega[int(rng.integers(0, k))] = 1.0
             rule = NeweyWestRule(cbar1=int(rng.integers(1, 3)), cbar2=float(rng.uniform(0.5, 3.0)),
-                                 cbar3=float(rng.uniform(0.1, 0.6)), omega=tuple(omega),
-                                 weights=weights)
+                                 cbar3=float(rng.uniform(0.1, 0.6)), omega=tuple(omega))
             got = bandwidth_nw(Z, rule, n)
-            want = nw_bandwidth_full_lag_oracle(Z, omega, _nw_weights(rule, m, n),
-                                                rule.cbar1, rule.cbar2, rule.cbar3, n)
+            want = nw_bandwidth_full_lag_oracle(Z, omega, w, rule.cbar1, rule.cbar2,
+                                                rule.cbar3, n)
             assert got.is_defined and got.m == want
 
     def test_omega_projection_changes_the_series(self, rng):

@@ -13,7 +13,6 @@ from hactest import (
     BARTLETT,
     EstimatorConfig,
     FixedBRule,
-    NeweyWestRule,
     RegressionProblem,
     alternating_vector,
     build_adjusted,
@@ -155,7 +154,6 @@ def degenerate_fixtures():
     flat = RegressionProblem([[-1.0, 2.0], [2.0, -2.0], [-1.0, 2.0], [2.0, -2.0]],
                              np.eye(2), np.zeros(2))
     fixed = EstimatorConfig(BARTLETT, FixedBRule(b=0.5), p=1)
-    nw_cancel = NeweyWestRule(cbar1=1, cbar2=1.1447, cbar3=1.0 / 3.0, weights=(1.0, 1.0))
     return [
         ("in-span", problem, fixed, problem.X @ np.array([0.7, -2.0]), VAR_RANK_DEFICIENT, None),
         ("var-rank", intercept_problem(), andrews(2), alternating_vector(8), VAR_RANK_DEFICIENT,
@@ -169,7 +167,8 @@ def degenerate_fixtures():
         ("sigma-zero", intercept_problem(), andrews(2),
          np.array([0.0, 0, -1.0, 1.0, 0, -1.0, 1.0, 0]), BANDWIDTH_UNDEFINED, SIGMA_ALL_ZERO),
         ("denominator-zero", RegressionProblem(np.ones((3, 1)), [[1.0]], [0.0]),
-         EstimatorConfig(BARTLETT, nw_cancel, p=1), np.array([2.0, 2.0, -4.0]),
+         EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1),
+         np.array([2.0, 2.0, -4.0]),
          BANDWIDTH_UNDEFINED, DENOMINATOR_ZERO),
         ("plug-in-not-finite", problem,
          EstimatorConfig(get_kernel("qs"), default_rule("andrews", "qs"), p=1), y30 * 1e-160,

@@ -317,6 +317,18 @@ class TestAdjust:
         assert [line for line in lines if line.startswith("scenario:")] == ["scenario: 1"]
         assert "reject: false" in lines
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("c", ["2.5", "nan"])
+    def test_critical_value_without_response_exits_two(self, runner, design_files, c,
+                                                        json_flag):
+        # these used to exit 0 and drop C, even a NaN one
+        result = runner.invoke(main, [
+            "adjust", "--x", design_files["x"], "--R", "0,1", "--rule", "fixed-b",
+            f"--C={c}", *json_flag,
+        ])
+        assert result.exit_code == 2
+        assert "--C needs --y" in result.output
+
     def test_refuses_when_unnecessary(self, runner, calibratable_files):
         result = runner.invoke(main, [
             "adjust", "--x", calibratable_files["x"], "--R", "0,0,1",

@@ -42,6 +42,11 @@ def calibratable_problem(rng, n=12):
     return RegressionProblem(X, np.array([[0.0, 0.0, 1.0]]), np.zeros(1))
 
 
+def largest_rate(curve):
+    """The largest rate of a curve: at distance 0 alone, the empirical size."""
+    return max(p.rate for p in curve.points)
+
+
 class TestSimulateStatistics:
     def test_equal_seeds_are_bitwise_equal(self, rng):
         problem, _ = random_problem(rng, n=10, k=2)
@@ -148,18 +153,19 @@ class TestRates:
         assert all(p.rate == 1.0 and p.ci == 0.0 for p in curve.points)
 
     def test_empirical_size_reports_the_worst_member(self, rng):
-        # the empirical size is the null curve's max_rate; each member's rate
-        # is its one-member curve
+        # the empirical size is the null curve's largest rate; each member's
+        # rate is its one-member curve
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=2, family=AR1Grid((0.0, 0.9)))
         curve = power_curve(problem, mc, 3.0, (0.0,), est_config=CONFIG)
         alone = [
-            power_curve(problem, McConfig(replications=100, seed=2, family=AR1Grid((rho,))),
-                        3.0, (0.0,), est_config=CONFIG).max_rate
+            largest_rate(power_curve(
+                problem, McConfig(replications=100, seed=2, family=AR1Grid((rho,))),
+                3.0, (0.0,), est_config=CONFIG))
             for rho in (0.0, 0.9)
         ]
         assert [p.rate for p in curve.points] == alone
-        assert curve.max_rate == max(alone)
+        assert largest_rate(curve) == max(alone)
         assert [p.label for p in curve.points] == ["0", "0.9"]
         assert all(p.distance == 0.0 for p in curve.points)
 
@@ -189,15 +195,15 @@ class TestCalibration:
         assert max(result.rates.values()) == result.size
         # the reported size is reproducible through the public rate API
         null = power_curve(problem, mc, result.critical_value, (0.0,), est_config=CONFIG)
-        assert null.max_rate == result.size
+        assert largest_rate(null) == result.size
 
     def test_size_is_monotone_in_the_critical_value(self, rng):
         problem = calibratable_problem(rng)
         mc = McConfig(replications=150, seed=4, family=AR1Grid((0.0, 0.9)))
         result = calibrate_critical_value(problem, mc, 0.1, est_config=CONFIG)
         c = result.critical_value
-        low = power_curve(problem, mc, c / 2.0, (0.0,), est_config=CONFIG).max_rate
-        high = power_curve(problem, mc, 2.0 * c, (0.0,), est_config=CONFIG).max_rate
+        low = largest_rate(power_curve(problem, mc, c / 2.0, (0.0,), est_config=CONFIG))
+        high = largest_rate(power_curve(problem, mc, 2.0 * c, (0.0,), est_config=CONFIG))
         assert low >= result.size >= high
 
     @pytest.mark.parametrize("family", [AR1Grid((0.6, 0.9)), AR1Grid((0.3, -0.5))])
@@ -349,7 +355,6 @@ class TestPowerCurve:
         by_distance = {p.distance: p.rate for p in curve.points}
         assert by_distance[0.0] <= calib.delta
         assert by_distance[4.0] > by_distance[0.0]
-        assert curve.max_rate == max(by_distance.values())
 
     def test_each_replication_is_drawn_once_per_member(self, rng, monkeypatch):
         # a call maps a block of replications; count the rows it maps
@@ -442,7 +447,7 @@ class TestPowerCurve:
                     reps=mc.replications, seed=mc.seed, est_config=CONFIG,
                 )
                 point = next(points)
-                assert (point.rho, point.distance) == (rho, d)
+                assert (float(point.label), point.distance) == (rho, d)
                 assert point.rate == np.mean(stats >= 2.0)
 
     def test_points_iterate_member_major(self, rng):
@@ -479,8 +484,8 @@ class TestPowerCurve:
     @pytest.mark.parametrize("distances", [[], (), 2.0, [[0.0, 1.0]]],
                              ids=["empty-list", "empty-tuple", "scalar", "2-D"])
     def test_distances_must_be_a_non_empty_sequence(self, rng, monkeypatch, distances):
-        # [] used to simulate the whole family and return a curve whose
-        # max_rate raised; a scalar or a nested list raised TypeError
+        # [] used to simulate the whole family and return a curve with no
+        # point; a scalar or a nested list raised TypeError
         def no_simulation(*args):
             raise AssertionError("simulated before validating distances")
 
@@ -502,7 +507,7 @@ class TestPowerCurve:
         mc = McConfig(replications=100, seed=15, family=AR1Grid((0.9999991, 0.9999992)))
         curve = power_curve(problem, mc, 3.0, (0.0,), est_config=CONFIG)
         assert [p.label for p in curve.points] == ["0.9999991", "0.9999992"]
-        assert [float(p.label) for p in curve.points] == [p.rho for p in curve.points]
+        assert [float(p.label) for p in curve.points] == list(mc.family.rhos)
 
 
 def shared_design(rng, n=24):

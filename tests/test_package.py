@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 
+import pytest
+
 import hactest
 
 
@@ -16,8 +18,8 @@ def test_public_names_resolve_and_removed_ones_stay_gone():
 
 
 def test_single_path_names_and_dead_fields_stay_gone():
-    # the empirical size is power_curve(..., (0.0,)).max_rate; null_point
-    # returns beta0; the AR(1) sampler, Gamma_i, the MA(d) correlation
+    # the empirical size is the largest rate of power_curve(..., (0.0,));
+    # null_point returns beta0; the AR(1) sampler, Gamma_i, the MA(d) correlation
     # matrix, the scalar kernel evaluation and the stand-alone gradient
     # check live in tests/oracles.py; the bandwidth rules stay behind
     # compute_bandwidth in hactest.bandwidth; an outcome holds the two
@@ -42,12 +44,24 @@ def test_single_path_names_and_dead_fields_stay_gone():
     # a result holds the statistic and the estimate behind it; the decision
     # against C, and the scenario of an adjusted problem, are the caller's
     assert field_names(hactest.TestResult) == {"t_value", "defined", "omega", "discrepancy"}
-    # the bandwidth value is read from the rule outcome, and the VAR
-    # regressors and coefficients stay inside the engine
+    # the bandwidth value is read from the rule outcome, the VAR
+    # regressors and coefficients stay inside the engine, and B, whose row
+    # rank is the definiteness class, is not kept beside that class
     assert field_names(hactest.OmegaOutcome) == {
-        "reason", "omega", "B", "Z", "recolor", "bandwidth", "kernel", "definiteness"}
+        "reason", "omega", "Z", "recolor", "bandwidth", "kernel", "definiteness"}
     assert set(hactest.prewhiten.OmegaBlock._fields) == {
-        "reasons", "bandwidths", "defined", "Z", "recolor", "B", "omega", "definiteness"}
+        "reasons", "bandwidths", "defined", "Z", "recolor", "omega", "definiteness"}
+    # a curve point names its member by label alone, which reads back as
+    # its rho, and a curve's largest rate is its reader's to take
+    assert field_names(hactest.CurvePoint) == {"label", "distance", "rate", "ci"}
+    assert not hasattr(hactest.SizePowerCurve, "max_rate")
+    # the Newey-West rule weighs lags by Newey and West's rectangular cutoff
+    # alone, with no integer cutoff or explicit lag weights
+    assert field_names(hactest.NeweyWestRule) == {"cbar1", "cbar2", "cbar3", "omega"}
+    with pytest.raises(TypeError):
+        hactest.NeweyWestRule(cbar1=1, cbar2=1.0, cbar3=0.2, weights=(1.0, 1.0))
+    with pytest.raises(TypeError):
+        hactest.NeweyWestRule(cbar1=1, cbar2=1.0, cbar3=0.2, weights=3)
     # an outcome's status is read from its reason, never stored beside it
     assert "status" not in field_names(hactest.OmegaOutcome)
     assert hactest.OmegaOutcome(reason=hactest.VAR_RANK_DEFICIENT).status == "undefined"

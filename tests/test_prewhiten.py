@@ -10,7 +10,6 @@ from hactest import (
     AndrewsRule,
     EstimatorConfig,
     FixedBRule,
-    NeweyWestRule,
     OmegaEngine,
     RegressionProblem,
     assemble_omega,
@@ -249,12 +248,12 @@ class TestOmegaOutcome:
         assert out.bandwidth is None
 
     def test_bandwidth_undefined_carries_sub_reason(self):
-        # Z = (3, -3) for this response, and lag weights (1, 1) cancel the
-        # bandwidth denominator exactly
+        # Z = (3, -3) for this response, and the rule's lag weights at n = 3,
+        # (1, 1), cancel the bandwidth denominator exactly
         X = np.ones((3, 1))
         problem = RegressionProblem(X, np.array([[1.0]]), np.zeros(1))
         y = np.array([2.0, 2.0, -4.0])
-        rule = NeweyWestRule(cbar1=1, cbar2=1.1447, cbar3=1.0 / 3.0, weights=(1.0, 1.0))
+        rule = default_rule("newey-west", "bartlett")
         out = assemble_omega(problem, y, EstimatorConfig(BARTLETT, rule, p=1))
         assert out.reason == BANDWIDTH_UNDEFINED
         assert out.bandwidth is not None
@@ -284,12 +283,9 @@ class TestOmegaOutcome:
             assert out.status == WELL_DEFINED
             assert out.omega.shape == (problem.q, problem.q)
             assert out.psi.shape == (2, 2)
-            assert out.B.shape == (problem.q, 15)
             assert np.array_equal(out.omega, out.omega.T)
             assert np.array_equal(out.psi, out.psi.T)
             assert out.Z.shape == (2, 15) and out.recolor.shape == (2, 2)
-            want_b = problem.R @ np.linalg.solve(problem.X.T @ problem.X, out.recolor @ out.Z)
-            assert np.allclose(out.B, want_b, rtol=1e-10, atol=1e-12)
 
     def test_matches_toeplitz_representation(self, rng):
         for config in config_grid():
