@@ -87,11 +87,18 @@ def _validate_omega_field(omega):
             raise ValueError(f"unknown omega preset {omega!r}; presets: {OMEGA_PRESETS}")
         return omega
     out = tuple(float(v) for v in np.atleast_1d(np.asarray(omega, dtype=float)))
+    if not all(map(math.isfinite, out)):
+        raise ValueError("omega weights must be finite")
     if any(v < 0 for v in out):
         raise ValueError("omega weights must be nonnegative")
     if not any(v > 0 for v in out):
         raise ValueError("omega weights must not be all zero")
     return out
+
+
+def _check_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -103,11 +110,13 @@ class AndrewsRule:
     j : {1, 2}
         Which weighted ratio of fitted AR(1) parameters to use.
     c1, c2 : float
-        Positive constants; see :func:`default_rule` for the per-kernel
-        defaults.
+        Positive finite constants; see :func:`default_rule` for the
+        per-kernel defaults.
     omega : "ones", "zero-first", or sequence of float
-        Nonnegative row weights (not all zero), resolved against the row
-        count of Z when the bandwidth is computed.
+        Nonnegative finite row weights (not all zero), resolved against the
+        row count of Z when the bandwidth is computed.
+
+    A constant or weight out of range raises ValueError naming it.
     """
 
     j: int
@@ -118,10 +127,8 @@ class AndrewsRule:
     def __post_init__(self):
         if self.j not in (1, 2):
             raise ValueError(f"j must be 1 or 2, got {self.j}")
-        if not self.c1 > 0:
-            raise ValueError(f"c1 must be positive, got {self.c1}")
-        if not self.c2 > 0:
-            raise ValueError(f"c2 must be positive, got {self.c2}")
+        _check_positive("c1", self.c1)
+        _check_positive("c2", self.c2)
         object.__setattr__(self, "omega", _validate_omega_field(self.omega))
 
 
@@ -134,7 +141,9 @@ class NeweyWestRule:
     each with rectangular weight 1: Newey & West's (1994) cutoff.
 
     ``cbar1`` must be a positive integer (a zero exponent is not a valid
-    member of this rule family).
+    member of this rule family), ``cbar2`` and ``cbar3`` positive and
+    finite, and the ``omega`` weights as for :class:`AndrewsRule`; anything
+    else raises ValueError naming the field.
     """
 
     cbar1: int
@@ -145,17 +154,16 @@ class NeweyWestRule:
     def __post_init__(self):
         if not (isinstance(self.cbar1, (int, np.integer)) and self.cbar1 >= 1):
             raise ValueError(f"cbar1 must be a positive integer, got {self.cbar1}")
-        if not self.cbar2 > 0:
-            raise ValueError(f"cbar2 must be positive, got {self.cbar2}")
-        if not self.cbar3 > 0:
-            raise ValueError(f"cbar3 must be positive, got {self.cbar3}")
+        _check_positive("cbar2", self.cbar2)
+        _check_positive("cbar3", self.cbar3)
         object.__setattr__(self, "cbar1", int(self.cbar1))
         object.__setattr__(self, "omega", _validate_omega_field(self.omega))
 
 
 @dataclass(frozen=True)
 class FixedBRule:
-    """Deterministic bandwidth: ``M = b * (n - p)`` with b in (0, 1], or a constant m."""
+    """Deterministic bandwidth: ``M = b * (n - p)`` with b in (0, 1], or a
+    positive finite constant m; anything else raises ValueError."""
 
     b: float | None = None
     m: float | None = None
@@ -165,8 +173,8 @@ class FixedBRule:
             raise ValueError("specify exactly one of b (fraction) or m (explicit bandwidth)")
         if self.b is not None and not 0.0 < self.b <= 1.0:
             raise ValueError(f"b must lie in (0, 1], got {self.b}")
-        if self.m is not None and not self.m > 0:
-            raise ValueError(f"explicit bandwidth must be positive, got {self.m}")
+        if self.m is not None:
+            _check_positive("explicit bandwidth m", self.m)
 
 
 BandwidthRule = AndrewsRule | NeweyWestRule | FixedBRule

@@ -11,9 +11,15 @@ including honestly-undefined estimates — 2 on contract violations (bad
 shapes, parameters out of range, unreadable files), and 3 when a requested
 procedure is refused (adjustment not applicable, calibration that no
 critical value can make honest).
+
+The option decorators hand each command built objects: the problem (and
+response), the ``EstimatorConfig`` and the ``McConfig``.  A rule flag sets
+that field over the rule's default constants, and the rule class alone
+validates every constant.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -27,7 +33,6 @@ from .bandwidth import (
     RULE_NAMES,
     AndrewsRule,
     FixedBRule,
-    NeweyWestRule,
     default_rule,
 )
 from .diagnostics import diagnose as run_diagnose
@@ -64,68 +69,47 @@ def _parse_vector(spec: str, header: bool = False) -> np.ndarray:
     return _parse_matrix(spec, header).ravel()
 
 
-def _parse_omega(text: str):
-    if text in OMEGA_PRESETS:
-        return text
-    return tuple(float(v) for v in text.split(","))
-
-
 def _parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
-def _build_rule(rule_name, kernel_name, omega, b_frac, m_value, c1, c2, c3, j_exp):
-    reads = {
-        "fixed-b": ("--b", "--m"),
-        "andrews": ("--j", "--c1", "--c2", "--omega"),
-        "newey-west": ("--c1", "--c2", "--c3", "--omega"),
-    }[rule_name]
-    given = {"--b": b_frac, "--m": m_value, "--c1": c1, "--c2": c2, "--c3": c3, "--j": j_exp,
-             "--omega": omega}
-    unread = [flag for flag, v in given.items() if v is not None and flag not in reads]
+#: per rule, the field each flag it reads sets; any other flag is refused
+_RULE_FIELDS = {
+    "andrews": {"--j": "j", "--c1": "c1", "--c2": "c2", "--omega": "omega"},
+    "newey-west": {"--c1": "cbar1", "--c2": "cbar2", "--c3": "cbar3", "--omega": "omega"},
+    "fixed-b": {"--b": "b", "--m": "m"},
+}
+
+
+def _build_rule(rule_name, kernel_name, flags):
+    """``default_rule(rule_name, kernel_name)`` with the given flags' fields
+    set over it; ``flags`` maps each flag to its value, None if not given.
+    The rule class validates every constant."""
+    reads = _RULE_FIELDS[rule_name]
+    given = {flag: v for flag, v in flags.items() if v is not None}
+    unread = [flag for flag in given if flag not in reads]
     if unread:
         raise ValueError(f"the {rule_name} rule does not read {', '.join(unread)}")
-    if b_frac is not None and m_value is not None:
+    if "--b" in given and "--m" in given:
         raise ValueError("pass one of --b and --m, not both")
-    omega_val = _parse_omega(omega if omega is not None else "ones")
-    if rule_name == "fixed-b":
-        if m_value is not None:
-            return FixedBRule(m=m_value)
-        return FixedBRule(b=b_frac if b_frac is not None else 1.0)
-    if rule_name == "andrews":
-        overrides = (j_exp, c1, c2)
-        if all(v is not None for v in overrides):
-            return AndrewsRule(j=j_exp, c1=c1, c2=c2, omega=omega_val)
-        try:
-            base = default_rule("andrews", kernel_name, omega_val)
-        except ValueError as exc:
+    fields = {reads[flag]: v for flag, v in given.items()}
+    if "omega" in fields and fields["omega"] not in OMEGA_PRESETS:
+        fields["omega"] = _parse_floats(fields["omega"])
+    if "cbar1" in fields and fields["cbar1"].is_integer():
+        fields["cbar1"] = int(fields["cbar1"])
+    if "m" in fields:
+        fields["b"] = None  # an explicit bandwidth replaces the default fraction
+    try:
+        base = default_rule(rule_name, kernel_name)
+    except ValueError as exc:
+        # only the andrews rule lacks default constants, for some kernels
+        if not {"j", "c1", "c2"} <= fields.keys():
             raise ValueError(
                 f"no default autoregressive plug-in constants for kernel "
                 f"{kernel_name!r}; pass --j, --c1 and --c2 ({exc})"
-            )
-        return AndrewsRule(
-            j=j_exp if j_exp is not None else base.j,
-            c1=c1 if c1 is not None else base.c1,
-            c2=c2 if c2 is not None else base.c2,
-            omega=omega_val,
-        )
-    base = default_rule("newey-west", kernel_name, omega_val)
-    if c1 is not None and c1 != int(c1):
-        raise ValueError(f"--c1 must be a positive integer for the newey-west rule, got {c1}")
-    return NeweyWestRule(
-        cbar1=int(c1) if c1 is not None else base.cbar1,
-        cbar2=c2 if c2 is not None else base.cbar2,
-        cbar3=c3 if c3 is not None else base.cbar3,
-        omega=omega_val,
-    )
-
-
-def _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp):
-    return EstimatorConfig(
-        kernel=get_kernel(kernel),
-        rule=_build_rule(rule, kernel, omega, b_frac, m_value, c1, c2, c3, j_exp),
-        p=p,
-    )
+            ) from None
+        return AndrewsRule(**fields)
+    return dataclasses.replace(base, **fields)
 
 
 def _emit(payload, as_json: bool, out: str | None, human_lines):
@@ -156,65 +140,81 @@ def _friendly(fn):
     return wrapper
 
 
-def _data_options(y_mode: str = "required"):
+def _with_options(fn, options):
+    for option in options:
+        fn = option(fn)
+    return fn
+
+
+def _problem_options(y_mode: str = "required", require_restriction: bool = True):
+    """Data and hypothesis flags, handed to the command as ``problem``, plus
+    ``y`` (None without an optional --y) unless ``y_mode`` is "none", and
+    ``restricted`` (was --R given) when --R is optional."""
     def wrap(fn):
-        fn = click.option(
-            "--x", "x_spec", required=True,
-            help="design matrix: CSV path or inline 'a,b;c,d'",
-        )(fn)
+        @functools.wraps(fn)
+        def build(x_spec, header, restriction_spec, target_spec, y_spec=None, **rest):
+            X = _parse_matrix(x_spec, header)
+            if restriction_spec is None:
+                R = np.eye(X.shape[1])
+            else:
+                R = _parse_matrix(restriction_spec, header)
+            r = np.zeros(R.shape[0]) if target_spec is None else _parse_vector(target_spec, header)
+            problem = RegressionProblem(X, R, r)
+            if y_mode != "none":
+                rest["y"] = None if y_spec is None else _parse_vector(y_spec, header)
+            if not require_restriction:
+                rest["restricted"] = restriction_spec is not None
+            return fn(problem=problem, **rest)
+
+        options = [
+            click.option("--R", "restriction_spec", required=require_restriction,
+                         help="restriction matrix (q x k): CSV path or inline literal"),
+            click.option("--r", "target_spec", default=None,
+                         help="restriction target vector (default: zeros)"),
+            click.option("--x", "x_spec", required=True,
+                         help="design matrix: CSV path or inline 'a,b;c,d'"),
+        ]
         if y_mode != "none":
-            fn = click.option(
-                "--y", "y_spec", required=y_mode == "required",
-                help="response vector: CSV path or inline 'a,b,c'",
-            )(fn)
-        fn = click.option(
-            "--header", is_flag=True, help="input CSV files carry a header row"
-        )(fn)
-        return fn
-
-    return wrap
-
-
-def _hypothesis_options(require_restriction: bool = True):
-    def wrap(fn):
-        fn = click.option(
-            "--R", "restriction_spec", required=require_restriction,
-            help="restriction matrix (q x k): CSV path or inline literal",
-        )(fn)
-        fn = click.option(
-            "--r", "target_spec", default=None,
-            help="restriction target vector (default: zeros)",
-        )(fn)
-        return fn
+            options.append(click.option("--y", "y_spec", required=y_mode == "required",
+                                        help="response vector: CSV path or inline 'a,b,c'"))
+        options.append(click.option("--header", is_flag=True,
+                                    help="input CSV files carry a header row"))
+        return _with_options(build, options)
 
     return wrap
 
 
 def _estimator_options(fn):
-    fn = click.option(
-        "--kernel", type=click.Choice(list(kernel_names())), default="bartlett",
-        show_default=True, help="smoothing kernel",
-    )(fn)
-    fn = click.option(
-        "--rule", type=click.Choice(list(RULE_NAMES)), default="andrews",
-        show_default=True, help="bandwidth rule",
-    )(fn)
-    fn = click.option("--p", type=int, default=1, show_default=True,
-                      help="VAR prewhitening order")(fn)
-    fn = click.option("--omega", default=None,
-                      help="score weights of the andrews and newey-west rules: "
-                           "'ones' (default), 'zero-first', or comma list")(fn)
-    fn = click.option("--b", "b_frac", type=float, default=None,
-                      help="fixed-b bandwidth fraction of n - p")(fn)
-    fn = click.option("--m", "m_value", type=float, default=None,
-                      help="explicit fixed bandwidth value")(fn)
-    fn = click.option("--c1", type=float, default=None, help="bandwidth rule constant")(fn)
-    fn = click.option("--c2", type=float, default=None, help="bandwidth rule constant")(fn)
-    fn = click.option("--c3", type=float, default=None,
-                      help="bandwidth rule exponent (newey-west)")(fn)
-    fn = click.option("--j", "j_exp", type=int, default=None,
-                      help="plug-in derivative order (andrews)")(fn)
-    return fn
+    """The estimator flags, handed to the command as ``config``."""
+    @functools.wraps(fn)
+    def build(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp, **rest):
+        flags = {"--b": b_frac, "--m": m_value, "--c1": c1, "--c2": c2, "--c3": c3,
+                 "--j": j_exp, "--omega": omega}
+        config = EstimatorConfig(kernel=get_kernel(kernel),
+                                 rule=_build_rule(rule, kernel, flags), p=p)
+        return fn(config=config, **rest)
+
+    return _with_options(build, [
+        click.option("--kernel", type=click.Choice(list(kernel_names())), default="bartlett",
+                     show_default=True, help="smoothing kernel"),
+        click.option("--rule", type=click.Choice(list(RULE_NAMES)), default="andrews",
+                     show_default=True, help="bandwidth rule"),
+        click.option("--p", type=int, default=1, show_default=True,
+                     help="VAR prewhitening order"),
+        click.option("--omega", default=None,
+                     help="score weights of the andrews and newey-west rules: "
+                          "'ones' (default), 'zero-first', or comma list"),
+        click.option("--b", "b_frac", type=float, default=None,
+                     help="fixed-b bandwidth fraction of n - p"),
+        click.option("--m", "m_value", type=float, default=None,
+                     help="explicit fixed bandwidth value"),
+        click.option("--c1", type=float, default=None, help="bandwidth rule constant"),
+        click.option("--c2", type=float, default=None, help="bandwidth rule constant"),
+        click.option("--c3", type=float, default=None,
+                     help="bandwidth rule exponent (newey-west)"),
+        click.option("--j", "j_exp", type=int, default=None,
+                     help="plug-in derivative order (andrews)"),
+    ])
 
 
 def _output_options(fn):
@@ -224,30 +224,20 @@ def _output_options(fn):
 
 
 def _mc_options(fn):
-    fn = click.option("--reps", type=int, default=1000, show_default=True,
-                      help="Monte Carlo replications")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="base seed (replication idx uses (seed, idx))")(fn)
-    fn = click.option("--rho-grid", default=None,
-                      help="comma-separated AR(1) grid (default: built-in grid)")(fn)
-    return fn
+    """Monte Carlo flags, handed to the command as ``mc``."""
+    @functools.wraps(fn)
+    def build(reps, seed, rho_grid, **rest):
+        grid = DEFAULT_RHO_GRID if rho_grid is None else _parse_floats(rho_grid)
+        return fn(mc=McConfig(replications=reps, seed=seed, family=AR1Grid(grid)), **rest)
 
-
-def _problem_from(x_spec, restriction_spec, target_spec, header):
-    X = _parse_matrix(x_spec, header)
-    k = X.shape[1]
-    if restriction_spec is None:
-        R = np.eye(k)
-    else:
-        R = _parse_matrix(restriction_spec, header)
-    r = np.zeros(R.shape[0]) if target_spec is None else _parse_vector(target_spec, header)
-    return RegressionProblem(X, R, r)
-
-
-def _family_from(rho_grid):
-    if rho_grid is None:
-        return AR1Grid(DEFAULT_RHO_GRID)
-    return AR1Grid(_parse_floats(rho_grid))
+    return _with_options(build, [
+        click.option("--reps", type=int, default=1000, show_default=True,
+                     help="Monte Carlo replications"),
+        click.option("--seed", type=int, default=0, show_default=True,
+                     help="base seed (replication idx uses (seed, idx))"),
+        click.option("--rho-grid", default=None,
+                     help="comma-separated AR(1) grid (default: built-in grid)"),
+    ])
 
 
 @click.group()
@@ -258,18 +248,12 @@ def main():
 
 
 @main.command()
-@_data_options()
-@_hypothesis_options(require_restriction=False)
+@_friendly
+@_problem_options(require_restriction=False)
 @_estimator_options
 @_output_options
-@_friendly
-def estimate(x_spec, y_spec, header, restriction_spec, target_spec,
-             kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp,
-             as_json, out):
+def estimate(problem, y, restricted, config, as_json, out):
     """Run the prewhitened covariance pipeline at one response vector."""
-    problem = _problem_from(x_spec, restriction_spec, target_spec, header)
-    y = _parse_vector(y_spec, header)
-    config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
     outcome = assemble_omega(problem, y, config)
     if not outcome.well_defined:
         payload = {"status": outcome.status, "reason": outcome.reason}
@@ -288,7 +272,7 @@ def estimate(x_spec, y_spec, header, restriction_spec, target_spec,
             f"bandwidth: {outcome.bandwidth.m:g}",
             f"psi:\n{np.array2string(outcome.psi)}",
         ]
-        if restriction_spec is not None:
+        if restricted:
             payload["omega"] = outcome.omega.tolist()
             lines.append(f"omega:\n{np.array2string(outcome.omega)}")
     _emit(payload, as_json, out, lines)
@@ -310,40 +294,29 @@ def _result_output(res, critical_value):
 
 
 @main.command(name="test")
-@_data_options()
-@_hypothesis_options()
+@_friendly
+@_problem_options()
 @_estimator_options
 @click.option("--C", "critical_value", type=float, default=None,
               help="critical value; enables the reject field")
 @_output_options
-@_friendly
-def test_cmd(x_spec, y_spec, header, restriction_spec, target_spec,
-             kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp,
-             critical_value, as_json, out):
+def test_cmd(problem, y, config, critical_value, as_json, out):
     """Evaluate the robust statistic for H0: R beta = r."""
-    problem = _problem_from(x_spec, restriction_spec, target_spec, header)
-    y = _parse_vector(y_spec, header)
-    config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
     payload, lines = _result_output(test_statistic(problem, y, config), critical_value)
     _emit(payload, as_json, out, lines)
 
 
 @main.command()
-@_data_options(y_mode="optional")
-@_hypothesis_options()
+@_friendly
+@_problem_options(y_mode="optional")
 @_estimator_options
 @click.option("--C", "critical_value", type=float, default=None,
               help="critical value for the adjusted statistic (needs --y)")
 @_output_options
-@_friendly
-def adjust(x_spec, y_spec, header, restriction_spec, target_spec,
-           kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp,
-           critical_value, as_json, out):
+def adjust(problem, y, config, critical_value, as_json, out):
     """Augment the design with boundary directions; optionally test with it."""
-    if critical_value is not None and y_spec is None:
+    if critical_value is not None and y is None:
         raise ValueError("--C needs --y")
-    problem = _problem_from(x_spec, restriction_spec, target_spec, header)
-    config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
     adj = build_adjusted(problem, config)
     rule_obj = adj.config.rule
     omega_bar = None if isinstance(rule_obj, FixedBRule) else list(rule_obj.omega)
@@ -363,17 +336,16 @@ def adjust(x_spec, y_spec, header, restriction_spec, target_spec,
         f"r_bar:\n{np.array2string(adj.problem.R)}",
         f"omega_bar: {omega_bar}",
     ]
-    if y_spec is not None:
-        res = adjusted_statistic(adj, _parse_vector(y_spec, header))
-        res_payload, res_lines = _result_output(res, critical_value)
+    if y is not None:
+        res_payload, res_lines = _result_output(adjusted_statistic(adj, y), critical_value)
         payload.update(res_payload)
         lines.extend(res_lines)
     _emit(payload, as_json, out, lines)
 
 
 @main.command(name="diagnose")
-@_data_options(y_mode="none")
-@_hypothesis_options()
+@_friendly
+@_problem_options(y_mode="none")
 @_estimator_options
 @click.option("--C", "critical_value", type=float, required=True,
               help="critical value the test would use")
@@ -383,13 +355,8 @@ def adjust(x_spec, y_spec, header, restriction_spec, target_spec,
                    "(n < p(k+1) + q) is decided from the shape, without probes")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
-@_friendly
-def diagnose_cmd(x_spec, header, restriction_spec, target_spec,
-                 kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp,
-                 critical_value, probes, seed, as_json, out):
+def diagnose_cmd(problem, config, critical_value, probes, seed, as_json, out):
     """Classify the breakdown behaviour of a design at a critical value."""
-    problem = _problem_from(x_spec, restriction_spec, target_spec, header)
-    config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
     report = run_diagnose(problem, config, critical_value, probes=probes, seed=seed)
 
     def grad_str(g):
@@ -427,20 +394,14 @@ def _study_target(problem, config):
 
 
 @main.command()
-@_data_options(y_mode="none")
-@_hypothesis_options()
+@_friendly
+@_problem_options(y_mode="none")
 @_estimator_options
 @click.option("--delta", type=float, required=True, help="target size level")
 @_mc_options
 @_output_options
-@_friendly
-def calibrate(x_spec, header, restriction_spec, target_spec,
-              kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp,
-              delta, reps, seed, rho_grid, as_json, out):
+def calibrate(problem, config, delta, mc, as_json, out):
     """Calibrate a worst-case critical value over an AR(1) family."""
-    problem = _problem_from(x_spec, restriction_spec, target_spec, header)
-    config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
-    mc = McConfig(replications=reps, seed=seed, family=_family_from(rho_grid))
     target, est_config, scenario = _study_target(problem, config)
     result = calibrate_critical_value(target, mc, delta, est_config=est_config)
     payload = {
@@ -448,8 +409,8 @@ def calibrate(x_spec, header, restriction_spec, target_spec,
         "size": result.size,
         "delta": result.delta,
         "scenario": scenario,
-        "reps": reps,
-        "seed": seed,
+        "reps": mc.replications,
+        "seed": mc.seed,
         "rates": result.rates,
     }
     lines = [
@@ -461,8 +422,8 @@ def calibrate(x_spec, header, restriction_spec, target_spec,
 
 
 @main.command()
-@_data_options(y_mode="none")
-@_hypothesis_options()
+@_friendly
+@_problem_options(y_mode="none")
 @_estimator_options
 @click.option("--C", "critical_value", type=float, default=None,
               help="critical value (omit to calibrate at --delta first)")
@@ -472,17 +433,11 @@ def calibrate(x_spec, header, restriction_spec, target_spec,
               help="standardized alternative distances")
 @_mc_options
 @_output_options
-@_friendly
-def study(x_spec, header, restriction_spec, target_spec,
-          kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp,
-          critical_value, delta, distances, reps, seed, rho_grid, as_json, out):
+def study(problem, config, critical_value, delta, distances, mc, as_json, out):
     """Size and power curves over the AR(1) family at given distances."""
     distances = check_distances(_parse_floats(distances))
     if (critical_value is None) == (delta is None):
         raise ValueError("pass one of --C and --delta")
-    problem = _problem_from(x_spec, restriction_spec, target_spec, header)
-    config = _build_config(kernel, rule, p, omega, b_frac, m_value, c1, c2, c3, j_exp)
-    mc = McConfig(replications=reps, seed=seed, family=_family_from(rho_grid))
     target, est_config, scenario = _study_target(problem, config)
     if critical_value is None:
         critical_value = calibrate_critical_value(

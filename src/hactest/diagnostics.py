@@ -35,6 +35,7 @@ from .bandwidth import FixedBRule
 from .model import (
     RegressionProblem,
     alternating_vector,
+    check_count,
     check_finite,
     check_seed,
     constant_vector,
@@ -189,14 +190,13 @@ def diagnose(
     Only a design outside the trap whose boundary evaluations are both
     undefined spends up to ``probes`` Gaussian responses (drawn from
     ``seed``) looking for a defined statistic.  Raises ValueError unless
-    ``probes >= 1`` and ``seed`` is a nonnegative integer, whether or not a
-    probe runs.
+    ``probes`` is an integer >= 1 and ``seed`` a nonnegative integer,
+    whether or not a probe runs.
     """
     critical_value = float(check_finite("critical value", critical_value))
     if not critical_value > 0:
         raise ValueError(f"critical value must be > 0, got {critical_value}")
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
+    probes = check_count("probes", probes)
     seed = check_seed(seed)
     engine = TestEngine(problem, config)
     n, k, q, p = problem.n, problem.k, problem.q, config.p

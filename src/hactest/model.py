@@ -35,6 +35,13 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def check_count(name: str, count) -> int:
+    """``count`` as an int; ValueError unless it is an integer >= 1."""
+    if not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {count}")
+    return int(count)
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionProblem:
     """A linear regression with a linear hypothesis ``R beta = r``.

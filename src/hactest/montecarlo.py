@@ -44,6 +44,7 @@ from .model import (
     AR1Grid,
     RegressionProblem,
     _ar1_path,
+    check_count,
     check_finite,
     check_seed,
     null_point,
@@ -82,13 +83,10 @@ class McConfig:
     family: AR1Grid = field(default_factory=lambda: AR1Grid(DEFAULT_RHO_GRID))
 
     def __post_init__(self):
-        if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
-            raise ValueError(f"replications must be an integer >= 1, got {self.replications}")
+        object.__setattr__(self, "replications", check_count("replications", self.replications))
         if not isinstance(self.family, AR1Grid):
             raise ValueError(f"family must be an AR1Grid, got {type(self.family).__name__}")
-        seed = check_seed(self.seed)
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)

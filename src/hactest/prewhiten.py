@@ -51,7 +51,7 @@ import numpy as np
 from ._linalg import EPS, numeric_rank, solve_well_conditioned, symmetrize
 from .bandwidth import BandwidthOutcome, BandwidthRule, compute_bandwidth
 from .kernels import KernelSpec, lag_weights
-from .model import RegressionProblem, check_response
+from .model import RegressionProblem, check_count, check_response
 
 #: OmegaOutcome.status values, derived from whether there is a reason
 WELL_DEFINED = "well-defined"
@@ -81,9 +81,7 @@ class EstimatorConfig:
     p: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
-            raise ValueError(f"VAR order p must be an integer >= 1, got {self.p}")
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "p", check_count("VAR order p", self.p))
 
     def validate_for(self, problem: RegressionProblem) -> None:
         """Check the p range constraint 1 <= p <= n/(k+1) against a problem."""

@@ -102,6 +102,23 @@ class TestRuleValidation:
         FixedBRule(b=1.0)
         FixedBRule(m=7.5)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: AndrewsRule(j=1, c1=v, c2=0.3), "c1"),
+        (lambda v: AndrewsRule(j=1, c1=1.0, c2=v), "c2"),
+        (lambda v: NeweyWestRule(cbar1=1, cbar2=v, cbar3=0.2), "cbar2"),
+        (lambda v: NeweyWestRule(cbar1=1, cbar2=1.0, cbar3=v), "cbar3"),
+        (lambda v: FixedBRule(m=v), "m"),
+        (lambda v: AndrewsRule(j=1, c1=1.0, c2=0.3, omega=(1.0, v)), "omega"),
+        (lambda v: NeweyWestRule(cbar1=1, cbar2=1.0, cbar3=0.2, omega=(v, 1.0)), "omega"),
+    ], ids=["andrews-c1", "andrews-c2", "nw-cbar2", "nw-cbar3", "fixed-m", "andrews-omega",
+            "nw-omega"])
+    def test_non_finite_constants_are_refused_at_construction(self, make, field, bad):
+        # an infinite constant used to construct, and its bandwidth came out
+        # PlugInNotFinite or 0 (FixedBRule(m=inf) raised only when evaluated)
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            make(bad)
+
 
 class TestDefaults:
     def test_andrews_constants(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,18 @@ import pytest
 from click.testing import CliRunner
 
 import hactest.cli
-from hactest import alternating_vector, constant_vector
+from hactest import (
+    AndrewsRule,
+    EstimatorConfig,
+    FixedBRule,
+    NeweyWestRule,
+    RegressionProblem,
+    alternating_vector,
+    constant_vector,
+    default_rule,
+    get_kernel,
+)
+from hactest import test_statistic as evaluate
 from hactest.cli import main
 
 LOCATION_X = ";".join(["1"] * 8)
@@ -551,3 +563,154 @@ class TestStudy:
         payload = json.loads(result.output)
         assert payload["C"] > 0.0
         assert payload["max_null_rate"] <= 0.2
+
+
+def literal(array):
+    """An inline matrix literal that parses back to ``array`` bit for bit."""
+    return ";".join(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(array))
+
+
+# a regressor and errors with AR(1) coefficient 0.7; the andrews rows use
+# the QS kernel, whose weights move with any bandwidth, as the prewhitened
+# residuals leave the andrews bandwidth below one lag here
+TABLE_RNG = np.random.default_rng(20261020)
+TABLE_AR = 0.7 ** np.arange(40)
+TABLE_X = np.column_stack([np.ones(40), np.convolve(TABLE_RNG.standard_normal(40), TABLE_AR)[:40]])
+TABLE_Y = TABLE_X @ np.array([0.5, 0.2]) + np.convolve(TABLE_RNG.standard_normal(40), TABLE_AR)[:40]
+THIRD = 1.0 / 3.0
+
+
+@pytest.mark.parametrize("kernel, flags, rule", [
+    ("bartlett", ["--rule", "andrews"], AndrewsRule(1, 1.1447, THIRD)),
+    ("qs", ["--rule", "andrews"], AndrewsRule(2, 1.13221, 0.2)),
+    ("qs", ["--rule", "andrews", "--j", "1"], AndrewsRule(1, 1.13221, 0.2)),
+    ("qs", ["--rule", "andrews", "--c1", "0.7"], AndrewsRule(2, 0.7, 0.2)),
+    ("qs", ["--rule", "andrews", "--c2", "0.45"], AndrewsRule(2, 1.13221, 0.45)),
+    ("qs", ["--rule", "andrews", "--omega", "zero-first"],
+     AndrewsRule(2, 1.13221, 0.2, "zero-first")),
+    ("qs", ["--rule", "andrews", "--omega", "0.5,2"], AndrewsRule(2, 1.13221, 0.2, (0.5, 2.0))),
+    ("parzen", ["--rule", "andrews", "--j", "1", "--c1", "1.2", "--c2", "0.3"],
+     AndrewsRule(1, 1.2, 0.3)),
+    ("bartlett", ["--rule", "newey-west"], NeweyWestRule(1, 1.1447, THIRD)),
+    ("qs", ["--rule", "newey-west"], NeweyWestRule(2, 1.3221, 0.2)),
+    ("bartlett", ["--rule", "newey-west", "--c1", "2"], NeweyWestRule(2, 1.1447, THIRD)),
+    ("bartlett", ["--rule", "newey-west", "--c2", "0.8"], NeweyWestRule(1, 0.8, THIRD)),
+    ("bartlett", ["--rule", "newey-west", "--c3", "0.25"], NeweyWestRule(1, 1.1447, 0.25)),
+    ("bartlett", ["--rule", "newey-west", "--omega", "zero-first"],
+     NeweyWestRule(1, 1.1447, THIRD, "zero-first")),
+    ("bartlett", ["--rule", "newey-west", "--omega", "2,0.5"],
+     NeweyWestRule(1, 1.1447, THIRD, (2.0, 0.5))),
+    ("bartlett", ["--rule", "fixed-b"], FixedBRule(b=1.0)),
+    ("bartlett", ["--rule", "fixed-b", "--b", "0.5"], FixedBRule(b=0.5)),
+    ("bartlett", ["--rule", "fixed-b", "--m", "3"], FixedBRule(m=3.0)),
+])
+def test_rule_flags_set_the_fields_of_the_library_rule(runner, kernel, flags, rule):
+    # --c1 is cbar1 under newey-west and c1 under andrews; every other flag
+    # keeps the kernel's default constants
+    result = runner.invoke(main, [
+        "test", "--x", literal(TABLE_X), "--y", literal(TABLE_Y), "--R", "0,1",
+        "--kernel", kernel, *flags, "--json",
+    ])
+    assert result.exit_code == 0, result.output
+    problem = RegressionProblem(TABLE_X, np.array([[0.0, 1.0]]), np.zeros(1))
+    config = EstimatorConfig(get_kernel(kernel), rule, p=1)
+    expected = evaluate(problem, TABLE_Y, config)
+    assert expected.defined
+    assert json.loads(result.output)["t"] == expected.t_value
+    if len(flags) > 2 and kernel != "parzen":  # parzen has no andrews defaults
+        # the flag moves the statistic, so the row pins which field it sets
+        default = EstimatorConfig(get_kernel(kernel), default_rule(flags[1], kernel), p=1)
+        assert evaluate(problem, TABLE_Y, default).t_value != expected.t_value
+
+
+SHIFT_X = "1,0.5;1,-0.3;1,1.2;1,0.1;1,-0.8;1,0.4;1,2.0;1,-1.1;1,0.3;1,0.9"
+
+
+@pytest.mark.parametrize("rule, flags, message", [
+    ("andrews", ["--c1", "inf"], "c1 must be positive and finite"),
+    ("andrews", ["--c2", "inf"], "c2 must be positive and finite"),
+    ("newey-west", ["--c1", "inf"], "cbar1 must be a positive integer"),
+    ("newey-west", ["--c2", "inf"], "cbar2 must be positive and finite"),
+    ("newey-west", ["--c3", "inf"], "cbar3 must be positive and finite"),
+    ("fixed-b", ["--m", "inf"], "m must be positive and finite"),
+    ("andrews", ["--omega", "1,nan"], "omega weights must be finite"),
+    ("newey-west", ["--omega", "inf,1"], "omega weights must be finite"),
+])
+def test_non_finite_rule_constants_exit_two(runner, rule, flags, message):
+    # these used to exit 0 (--c3 inf reported bandwidth 0), or 1 with an
+    # OverflowError for newey-west --c1 inf
+    result = runner.invoke(main, [
+        "estimate", "--x", SHIFT_X, "--y", "1,2,3,4,5,6,7,8,9,10", "--R", "0,1",
+        "--rule", rule, *flags, "--json",
+    ])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_a_bad_weight_is_reported_without_blaming_the_kernel(runner):
+    # the weight error used to be reported as a missing kernel default:
+    # "no default autoregressive plug-in constants for kernel 'bartlett';
+    # pass --j, --c1 and --c2 (omega weights must be nonnegative)"
+    result = runner.invoke(main, [
+        "test", "--x", SHIFT_X, "--y", "1,2,3,4,5,6,7,8,9,10", "--R", "0,1",
+        "--rule", "andrews", "--omega", "-1,1",
+    ])
+    assert result.exit_code == 2
+    assert "Error: omega weights must be nonnegative\n" in result.output
+    assert "default" not in result.output
+
+
+@pytest.mark.parametrize("flags", [[], ["--j", "2", "--c1", "1.2"], ["--c1", "1.2", "--c2", "0.3"]])
+def test_a_kernel_without_andrews_defaults_needs_every_constant(runner, flags):
+    result = runner.invoke(main, [
+        "test", "--x", SHIFT_X, "--y", "1,2,3,4,5,6,7,8,9,10", "--R", "0,1",
+        "--rule", "andrews", "--kernel", "parzen", *flags,
+    ])
+    assert result.exit_code == 2
+    assert "no default autoregressive plug-in constants for kernel 'parzen'" in result.output
+    assert "pass --j, --c1 and --c2" in result.output
+
+
+ESTIMATOR_FLAGS = [
+    ("--j", None), ("--c3", None), ("--c2", None), ("--c1", None), ("--m", None),
+    ("--b", None), ("--omega", None), ("--p", "1"), ("--rule", "andrews"),
+    ("--kernel", "bartlett"),
+]
+HYPOTHESIS_FLAGS = [("--x", "required"), ("--r", None), ("--R", "required")]
+MC_FLAGS = [("--rho-grid", None), ("--seed", "0"), ("--reps", "1000")]
+OUTPUT_FLAGS = [("--out", None), ("--json", None), ("--help", None)]
+FLAG_INVENTORY = {
+    "estimate": [("--header", None), ("--y", "required"), ("--x", "required"), ("--r", None),
+                 ("--R", None), *ESTIMATOR_FLAGS, *OUTPUT_FLAGS],
+    "test": [("--header", None), ("--y", "required"), *HYPOTHESIS_FLAGS, *ESTIMATOR_FLAGS,
+             ("--C", None), *OUTPUT_FLAGS],
+    "adjust": [("--header", None), ("--y", None), *HYPOTHESIS_FLAGS, *ESTIMATOR_FLAGS,
+               ("--C", None), *OUTPUT_FLAGS],
+    "diagnose": [("--header", None), *HYPOTHESIS_FLAGS, *ESTIMATOR_FLAGS, ("--C", "required"),
+                 ("--probes", "1000"), ("--seed", "0"), *OUTPUT_FLAGS],
+    "calibrate": [("--header", None), *HYPOTHESIS_FLAGS, *ESTIMATOR_FLAGS,
+                  ("--delta", "required"), *MC_FLAGS, *OUTPUT_FLAGS],
+    "study": [("--header", None), *HYPOTHESIS_FLAGS, *ESTIMATOR_FLAGS, ("--C", None),
+              ("--delta", None), ("--distances", "0,1,2,5"), *MC_FLAGS, *OUTPUT_FLAGS],
+}
+
+
+def help_inventory(runner, command):
+    """(flag, default) per option of ``command --help``, in listed order; the
+    default is the shown one, "required" for a required option, else None."""
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    options = result.output.split("Options:\n", 1)[1]
+    inventory = []
+    for entry in re.split(r"\n  (?=--)", options):
+        entry = " ".join(entry.split())
+        shown = re.search(r"\[default: ([^\]]*)\]", entry)
+        default = shown.group(1) if shown else "required" if "[required]" in entry else None
+        inventory.append((entry.split()[0], default))
+    return inventory
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_INVENTORY))
+def test_help_lists_the_pinned_flags_and_defaults(runner, command):
+    # guards against a flag or a default being added, dropped or renamed
+    assert help_inventory(runner, command) == FLAG_INVENTORY[command]

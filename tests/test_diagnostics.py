@@ -212,6 +212,24 @@ class TestDiagnose:
             assert report.evidence["dimension_trap"] is False
             assert report.evidence["probes_used"] == 25
 
+    @pytest.mark.parametrize("probes", [float("inf"), 2.5, 25.0])
+    def test_rejects_a_probe_count_that_is_not_an_integer(self, rng, monkeypatch, probes):
+        # on this all-undefined design probes = inf used to loop for ever and
+        # 2.5 spent 3 probes; a refused count evaluates no statistic
+        n = 12
+        X = np.column_stack([rng.standard_normal(n), np.eye(n)[-1]])
+        problem = RegressionProblem(X, np.array([[1.0, 0.0]]), np.zeros(1))
+        config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
+        report = diagnose(problem, config, 1.0, probes=np.int64(3), seed=3)
+        assert report.evidence["probes_used"] == 3
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a statistic was evaluated")
+
+        monkeypatch.setattr("hactest.diagnostics.TestEngine", no_engine)
+        with pytest.raises(ValueError, match="probes must be >= 1"):
+            diagnose(problem, config, 1.0, probes=probes, seed=3)
+
     def test_inconclusive_when_boundaries_break_but_the_test_lives(self):
         problem = spiked_design()
         config = EstimatorConfig(BARTLETT, FIXED_B, p=1)
