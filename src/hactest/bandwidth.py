@@ -1,6 +1,7 @@
 """Bandwidth rules computed from the prewhitened residual matrix Z.
 
-Three rules are provided:
+Three rules are provided; :func:`default_rule` gives the two data-driven
+ones the per-kernel plug-in constants of Andrews (1991, Econometrica 59):
 
 * :class:`AndrewsRule` — fits univariate AR(1) models to the rows of Z by
   OLS and plugs the fitted parameters into one of two weighted ratios
@@ -110,8 +111,8 @@ class AndrewsRule:
     j : {1, 2}
         Which weighted ratio of fitted AR(1) parameters to use.
     c1, c2 : float
-        Positive finite constants; see :func:`default_rule` for the
-        per-kernel defaults.
+        Positive finite constants; :func:`default_rule` gives Andrews's
+        (1991) per-kernel values.
     omega : "ones", "zero-first", or sequence of float
         Nonnegative finite row weights (not all zero), resolved against the
         row count of Z when the bandwidth is computed.
@@ -138,7 +139,9 @@ class NeweyWestRule:
 
     ``num`` and ``den`` are sums of the autocovariances of the scalar
     series ``omega' Z`` over the lags |i| <= floor(4 * (n/100)**(2/9)),
-    each with rectangular weight 1: Newey & West's (1994) cutoff.
+    each with rectangular weight 1: Newey & West's (1994) cutoff. The one
+    cutoff serves every kernel; a kernel-dependent truncation exponent in
+    NW94 was not verified against the source, so 2/9 is kept throughout.
 
     ``cbar1`` must be a positive integer (a zero exponent is not a valid
     member of this rule family), ``cbar2`` and ``cbar3`` positive and
@@ -182,46 +185,36 @@ BandwidthRule = AndrewsRule | NeweyWestRule | FixedBRule
 #: config names for the rules
 RULE_NAMES = ("andrews", "newey-west", "fixed-b")
 
-_AM_DEFAULTS = {
-    BARTLETT_NAME: (1, 1.1447, 1.0 / 3.0),
-    QS_NAME: (2, 1.13221, 1.0 / 5.0),
-}
-# Conventional plug-in constants per kernel for the Newey-West style rule.
-_NW_DEFAULTS = {
+#: Andrews's (1991, Econometrica 59, automatic-bandwidth section) plug-in
+#: constants per kernel, (exponent, constant, rate): AndrewsRule reads a row
+#: as (j, c1, c2) and NeweyWestRule, as Newey & West (1994) do, as
+#: (cbar1, cbar2, cbar3)
+_PLUG_IN_DEFAULTS = {
     BARTLETT_NAME: (1, 1.1447, 1.0 / 3.0),
     PARZEN_NAME: (2, 2.6614, 1.0 / 5.0),
     QS_NAME: (2, 1.3221, 1.0 / 5.0),
 }
 
 
-def default_rule(kind: str, kernel, omega="ones") -> BandwidthRule:
+def default_rule(kind: str, kernel) -> BandwidthRule:
     """Build a rule of the given kind with the standard constants for ``kernel``.
 
     ``kernel`` may be a :class:`~hactest.kernels.KernelSpec` or its name.
-    There is no standard Andrews-style constant pair for the Parzen kernel;
-    construct :class:`AndrewsRule` explicitly in that case.
+    Both data-driven rules take their constants from Andrews (1991); the
+    fixed-b rule is b = 1.
     """
-    if not isinstance(kernel, str):
-        kernel = kernel.name
-    if kind == "andrews":
-        if kernel not in _AM_DEFAULTS:
-            raise ValueError(
-                f"no default (j, c1, c2) for the andrews rule with kernel "
-                f"{kernel!r}; construct AndrewsRule with explicit constants"
-            )
-        j, c1, c2 = _AM_DEFAULTS[kernel]
-        return AndrewsRule(j=j, c1=c1, c2=c2, omega=omega)
-    if kind == "newey-west":
-        if kernel not in _NW_DEFAULTS:
-            raise ValueError(
-                f"no default (cbar1, cbar2, cbar3) for the newey-west rule with "
-                f"kernel {kernel!r}; construct NeweyWestRule explicitly"
-            )
-        c1, c2, c3 = _NW_DEFAULTS[kernel]
-        return NeweyWestRule(cbar1=c1, cbar2=c2, cbar3=c3, omega=omega)
+    if kind not in RULE_NAMES:
+        raise ValueError(f"unknown bandwidth rule {kind!r}; rules: {RULE_NAMES}")
     if kind == "fixed-b":
         return FixedBRule(b=1.0)
-    raise ValueError(f"unknown bandwidth rule {kind!r}; rules: {RULE_NAMES}")
+    if not isinstance(kernel, str):
+        kernel = kernel.name
+    if kernel not in _PLUG_IN_DEFAULTS:
+        raise ValueError(f"unknown kernel {kernel!r}; kernels: {tuple(_PLUG_IN_DEFAULTS)}")
+    exponent, constant, rate = _PLUG_IN_DEFAULTS[kernel]
+    if kind == "andrews":
+        return AndrewsRule(j=exponent, c1=constant, c2=rate)
+    return NeweyWestRule(cbar1=exponent, cbar2=constant, cbar3=rate)
 
 
 def bandwidth_am(Z: np.ndarray, rule: AndrewsRule, n: int) -> BandwidthOutcome:

@@ -31,7 +31,6 @@ import numpy as np
 from .bandwidth import (
     OMEGA_PRESETS,
     RULE_NAMES,
-    AndrewsRule,
     FixedBRule,
     default_rule,
 )
@@ -99,17 +98,7 @@ def _build_rule(rule_name, kernel_name, flags):
         fields["cbar1"] = int(fields["cbar1"])
     if "m" in fields:
         fields["b"] = None  # an explicit bandwidth replaces the default fraction
-    try:
-        base = default_rule(rule_name, kernel_name)
-    except ValueError as exc:
-        # only the andrews rule lacks default constants, for some kernels
-        if not {"j", "c1", "c2"} <= fields.keys():
-            raise ValueError(
-                f"no default autoregressive plug-in constants for kernel "
-                f"{kernel_name!r}; pass --j, --c1 and --c2 ({exc})"
-            ) from None
-        return AndrewsRule(**fields)
-    return dataclasses.replace(base, **fields)
+    return dataclasses.replace(default_rule(rule_name, kernel_name), **fields)
 
 
 def _emit(payload, as_json: bool, out: str | None, human_lines):

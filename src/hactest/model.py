@@ -110,16 +110,19 @@ def check_response(problem: RegressionProblem, y) -> np.ndarray:
 
 
 def _check_rhos(rhos) -> tuple[float, ...]:
-    """``rhos`` as a non-empty tuple of floats, each a scalar in (-1, 1)."""
+    """``rhos`` as a non-empty tuple of distinct floats, each a scalar in
+    (-1, 1); -0.0 and 0.0 are one member."""
     rhos = tuple(rhos)
     if any(np.ndim(v) != 0 for v in rhos):
         raise ValueError("AR(1) parameter rho must be a scalar, got an array")
     rhos = tuple(float(v) for v in rhos)
     if not rhos:
         raise ValueError("rho grid must be non-empty")
-    for v in rhos:
+    for i, v in enumerate(rhos):
         if not -1.0 < v < 1.0:
             raise ValueError(f"AR(1) parameter rho must lie in (-1.0, 1), got {v}")
+        if v in rhos[:i]:
+            raise ValueError(f"rho grid repeats rho = {v}")
     return rhos
 
 

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from hactest import (
-    AndrewsRule,
     EstimatorConfig,
     FixedBRule,
-    NeweyWestRule,
     RegressionProblem,
     default_rule,
     get_kernel,
@@ -34,18 +32,9 @@ def config_grid(p=1):
     """One configuration per supported rule/kernel pairing."""
     configs = []
     for kernel in ("bartlett", "parzen", "qs"):
-        if kernel != "parzen":
-            configs.append(
-                EstimatorConfig(get_kernel(kernel), default_rule("andrews", kernel), p=p)
-            )
-        else:
-            # no conventional AR(1) plug-in constants exist for this kernel;
-            # exercise it with explicitly supplied ones
-            configs.append(
-                EstimatorConfig(
-                    get_kernel(kernel), AndrewsRule(j=2, c1=2.6614, c2=0.2), p=p
-                )
-            )
+        configs.append(
+            EstimatorConfig(get_kernel(kernel), default_rule("andrews", kernel), p=p)
+        )
         configs.append(
             EstimatorConfig(get_kernel(kernel), default_rule("newey-west", kernel), p=p)
         )

@@ -23,7 +23,6 @@ from hactest import (
     SIZE_ONE,
     SIZE_ONE_SPAN_CASE,
     AR1Grid,
-    AndrewsRule,
     EstimatorConfig,
     FixedBRule,
     McConfig,
@@ -427,7 +426,7 @@ def test_plugin_bandwidths_match_direct_summation():
     rng = np.random.default_rng(20260809)
     am_rules = (
         default_rule("andrews", "bartlett"),
-        AndrewsRule(j=2, c1=2.6614, c2=0.2),
+        default_rule("andrews", "parzen"),
     )
     nw_rule = default_rule("newey-west", "bartlett")
     worst = 0.0

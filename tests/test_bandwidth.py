@@ -121,20 +121,20 @@ class TestRuleValidation:
 
 
 class TestDefaults:
-    def test_andrews_constants(self):
-        rule = default_rule("andrews", "bartlett")
-        assert (rule.j, rule.c1, rule.c2) == (1, 1.1447, 1.0 / 3.0)
-        rule = default_rule("andrews", get_kernel("qs"))
-        assert (rule.j, rule.c1, rule.c2) == (2, 1.13221, 0.2)
+    # Andrews (1991, Econometrica 59, automatic-bandwidth section); Newey &
+    # West (1994) plug in the same (exponent, constant, rate) per kernel
+    ANDREWS_1991 = {
+        "bartlett": (1, 1.1447, 1.0 / 3.0),
+        "parzen": (2, 2.6614, 0.2),
+        "qs": (2, 1.3221, 0.2),
+    }
 
-    def test_andrews_has_no_parzen_constants(self):
-        with pytest.raises(ValueError, match="andrews"):
-            default_rule("andrews", "parzen")
-
-    def test_newey_west_constants(self):
-        assert default_rule("newey-west", "bartlett") == NeweyWestRule(1, 1.1447, 1.0 / 3.0)
-        assert default_rule("newey-west", "parzen") == NeweyWestRule(2, 2.6614, 0.2)
-        assert default_rule("newey-west", "qs") == NeweyWestRule(2, 1.3221, 0.2)
+    @pytest.mark.parametrize("kernel", ["bartlett", "parzen", "qs"])
+    def test_data_driven_rules_read_andrews_constants(self, kernel):
+        constants = self.ANDREWS_1991[kernel]
+        assert default_rule("andrews", kernel) == AndrewsRule(*constants)
+        assert default_rule("andrews", get_kernel(kernel)) == AndrewsRule(*constants)
+        assert default_rule("newey-west", kernel) == NeweyWestRule(*constants)
 
     def test_fixed_b_default(self):
         assert default_rule("fixed-b", "bartlett") == FixedBRule(b=1.0)
@@ -142,6 +142,11 @@ class TestDefaults:
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown bandwidth rule"):
             default_rule("adaptive", "bartlett")
+
+    @pytest.mark.parametrize("kind", ["andrews", "newey-west"])
+    def test_unknown_kernel(self, kind):
+        with pytest.raises(ValueError, match="unknown kernel 'tukey'"):
+            default_rule(kind, "tukey")
 
 
 class TestAndrewsBandwidth:

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 import hactest.cli
 from hactest import (
+    RULE_NAMES,
     AndrewsRule,
     EstimatorConfig,
     FixedBRule,
@@ -18,6 +19,7 @@ from hactest import (
     constant_vector,
     default_rule,
     get_kernel,
+    kernel_names,
 )
 from hactest import test_statistic as evaluate
 from hactest.cli import main
@@ -582,13 +584,16 @@ THIRD = 1.0 / 3.0
 
 @pytest.mark.parametrize("kernel, flags, rule", [
     ("bartlett", ["--rule", "andrews"], AndrewsRule(1, 1.1447, THIRD)),
-    ("qs", ["--rule", "andrews"], AndrewsRule(2, 1.13221, 0.2)),
-    ("qs", ["--rule", "andrews", "--j", "1"], AndrewsRule(1, 1.13221, 0.2)),
+    ("qs", ["--rule", "andrews"], AndrewsRule(2, 1.3221, 0.2)),
+    ("qs", ["--rule", "andrews", "--j", "1"], AndrewsRule(1, 1.3221, 0.2)),
     ("qs", ["--rule", "andrews", "--c1", "0.7"], AndrewsRule(2, 0.7, 0.2)),
-    ("qs", ["--rule", "andrews", "--c2", "0.45"], AndrewsRule(2, 1.13221, 0.45)),
+    ("qs", ["--rule", "andrews", "--c2", "0.45"], AndrewsRule(2, 1.3221, 0.45)),
     ("qs", ["--rule", "andrews", "--omega", "zero-first"],
-     AndrewsRule(2, 1.13221, 0.2, "zero-first")),
-    ("qs", ["--rule", "andrews", "--omega", "0.5,2"], AndrewsRule(2, 1.13221, 0.2, (0.5, 2.0))),
+     AndrewsRule(2, 1.3221, 0.2, "zero-first")),
+    ("qs", ["--rule", "andrews", "--omega", "0.5,2"], AndrewsRule(2, 1.3221, 0.2, (0.5, 2.0))),
+    ("parzen", ["--rule", "andrews"], AndrewsRule(2, 2.6614, 0.2)),
+    ("parzen", ["--rule", "andrews", "--j", "1"], AndrewsRule(1, 2.6614, 0.2)),
+    ("parzen", ["--rule", "andrews", "--c1", "1.2", "--c2", "0.3"], AndrewsRule(2, 1.2, 0.3)),
     ("parzen", ["--rule", "andrews", "--j", "1", "--c1", "1.2", "--c2", "0.3"],
      AndrewsRule(1, 1.2, 0.3)),
     ("bartlett", ["--rule", "newey-west"], NeweyWestRule(1, 1.1447, THIRD)),
@@ -617,7 +622,7 @@ def test_rule_flags_set_the_fields_of_the_library_rule(runner, kernel, flags, ru
     expected = evaluate(problem, TABLE_Y, config)
     assert expected.defined
     assert json.loads(result.output)["t"] == expected.t_value
-    if len(flags) > 2 and kernel != "parzen":  # parzen has no andrews defaults
+    if len(flags) > 2:
         # the flag moves the statistic, so the row pins which field it sets
         default = EstimatorConfig(get_kernel(kernel), default_rule(flags[1], kernel), p=1)
         assert evaluate(problem, TABLE_Y, default).t_value != expected.t_value
@@ -660,15 +665,26 @@ def test_a_bad_weight_is_reported_without_blaming_the_kernel(runner):
     assert "default" not in result.output
 
 
-@pytest.mark.parametrize("flags", [[], ["--j", "2", "--c1", "1.2"], ["--c1", "1.2", "--c2", "0.3"]])
-def test_a_kernel_without_andrews_defaults_needs_every_constant(runner, flags):
+@pytest.mark.parametrize("rule", RULE_NAMES)
+@pytest.mark.parametrize("kernel", kernel_names())
+def test_every_rule_and_kernel_runs_without_constants(runner, rule, kernel):
+    # andrews-parzen used to exit 2: "no default autoregressive plug-in
+    # constants for kernel 'parzen'; pass --j, --c1 and --c2"
     result = runner.invoke(main, [
         "test", "--x", SHIFT_X, "--y", "1,2,3,4,5,6,7,8,9,10", "--R", "0,1",
-        "--rule", "andrews", "--kernel", "parzen", *flags,
+        "--rule", rule, "--kernel", kernel, "--json",
+    ])
+    assert result.exit_code == 0, result.output
+
+
+def test_a_repeated_rho_exits_two(runner):
+    # the grid used to simulate all four members and report three rates
+    result = runner.invoke(main, [
+        "calibrate", "--x", SHIFT_X, "--R", "0,1", "--rule", "fixed-b", "--delta", "0.2",
+        "--reps", "100", "--rho-grid", "0.5,0.5,-0.0,0.0", "--json",
     ])
     assert result.exit_code == 2
-    assert "no default autoregressive plug-in constants for kernel 'parzen'" in result.output
-    assert "pass --j, --c1 and --c2" in result.output
+    assert "rho grid repeats rho = 0.5" in result.output
 
 
 ESTIMATOR_FLAGS = [

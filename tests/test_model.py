@@ -214,6 +214,13 @@ class TestCovarianceFamilies:
         with pytest.raises(ValueError, match="must be a scalar"):
             AR1Grid((0.1, np.array([0.2, 0.3])))
 
+    @pytest.mark.parametrize("rhos, repeated", [((0.5, 0.2, 0.5), "0.5"), ((-0.0, 0.0), "0.0")])
+    def test_grid_rejects_a_repeated_rho(self, rhos, repeated):
+        # a repeated member used to be simulated twice, and -0.0 and 0.0 are
+        # the same Lambda(rho)
+        with pytest.raises(ValueError, match=f"repeats rho = {repeated}$"):
+            AR1Grid(rhos)
+
     def test_grid_holds_plain_floats(self):
         grid = AR1Grid([0, np.float32(0.5), np.array(-0.25)])
         assert grid.rhos == (0.0, 0.5, -0.25)

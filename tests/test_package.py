@@ -118,6 +118,8 @@ def test_settings_the_statistic_does_not_read_stay_gone():
     assert params(hactest.TestEngine.result) == {"self", "y"}
     assert params(hactest.test_statistic) == {"problem", "y", "config"}
     assert params(hactest.adjusted_statistic) == {"adjusted", "y"}
+    # rule defaults come from the kernel alone; a weight is set on the rule
+    assert params(hactest.default_rule) == {"kind", "kernel"}
     # one block size, beside the engine
     assert hactest.montecarlo.BLOCK_ROWS is hactest.prewhiten.BLOCK_ROWS
     assert not hasattr(hactest.diagnostics, "FD_BLOCK_ROWS")
