@@ -12,11 +12,13 @@ OLS residuals ``u``:
    ``Omega = (n/(n-p)) * B W B'`` with ``W`` the kernel Toeplitz weight
    matrix ``[kappa((i-j)/M)]``, never built as a matrix.
 
-The estimator is *undefined* at some response vectors — the VAR regressor
-matrix can be rank deficient (I), the recoloring matrix singular (II), or the
-bandwidth undefined (III).  Those outcomes are data, not errors: they are
-returned as typed :class:`OmegaOutcome` values, classified in the fixed
-precedence (I) -> (II) -> (III).
+The estimator is *undefined* at some response vectors — the VAR fit can
+fail (I: the response lies in span(X), the regressor matrix is rank
+deficient, or its normal equations are singular or have a non-finite
+solution), the recoloring matrix can be singular (II), or the bandwidth
+undefined (III).  Those outcomes are data, not errors: they are returned as
+typed :class:`OmegaOutcome` values, classified in the fixed precedence
+(I) -> (II) -> (III).
 
 Step 3 forms ``B W`` by one convolution per row of ``B`` rather than a loop
 over the ``n - p`` lags: q convolutions, not one per score row.  That is
@@ -32,7 +34,8 @@ formed; ``B`` itself is not kept.
 projection, the VAR fit, the rank and conditioning decisions, the
 recoloring, ``B``, the kernel lag sum and the definiteness class are
 stacked numpy calls over the block, each of which gives every response the
-bits it would get alone.  The lag sum weighs the whole block in one kernel
+bits it would get alone; a step that leaves no response runs the later ones
+on empty stacks.  The lag sum weighs the whole block in one kernel
 evaluation and multiplies by ``B'`` in one stacked product; only its
 convolution runs row by row, as no stacked form found keeps its bits.  The
 bandwidth rule sees one response at a time: perfbench's per-layer counters
@@ -41,6 +44,7 @@ block of one, so a value never depends on the block it was evaluated in.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -183,50 +187,40 @@ class OmegaEngine:
         self._resid_tol = max(n, k) * EPS
         # B has rank at most m - kp: see _definiteness
         self._rank_cap = max(n - config.p - k * config.p, 0)
-        # the stacks of a block without a well-defined response: Z, recolor
-        # and omega
-        m, q = n - config.p, problem.q
-        self._no_stacks = tuple(np.empty((0,) + shape) for shape in
-                                ((k, m), (k, k), (q, q)))
 
     def _fit(self, Y: np.ndarray):
         """Step 1 at every row of Y: ``(rows, V1, A, Z, recolor, regular)``.
 
-        ``rows`` lists the responses whose VAR regressor matrix has full
-        rank, and the arrays stack their fits in that order.  A response in
-        span(X) is rank deficient, because its residual, hence every score,
-        vanishes; so is one whose normal equations are exactly singular
-        although the SVD rank check passed.  ``regular`` is False where
-        ``I - sum_l A_l`` is numerically singular; ``recolor`` is NaN there.
-        When no response has a full-rank regressor matrix, the arrays are
-        None.  The estimate reads only ``Z`` and ``recolor``; the regressors
-        ``V1`` and coefficients ``A`` are returned so that the fit itself
-        can be checked.
+        ``rows`` lists the responses whose VAR fit is defined, and the
+        arrays stack their fits in that order.  The fit is undefined (step
+        I fails) at a response in span(X), whose residual, hence every
+        score, vanishes; where the regressor matrix ``V1`` is rank
+        deficient; and where its normal equations are exactly singular or
+        have a non-finite solution, as when their products under- or
+        overflow.  ``regular`` is False where ``I - sum_l A_l`` is
+        numerically singular; ``recolor`` is NaN there.  The estimate
+        reads only ``Z`` and ``recolor``; the regressors ``V1`` and
+        coefficients ``A`` are returned so that the fit itself can be
+        checked.
         """
         X = self.problem.X
         n, k, p = self.problem.n, self.problem.k, self.config.p
         U = np.matvec(self.annihilator, Y)
         tol = self._resid_tol
         rows = [i for i, (u, y) in enumerate(zip(_norms(U), _norms(Y))) if not u <= tol * y]
-        if not rows:  # every response lies in span(X)
-            return rows, None, None, None, None, []
         if len(rows) < len(Y):
             U = U[rows]
         V = X.T * U[:, None, :]
         V1 = np.concatenate([V[:, :, p - l : n - l] for l in range(1, p + 1)], axis=1)
-        full = [j for j, rank in enumerate(numeric_rank(V1)) if rank >= k * p]
-        if len(full) < len(rows):
-            rows, V, V1 = [rows[j] for j in full], V[full], V1[full]
-        if not rows:  # nothing to solve
-            return rows, None, None, None, None, []
         Vp = V[:, :, p:]
         # normal equations, not an SVD solve: structurally-zero cross
         # products must give an exactly zero coefficient block
-        solved, A = _solve_each(V1 @ V1.swapaxes(1, 2), V1 @ Vp.swapaxes(1, 2))
-        if len(solved) < len(rows):
-            rows, V1, Vp = [rows[j] for j in solved], V1[solved], Vp[solved]
-            if not rows:
-                return rows, None, None, None, None, []
+        A = _solve_each(V1 @ V1.swapaxes(1, 2), V1 @ Vp.swapaxes(1, 2))
+        fits = [rank >= k * p and finite for rank, finite in
+                zip(numeric_rank(V1), np.isfinite(A).all(axis=(1, 2)).tolist())]
+        if not all(fits):
+            rows = [i for i, fit in zip(rows, fits) if fit]
+            V1, Vp, A = V1[fits], Vp[fits], A[fits]
         A = A.swapaxes(1, 2)
         D = self._eye_k - np.add.reduce(A.reshape(len(rows), k, p, k), axis=2)
         recolor, regular = solve_well_conditioned(D, self._eye_k)
@@ -256,8 +250,6 @@ class OmegaEngine:
                 ms.append(bw.m)
             else:
                 reasons[i] = BANDWIDTH_UNDEFINED
-        if not keep:
-            return OmegaBlock(reasons, bandwidths, [], *self._no_stacks, [])
         if len(keep) < len(rows):
             Z, recolor = Z[keep], recolor[keep]
             rows = [rows[j] for j in keep]
@@ -278,26 +270,23 @@ class OmegaEngine:
         )
 
 
-def _solve_each(G: np.ndarray, rhs: np.ndarray):
-    """Solve ``G_i x = rhs_i`` for each exactly regular ``G_i`` of a stack.
+def _solve_each(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``G_i x = rhs_i`` at each matrix of a stack; NaN where ``G_i``
+    is exactly singular.
 
-    Returns ``(solved, x)``: the indices of the systems solved, and their
-    solutions stacked in that order.  The stack is one call; only when some
-    ``G_i`` is exactly singular, which fails that call, is each system
-    solved alone, so every solution has the bits one call gives it.
+    The stack is one call; only when some ``G_i`` is exactly singular,
+    which fails that call, is each system solved alone, so every solution
+    has the bits one call gives it.
     """
     try:
-        return range(len(G)), np.linalg.solve(G, rhs)
+        return np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError:
         pass
-    solved, x = [], []
+    x = np.full(rhs.shape, np.nan)
     for i, (g, b) in enumerate(zip(G, rhs)):
-        try:
-            x.append(np.linalg.solve(g, b))
-        except np.linalg.LinAlgError:
-            continue
-        solved.append(i)
-    return solved, np.array(x).reshape((len(solved),) + rhs.shape[1:])
+        with contextlib.suppress(np.linalg.LinAlgError):
+            x[i] = np.linalg.solve(g, b)
+    return x
 
 
 def _norms(Y: np.ndarray) -> list:

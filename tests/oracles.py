@@ -456,6 +456,8 @@ class ScalarStatistic:
             A = np.linalg.solve(V1 @ V1.T, V1 @ Vp.T).T
         except np.linalg.LinAlgError:  # exactly singular normal equations
             return None
+        if not np.isfinite(A).all():  # normal equations that under- or overflow
+            return None
         D = self.eye_k - A.reshape(k, p, k).sum(axis=1)
         s = np.linalg.svd(D, compute_uv=False)
         if s[-1] == 0.0 or s[0] / s[-1] > 1.0 / EPS:

@@ -9,9 +9,11 @@ from hactest import (
     compute_bandwidth,
     default_rule,
     get_kernel,
+    kernel_names,
 )
 from hactest.bandwidth import (
     DENOMINATOR_ZERO,
+    PLUG_IN_NOT_FINITE,
     RHO_UNDEFINED,
     RHO_UNIT,
     SIGMA_ALL_ZERO,
@@ -236,6 +238,13 @@ class TestNeweyWestBandwidth:
         assert rectangular_cutoff(3) == 1
         out = bandwidth_nw(np.array([[3.0, -3.0]]), default_rule("newey-west", "bartlett"), 3)
         assert out.reason == DENOMINATOR_ZERO
+
+    @pytest.mark.parametrize("kernel", kernel_names())
+    def test_plug_in_not_finite_when_the_sums_overflow(self, kernel):
+        # the lag products overflow, so num / den is inf / inf
+        with np.errstate(over="ignore"):
+            out = bandwidth_nw(1e155 * np.ones((2, 39)), default_rule("newey-west", kernel), 40)
+        assert out.reason == PLUG_IN_NOT_FINITE
 
     def test_matches_oracle_on_random_matrices(self, rng):
         for trial in range(50):

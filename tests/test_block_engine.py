@@ -15,6 +15,7 @@ from hactest import (
     FixedBRule,
     RegressionProblem,
     alternating_vector,
+    assemble_omega,
     build_adjusted,
     constant_vector,
     default_rule,
@@ -171,8 +172,9 @@ def degenerate_fixtures():
          np.array([2.0, 2.0, -4.0]),
          BANDWIDTH_UNDEFINED, DENOMINATOR_ZERO),
         ("plug-in-not-finite", problem,
-         EstimatorConfig(get_kernel("qs"), default_rule("andrews", "qs"), p=1), y30 * 1e-160,
+         EstimatorConfig(get_kernel("qs"), default_rule("andrews", "qs"), p=1), y30 * 1e80,
          BANDWIDTH_UNDEFINED, PLUG_IN_NOT_FINITE),
+        ("nan-fit", problem, fixed, y30 * 1e-160, VAR_RANK_DEFICIENT, None),
         ("singular", trap, fixed, np.array([0.0, 2.0, 2.0, -2.0]), SINGULAR_NONNEG, None),
         ("zero", flat, fixed, np.array([-1.0, 1.0, -2.0, 2.0]), ZERO, None),
     ]
@@ -181,9 +183,9 @@ def degenerate_fixtures():
 @pytest.mark.parametrize("fixture", degenerate_fixtures(), ids=lambda f: f[0])
 def test_degenerate_fixtures_match_the_scalar_statistic(rng, fixture):
     _label, problem, config, y, kind, bandwidth_reason = fixture
-    # at 1e-160 the normal equations underflow and the VAR fit is NaN; the
-    # bandwidth rule still reports a typed reason, on both paths alike
-    with np.errstate(invalid="ignore"):
+    # at 1e80 the plug-in sums overflow; at 1e-160 the normal equations
+    # underflow and the VAR fit is NaN
+    with np.errstate(invalid="ignore", over="ignore"):
         got_kind, _t, _omega, bw = ScalarStatistic(problem, config).evaluate(y)
         assert got_kind == kind
         assert (bw.reason if bw is not None else None) == bandwidth_reason
@@ -260,17 +262,46 @@ def test_a_nan_matrix_raises_alone_and_in_a_stack(rng, shape):
         numeric_rank(stack)
 
 
-def test_a_nan_fit_raises_as_one_response_does():
-    # at 1e-160 the normal equations underflow and the fit is NaN; fixed-b
-    # still defines a bandwidth, so the NaN B reaches the rank decision,
-    # whose SVD raises on both paths (q = 1: a single row of B)
+@pytest.mark.parametrize("rule, kernel", [("fixed-b", "bartlett"), ("andrews", "qs"),
+                                          ("newey-west", "bartlett")])
+def test_a_nan_fit_is_var_rank_deficient(rule, kernel):
+    # at 1e-160 the normal equations underflow and their solution is NaN:
+    # step I fails there, on both paths, before any bandwidth rule or rank
+    # decision reads the NaN; the other response of the block keeps its T
     problem, y30 = scale_design()
-    config = EstimatorConfig(BARTLETT, FixedBRule(b=0.5), p=1)
+    config = EstimatorConfig(get_kernel(kernel), default_rule(rule, kernel), p=1)
     y = y30 * 1e-160
+    engine, scalar = Engine(problem, config), ScalarStatistic(problem, config)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        with pytest.raises(np.linalg.LinAlgError):
-            ScalarStatistic(problem, config).evaluate(y)
-        with pytest.raises(np.linalg.LinAlgError):
-            Engine(problem, config).result(y)
-        with pytest.raises(np.linalg.LinAlgError):
-            Engine(problem, config).t_values(np.vstack([y30, y]))
+        assert scalar.evaluate(y)[:2] == (VAR_RANK_DEFICIENT, 0.0)
+        res = engine.result(y)
+        t = engine.t_values(np.vstack([y30, y]))
+    assert (res.omega.reason, res.t_value) == (VAR_RANK_DEFICIENT, 0.0)
+    assert t[1] == 0.0
+    assert t[0] == engine.result(y30).t_value == scalar.evaluate(y30)[1] > 0.0
+
+
+def test_no_scale_near_the_underflow_raises():
+    # every entry point returns a value or a typed outcome at every scale
+    # around the window where the normal equations underflow, for every
+    # rule, kernel and p, bare and adjusted; inside the window step I fails
+    rng = np.random.default_rng(3)
+    problem = RegressionProblem(rng.standard_normal((30, 2)), [[1.0, 0.0]], [0.0])
+    y = rng.standard_normal(30)
+    cases = 0
+    for config in config_grid(1) + config_grid(2):
+        adjusted = build_adjusted(problem, config)
+        for prob, conf in ((problem, config), (adjusted.problem, adjusted.config)):
+            engine = Engine(prob, conf)
+            t_y = engine.result(y).t_value
+            for e in range(-175, -144):
+                ys = y * 10.0**e
+                with np.errstate(all="ignore"):
+                    reasons = (evaluate(prob, ys, conf).omega.reason,
+                               assemble_omega(prob, ys, conf).reason)
+                    t = engine.t_values(np.vstack([y, ys]))
+                assert t[0] == t_y
+                if -162 <= e <= -155:
+                    assert reasons == (VAR_RANK_DEFICIENT,) * 2 and t[1] == 0.0
+                    cases += 1
+    assert cases == 288

@@ -665,6 +665,31 @@ def test_a_bad_weight_is_reported_without_blaming_the_kernel(runner):
     assert "default" not in result.output
 
 
+# the 30 x 2 design at a scale where the VAR normal equations underflow
+SCALE_RNG = np.random.default_rng(3)
+SCALE_X = SCALE_RNG.standard_normal((30, 2))
+SCALE_Y = SCALE_RNG.standard_normal(30) * 1e-160
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("test", ["--rule", "fixed-b"]),
+    ("estimate", ["--rule", "fixed-b"]),
+    ("adjust", ["--rule", "andrews", "--kernel", "qs"]),
+    ("test", ["--rule", "andrews", "--kernel", "qs"]),
+])
+def test_an_underflowing_var_fit_is_a_typed_outcome(runner, command, flags):
+    # the first three used to exit 2 with "Error: SVD did not converge"; the
+    # last reported BandwidthUndefined (PlugInNotFinite) from the NaN fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = runner.invoke(main, [
+            command, "--x", literal(SCALE_X), "--y", literal(SCALE_Y), "--R", "1,0",
+            *flags, "--json",
+        ])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["reason"] == "VarRankDeficient"
+
+
 @pytest.mark.parametrize("rule", RULE_NAMES)
 @pytest.mark.parametrize("kernel", kernel_names())
 def test_every_rule_and_kernel_runs_without_constants(runner, rule, kernel):

@@ -48,8 +48,8 @@ from .oracles import (
 def fit_var_ols(problem, y, p):
     """Step 1 alone, through the engine that runs it inside the pipeline:
     the regressors ``V1``, coefficients ``A``, residuals ``Z`` and
-    ``recolor`` (None when singular), or None when the VAR regressor matrix
-    is rank deficient."""
+    ``recolor`` (None when singular), or None when the VAR fit is
+    undefined."""
     config = EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p)
     engine = OmegaEngine(problem, config)
     rows, V1, A, Z, recolor, regular = engine._fit(np.asarray(y, dtype=float)[None])
@@ -260,12 +260,12 @@ class TestOmegaOutcome:
         assert out.bandwidth.reason == DENOMINATOR_ZERO
 
     @pytest.mark.parametrize("kind, kernel, scale", [
-        ("andrews", "qs", 1e-160), ("andrews", "qs", 1e80), ("andrews", "qs", 1e120),
-        ("newey-west", "bartlett", 1e-160),
+        ("andrews", "qs", 1e80), ("andrews", "qs", 1e120),
     ])
     def test_non_finite_plug_in_bandwidth_is_a_typed_reason(self, kind, kernel, scale):
-        # the plug-in sums over- or underflow at these scales; the bandwidth
-        # used to raise "defined bandwidth must be finite"
+        # the VAR fit is finite at these scales, but the plug-in sums
+        # overflow; the bandwidth used to raise "defined bandwidth must be
+        # finite"
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 2))
         y = rng.standard_normal(30)

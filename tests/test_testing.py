@@ -96,7 +96,8 @@ class TestStatistic:
 
         weight = functools.lru_cache(maxsize=None)(lambda x: kernel_eval(config.kernel, x))
         monkeypatch.setattr(prewhiten, "_kernel_lag_sum", lambda Z, _kernel, bandwidths: np.array(
-            [kernel_lag_sum_oracle(z, weight, m_value) for z, m_value in zip(Z, bandwidths)]))
+            [kernel_lag_sum_oracle(z, weight, m_value) for z, m_value in zip(Z, bandwidths)]
+        ).reshape(len(Z), Z.shape[1], Z.shape[1]))
         want = [engine.result(y) for y in ys]
         assert any(w.defined for w in want) and any(not w.defined for w in want)
         for g, w in zip(got, want):
