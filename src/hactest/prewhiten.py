@@ -55,7 +55,7 @@ import numpy as np
 from ._linalg import EPS, numeric_rank, solve_well_conditioned, symmetrize
 from .bandwidth import BandwidthOutcome, BandwidthRule, compute_bandwidth
 from .kernels import KernelSpec, lag_weights
-from .model import RegressionProblem, check_count, check_response
+from .model import RegressionProblem, check_count, check_finite
 
 #: OmegaOutcome.status values, derived from whether there is a reason
 WELL_DEFINED = "well-defined"
@@ -226,14 +226,19 @@ class OmegaEngine:
         recolor, regular = solve_well_conditioned(D, self._eye_k)
         return rows, V1, A, Vp - A @ V1, recolor, regular
 
-    def outcomes(self, Y: np.ndarray) -> OmegaBlock:
-        """Run the three steps at every row of a (b x n) response block.
-
-        Undefinedness keeps its precedence (I) -> (II) -> (III) row by row,
-        and the bandwidth rule sees each response's residuals alone.
+    def outcomes(self, Y) -> OmegaBlock:
+        """Run the three steps at every row of a (b x n) response block, the
+        one place a response is checked: ValueError, naming y, unless Y is
+        finite and b x n.  Undefinedness keeps its precedence (I) -> (II) ->
+        (III) row by row, and the bandwidth rule sees each response alone.
         """
         config = self.config
         n, p = self.problem.n, config.p
+        Y = check_finite("y", Y)
+        if Y.ndim != 2:
+            raise ValueError(f"y must be a (b, n) block with n = {n}, got {Y.ndim} axes")
+        if Y.shape[1] != n:
+            raise ValueError(f"y has length {Y.shape[1]}, expected n = {n}")
         rows, _, _, Z, recolor, regular = self._fit(Y)
         reasons = [VAR_RANK_DEFICIENT] * len(Y)
         bandwidths = [None] * len(Y)
@@ -258,8 +263,12 @@ class OmegaEngine:
         return OmegaBlock(reasons, bandwidths, rows, Z, recolor, omega,
                           _definiteness(B, self._rank_cap))
 
-    def outcome(self, y: np.ndarray) -> OmegaOutcome:
-        """The outcome at one response: a block of one."""
+    def outcome(self, y) -> OmegaOutcome:
+        """The outcome at one response, a block of one; ValueError unless y is
+        1-D, and where :meth:`outcomes` raises."""
+        y = np.asarray(y)
+        if y.ndim != 1:
+            raise ValueError(f"y must be a 1-D response, n = {self.problem.n}, got {y.ndim} axes")
         block = self.outcomes(y[None])
         reason, bw = block.reasons[0], block.bandwidths[0]
         if reason is not None:
@@ -322,7 +331,7 @@ def _kernel_lag_sum(Z: np.ndarray, kernel: KernelSpec, bandwidths) -> np.ndarray
 
 def assemble_omega(problem: RegressionProblem, y, config: EstimatorConfig) -> OmegaOutcome:
     """Run the full three-step pipeline at one response vector."""
-    return OmegaEngine(problem, config).outcome(check_response(problem, y))
+    return OmegaEngine(problem, config).outcome(y)
 
 
 def min_definite_n(k: int, q: int, p: int) -> int:

@@ -25,12 +25,7 @@ import numpy as np
 
 from ._linalg import EPS, numeric_rank, readonly
 from .bandwidth import FixedBRule, resolve_omega
-from .model import (
-    RegressionProblem,
-    alternating_vector,
-    check_response,
-    constant_vector,
-)
+from .model import RegressionProblem, alternating_vector, constant_vector
 from .prewhiten import (
     POSITIVE_DEFINITE,
     EstimatorConfig,
@@ -127,6 +122,7 @@ class TestEngine:
         self.omega_engine = OmegaEngine(problem, config)
 
     def result(self, y) -> TestResult:
+        """The statistic at one response; ValueError where OmegaEngine.outcome raises."""
         y = np.asarray(y, dtype=float)
         out = self.omega_engine.outcome(y)
         t = 0.0
@@ -137,7 +133,8 @@ class TestEngine:
         return TestResult(t_value=t, defined=d is not None, omega=out, discrepancy=d)
 
     def t_values(self, Y) -> np.ndarray:
-        """The statistic at every row of a (b x n) response block, 0 where not defined."""
+        """The statistic at every row of a (b x n) response block, 0 where not
+        defined; ValueError where OmegaEngine.outcomes raises."""
         Y = np.asarray(Y, dtype=float)
         block = self.omega_engine.outcomes(Y)
         pd = [j for j, c in enumerate(block.definiteness) if c == POSITIVE_DEFINITE]
@@ -183,7 +180,6 @@ def _quadratic_forms(omega: np.ndarray, d: np.ndarray):
 
 def test_statistic(problem: RegressionProblem, y, config: EstimatorConfig) -> TestResult:
     """Evaluate the statistic once; use TestEngine for repeated evaluation."""
-    y = check_response(problem, y)
     return TestEngine(problem, config).result(y)
 
 

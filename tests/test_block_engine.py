@@ -305,3 +305,53 @@ def test_no_scale_near_the_underflow_raises():
                     assert reasons == (VAR_RANK_DEFICIENT,) * 2 and t[1] == 0.0
                     cases += 1
     assert cases == 288
+
+
+def integer_designs():
+    """Seeded small designs with integer entries in [-2, 2], R the first row
+    of I and r = 0, each with an integer response."""
+    rng = np.random.default_rng(7)
+    designs = []
+    for n, k in ((6, 1), (8, 2), (10, 3), (12, 2)):
+        while True:
+            X = rng.integers(-2, 3, (n, k)).astype(float)
+            if numeric_rank(X) == k:
+                break
+        y = rng.integers(-2, 3, n).astype(float)
+        designs.append((RegressionProblem(X, np.eye(k)[:1], [0.0]), y))
+    return designs
+
+
+# ROADMAP item 2: at large scales the span test's norms overflow, and so
+# does the Andrews rule's sigma^4, whose inf then meets a zero weight; those
+# warnings are known, and any other fails
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered in vecdot:RuntimeWarning:hactest.prewhiten")
+@pytest.mark.filterwarnings(
+    "ignore:(overflow|invalid value) encountered:RuntimeWarning:hactest.bandwidth")
+def test_no_scale_of_a_small_integer_design_raises():
+    # a bounded search over dense power-of-two scales, every rule, kernel and
+    # p, bare and adjusted: the block engine returns a finite T >= 0 at every
+    # response, bitwise the single-response value, with the same class
+    scales = np.ldexp(1.0, np.arange(-1070, 1020, 13))
+    kinds = set()
+    for problem, y in integer_designs():
+        for config in config_grid(1) + config_grid(2):
+            problems = [(problem, config)]
+            try:
+                adjusted = build_adjusted(problem, config)
+                problems.append((adjusted.problem, adjusted.config))
+            except ValueError:
+                pass
+            for prob, conf in problems:
+                engine = Engine(prob, conf)
+                Y = scales[:, None] * y
+                t = engine.t_values(Y)
+                block = block_kinds(engine, Y)
+                assert np.isfinite(t).all() and (t >= 0.0).all()
+                for row, t_row, kind in zip(Y, t, block):
+                    res = engine.result(row)
+                    assert res.t_value == t_row
+                    assert kind == (res.omega.reason or res.omega.definiteness)
+                kinds.update(block)
+    assert {VAR_RANK_DEFICIENT, BANDWIDTH_UNDEFINED, POSITIVE_DEFINITE} <= kinds

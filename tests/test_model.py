@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from hactest import (
+    BARTLETT,
     AR1Grid,
+    EstimatorConfig,
+    FixedBRule,
+    OmegaEngine,
     RegressionProblem,
     alternating_vector,
     constant_vector,
     null_point,
 )
-from hactest.model import _ar1_path, check_response
+from hactest.model import _ar1_path
 
 from .oracles import (
     ar1_cov_oracle,
@@ -68,10 +72,11 @@ class TestRegressionProblem:
             RegressionProblem(X, np.eye(2), np.zeros(3))
         with pytest.raises(ValueError):
             RegressionProblem(X[:2], np.eye(2), np.zeros(2))
-        # the response is checked against the problem where it is passed in
+        # the response is checked against the problem where the engine takes it in
         problem = RegressionProblem(X, np.eye(2), np.zeros(2))
+        engine = OmegaEngine(problem, EstimatorConfig(BARTLETT, FixedBRule(b=0.5)))
         with pytest.raises(ValueError, match="y has length 9, expected n = 10"):
-            check_response(problem, np.zeros(9))
+            engine.outcome(np.zeros(9))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["X", "R", "r"])
@@ -81,10 +86,11 @@ class TestRegressionProblem:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             RegressionProblem(**args)
         problem = RegressionProblem(rng.standard_normal((10, 2)), np.eye(2), np.zeros(2))
+        engine = OmegaEngine(problem, EstimatorConfig(BARTLETT, FixedBRule(b=0.5)))
         y = np.zeros(10)
         y[3] = bad
         with pytest.raises(ValueError, match="^y must be finite"):
-            check_response(problem, y)
+            engine.outcome(y)
 
     def test_rejects_wide_design(self, rng):
         X = rng.standard_normal((3, 4))

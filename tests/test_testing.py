@@ -16,6 +16,7 @@ from hactest import (
     RegressionProblem,
     adjusted_statistic,
     alternating_vector,
+    assemble_omega,
     build_adjusted,
     constant_vector,
     default_rule,
@@ -392,23 +393,65 @@ class TestAdjustedStatistic:
         assert moved.t_value == pytest.approx(base.t_value, rel=1e-8)
 
 
+#: the public evaluators of one response, and of a block of responses
+SINGLE_ENTRY_POINTS = ("test_statistic", "adjusted_statistic", "assemble_omega", "result",
+                       "outcome")
+BLOCK_ENTRY_POINTS = ("t_values", "outcomes")
+
+
 class TestInputValidation:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_single_y_entry_points_reject_non_finite_responses(self, rng, bad):
-        # an inf used to come back as VarRankDeficient, a NaN as LinAlgError
-        problem, y = random_problem(rng, n=14, k=2, q=1)
+    """Every evaluator checks its response where the block engine takes it in."""
+
+    @pytest.fixture
+    def evaluators(self, rng):
+        problem, _ = random_problem(rng, n=14, k=2, q=1)
         config = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)
         adjusted = build_adjusted(problem, config)
-        y[5] = bad
-        with pytest.raises(ValueError, match="y must be finite"):
-            evaluate(problem, y, config)
-        with pytest.raises(ValueError, match="y must be finite"):
-            adjusted_statistic(adjusted, y)
+        engine = Engine(problem, config)
+        omega_engine = prewhiten.OmegaEngine(problem, config)
+        return {
+            "test_statistic": lambda y: evaluate(problem, y, config),
+            "adjusted_statistic": lambda y: adjusted_statistic(adjusted, y),
+            "assemble_omega": lambda y: assemble_omega(problem, y, config),
+            "result": engine.result,
+            "outcome": omega_engine.outcome,
+            "t_values": engine.t_values,
+            "outcomes": omega_engine.outcomes,
+        }
 
-    def test_single_y_entry_points_reject_wrong_length_responses(self, rng):
-        problem, y = random_problem(rng, n=14, k=2, q=1)
-        config = EstimatorConfig(BARTLETT, default_rule("newey-west", "bartlett"), p=1)
-        with pytest.raises(ValueError, match="y has length 13, expected n = 14"):
-            evaluate(problem, y[:-1], config)
-        with pytest.raises(ValueError, match="y has length 13, expected n = 14"):
-            adjusted_statistic(build_adjusted(problem, config), y[:-1])
+    @staticmethod
+    def among_good_rows(rng, entry, y):
+        """y itself for a single-response entry point; for a block one, y as
+        one row among finite rows of its length."""
+        if entry in SINGLE_ENTRY_POINTS:
+            return y
+        return np.vstack([rng.standard_normal((2, len(y))), y, rng.standard_normal((3, len(y)))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", SINGLE_ENTRY_POINTS + BLOCK_ENTRY_POINTS)
+    def test_every_entry_point_rejects_non_finite_responses(self, rng, evaluators, entry, bad):
+        # an inf used to come back as VarRankDeficient, a NaN as LinAlgError
+        y = rng.standard_normal(14)
+        y[5] = bad
+        with pytest.raises(ValueError, match="^y must be finite"):
+            evaluators[entry](self.among_good_rows(rng, entry, y))
+
+    @pytest.mark.parametrize("entry", SINGLE_ENTRY_POINTS + BLOCK_ENTRY_POINTS)
+    def test_every_entry_point_rejects_wrong_length_responses(self, rng, evaluators, entry):
+        y = rng.standard_normal(13)
+        with pytest.raises(ValueError, match="^y has length 13, expected n = 14$"):
+            evaluators[entry](self.among_good_rows(rng, entry, y))
+
+    @pytest.mark.parametrize("entry, ndim", [(e, d) for e in SINGLE_ENTRY_POINTS for d in (0, 2)]
+                             + [(e, d) for e in BLOCK_ENTRY_POINTS for d in (1, 3)])
+    def test_every_entry_point_rejects_a_wrong_number_of_axes(self, rng, evaluators, entry, ndim):
+        # one response is 1-D and a block 2-D; any other shape is refused
+        # before the engine reads it
+        y = rng.standard_normal((1,) * (ndim - 1) + (14,)[:ndim])
+        with pytest.raises(ValueError, match=rf"^y must be .* n = 14, got {ndim} axes$"):
+            evaluators[entry](y)
+
+    @pytest.mark.parametrize("entry", BLOCK_ENTRY_POINTS)
+    def test_an_empty_block_has_no_outcomes(self, evaluators, entry):
+        got = evaluators[entry](np.empty((0, 14)))
+        assert len(got if entry == "t_values" else got.reasons) == 0
