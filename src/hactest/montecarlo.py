@@ -177,10 +177,14 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
     R (beta - betas[0]), or 0 when the engine's result is not defined;
     the forms of a block's defined responses are one stacked call.  For
     an adjusted target the shift is the same, because X beta lies in the
-    augmented span and the padded restriction columns are zero.
+    augmented span and the padded restriction columns are zero.  Raises
+    ValueError, naming beta, when the mean X betas[0] overflows.
     """
     members = _family_members(mc.family)
-    mu = sim_problem.X @ betas[0]
+    with np.errstate(all="ignore"):
+        mu = sim_problem.X @ betas[0]
+    if not np.isfinite(mu).all():
+        raise ValueError("beta: the mean X beta overflows on this design; rescale beta")
     shifts = np.array([sim_problem.R @ (beta - betas[0]) for beta in betas[1:]])
     out = np.zeros((len(members), len(betas), mc.replications))
     for start in range(0, mc.replications, BLOCK_ROWS):

@@ -78,7 +78,8 @@ BLOCK_ROWS = 128
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Kernel, bandwidth rule, and VAR order of the covariance estimator."""
+    """Kernel, bandwidth rule, and VAR order p >= 1 of the covariance
+    estimator; OmegaEngine checks p against a design."""
 
     kernel: KernelSpec
     rule: BandwidthRule
@@ -86,15 +87,6 @@ class EstimatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", check_count("VAR order p", self.p))
-
-    def validate_for(self, problem: RegressionProblem) -> None:
-        """Check the p range constraint 1 <= p <= n/(k+1) against a problem."""
-        n, k = problem.n, problem.k
-        if self.p * (k + 1) > n:
-            raise ValueError(
-                f"p must satisfy 1 <= p <= n/(k+1); got p = {self.p} with "
-                f"n = {n}, k = {k}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,32 +153,53 @@ class OmegaBlock(NamedTuple):
 class OmegaEngine:
     """Assembles the covariance estimate repeatedly for one (problem, config).
 
-    Precomputes everything that depends only on the design so Monte Carlo
-    loops pay per response vector only for the data-dependent steps.  The
-    steps run on a block of responses at once (:meth:`outcomes`), as
+    Building it is where the pair is accepted or refused, with ValueError:
+    unless 1 <= p <= n/(k+1), and unless the normal equations ``X'X`` give
+    finite operators ``(X'X)^{-1} X'``, the annihilator and
+    ``R (X'X)^{-1}`` (they under- or overflow when X is scaled far from 1).
+    It precomputes everything that depends only on the design, so Monte
+    Carlo loops pay per response vector only for the data-dependent steps.
+    The steps run on a block of responses at once (:meth:`outcomes`), as
     stacked numpy calls that give every response the values it would get
     alone; one response is a block of one.  Only the bandwidth rule runs
     response by response, and the lag sum's convolution row by row.
+    TestEngine is this engine with the statistic added.
     """
 
     def __init__(self, problem: RegressionProblem, config: EstimatorConfig):
-        config.validate_for(problem)
+        X, R = problem.X, problem.R
+        n, k, p = problem.n, problem.k, config.p
+        if p * (k + 1) > n:
+            raise ValueError(
+                f"p must satisfy 1 <= p <= n/(k+1); got p = {p} with n = {n}, k = {k}"
+            )
         self.problem = problem
         self.config = config
-        X, R = problem.X, problem.R
-        n, k = problem.n, problem.k
-        xtx = X.T @ X
-        self.beta_op = np.linalg.solve(xtx, X.T)  # (X'X)^{-1} X'
-        self.annihilator = np.eye(n) - X @ self.beta_op
-        # R (X'X)^{-1}, q x k; a separate right-hand side, because stacking
-        # it onto X' changes the solve's rounding
-        self.g = np.linalg.solve(xtx, R.T).T
+        with np.errstate(all="ignore"):
+            xtx = X.T @ X
+            try:
+                self.beta_op = np.linalg.solve(xtx, X.T)  # (X'X)^{-1} X'
+                self.annihilator = np.eye(n) - X @ self.beta_op
+                # R (X'X)^{-1}, q x k; a separate right-hand side, because
+                # stacking it onto X' changes the solve's rounding
+                self.g = np.linalg.solve(xtx, R.T).T
+                # a non-finite entry of beta_op makes a column of the
+                # annihilator non-finite, as X has no zero column
+                formed = all(np.count_nonzero(np.isfinite(a)) == a.size
+                             for a in (self.annihilator, self.g))
+            except np.linalg.LinAlgError:
+                formed = False
+        if not formed:
+            raise ValueError(
+                "X: its normal equations X'X under- or overflow at this scale; "
+                "rescale the design"
+            )
         self._eye_k = np.eye(k)
         # below this, an OLS residual norm is indistinguishable from the
         # roundoff of projecting a vector that lies in span(X)
         self._resid_tol = max(n, k) * EPS
         # B has rank at most m - kp: see _definiteness
-        self._rank_cap = max(n - config.p - k * config.p, 0)
+        self._rank_cap = max(n - p - k * p, 0)
 
     def _fit(self, Y: np.ndarray):
         """Step 1 at every row of Y: ``(rows, V1, A, Z, recolor, regular)``.

@@ -106,8 +106,8 @@ class AdjustedProblem:
         return self.problem.k
 
 
-class TestEngine:
-    """Evaluates the statistic repeatedly for one (problem, config).
+class TestEngine(OmegaEngine):
+    """The OmegaEngine that also forms the statistic, for one (problem, config).
 
     ``result`` evaluates one response and returns the value with the
     estimate behind it; ``t_values`` evaluates a block of responses at once
@@ -116,15 +116,10 @@ class TestEngine:
     Neither takes a critical value: comparing T with C is the caller's.
     """
 
-    def __init__(self, problem: RegressionProblem, config: EstimatorConfig):
-        self.problem = problem
-        self.config = config
-        self.omega_engine = OmegaEngine(problem, config)
-
     def result(self, y) -> TestResult:
-        """The statistic at one response; ValueError where OmegaEngine.outcome raises."""
+        """The statistic at one response; ValueError where ``outcome`` raises."""
         y = np.asarray(y, dtype=float)
-        out = self.omega_engine.outcome(y)
+        out = self.outcome(y)
         t = 0.0
         d = None
         if out.definiteness == POSITIVE_DEFINITE:
@@ -134,9 +129,9 @@ class TestEngine:
 
     def t_values(self, Y) -> np.ndarray:
         """The statistic at every row of a (b x n) response block, 0 where not
-        defined; ValueError where OmegaEngine.outcomes raises."""
+        defined; ValueError where ``outcomes`` raises."""
         Y = np.asarray(Y, dtype=float)
-        block = self.omega_engine.outcomes(Y)
+        block = self.outcomes(Y)
         pd = [j for j, c in enumerate(block.definiteness) if c == POSITIVE_DEFINITE]
         rows = [block.defined[j] for j in pd]
         t = np.zeros(len(Y))
@@ -147,7 +142,7 @@ class TestEngine:
     def _forms(self, omega: np.ndarray, Y: np.ndarray):
         """T and the discrepancy ``R beta_hat - r`` at the response y, or the
         stack of responses Y, whose estimates ``omega`` are positive definite."""
-        beta_hat = np.matvec(self.omega_engine.beta_op, Y)
+        beta_hat = np.matvec(self.beta_op, Y)
         d = np.matvec(self.problem.R, beta_hat) - self.problem.r
         return _quadratic_forms(omega, d), d
 

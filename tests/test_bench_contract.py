@@ -129,7 +129,7 @@ def test_the_kernel_counts_read_the_points_and_weights_of_the_lag_sum(bench, ker
         hactest.get_kernel(kernel), hactest.default_rule("newey-west", kernel), p=p)
     engine = hactest.TestEngine(problem, config)
     Y = np.random.default_rng(20260511).standard_normal((9, n))
-    block = engine.omega_engine.outcomes(Y)
+    block = engine.outcomes(Y)
     assert block.defined == list(range(len(Y)))
     assert all(bw.m > 0.0 for bw in block.bandwidths)
     _, _, counts = traced(bench, lambda: engine.t_values(Y))

@@ -252,6 +252,20 @@ class TestTest:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_a_design_whose_normal_equations_under_or_overflow_exits_two(self, runner, e):
+        # a finite design scaled by 2^e: the engine refuses it, naming X,
+        # where a LinAlgError used to escape
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((30, 2)) * 2.0**e
+        y = rng.standard_normal(30)
+        result = runner.invoke(main, [
+            "test", "--x", ";".join(",".join(map(repr, row)) for row in X.tolist()),
+            "--y", ",".join(map(repr, y.tolist())), "--R", "1,0",
+        ])
+        assert result.exit_code == 2
+        assert "X: its normal equations X'X under- or overflow" in result.output
+
     def test_singular_normal_equations_are_a_typed_outcome(self, runner):
         # finite input whose VAR normal equations are exactly singular
         result = runner.invoke(main, [

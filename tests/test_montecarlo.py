@@ -103,6 +103,14 @@ class TestSimulateStatistics:
             simulate_statistics(problem, cov=0.0, beta=np.array([bad, 0.0]), reps=5, seed=0,
                                 est_config=CONFIG)
 
+    def test_a_beta_whose_mean_overflows_is_rejected(self, rng):
+        # beta is finite but X beta is not: the error names beta, not a y
+        # the caller never passed, and no overflow warning escapes
+        problem = RegressionProblem(rng.standard_normal((12, 2)), [[1.0, 0.0]], [0.0])
+        with pytest.raises(ValueError, match="^beta: the mean X beta overflows"):
+            simulate_statistics(problem, cov=0.3, beta=np.array([1e308, 1e308]), reps=3,
+                                seed=0, est_config=CONFIG)
+
     def test_adjusted_target_simulates_from_the_original_design(self, rng):
         problem, _ = random_problem(rng, n=12, k=2, q=1, r_zero=True)
         adjusted = build_adjusted(problem, CONFIG)

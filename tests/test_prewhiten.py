@@ -80,14 +80,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=1.5)
 
-    def test_validate_for_range(self, rng):
-        problem, _ = random_problem(rng, n=8, k=3)
-        EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=2).validate_for(problem)
-        with pytest.raises(ValueError, match="p must satisfy"):
-            EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=3).validate_for(problem)
-
     def test_engine_rejects_oversized_p(self, rng):
         problem, _ = random_problem(rng, n=8, k=3)
+        OmegaEngine(problem, EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=2))
         with pytest.raises(ValueError, match="p must satisfy"):
             OmegaEngine(problem, EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=3))
 
@@ -330,7 +325,7 @@ class TestOmegaFromRestrictionRows:
                 out = res.omega
                 assert out.status == WELL_DEFINED
                 classes.add(out.definiteness)
-                g = engine.omega_engine.g
+                g = engine.g
                 want = symmetrize(problem.n * g @ out.psi @ g.T)
                 assert np.max(np.abs(out.omega - want)) <= 1e-12 * np.max(np.abs(want))
                 if res.defined:
