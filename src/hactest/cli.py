@@ -255,11 +255,13 @@ def estimate(problem, y, restricted, config, as_json, out):
             "status": outcome.status,
             "bandwidth": outcome.bandwidth.m,
             "psi": outcome.psi.tolist(),
+            "definiteness": outcome.definiteness,
         }
         lines = [
             f"status: {outcome.status}",
             f"bandwidth: {outcome.bandwidth.m:g}",
             f"psi:\n{np.array2string(outcome.psi)}",
+            f"definiteness: {outcome.definiteness}",
         ]
         if restricted:
             payload["omega"] = outcome.omega.tolist()
@@ -269,12 +271,14 @@ def estimate(problem, y, restricted, config, as_json, out):
 
 def _result_output(res, critical_value):
     """(payload, lines) of a statistic and, given a finite C, the decision
-    ``t >= C``: inclusive, and an undefined statistic compares as its 0."""
+    ``t >= C``: inclusive, and an undefined statistic compares as its 0.
+    An undefined statistic carries a reason: the estimate's undefinedness,
+    or the definiteness class (SingularNonneg, Zero) of a well-defined one."""
     payload = {"t": res.t_value, "defined": res.defined, "reject": None, "C": critical_value}
     lines = [f"t: {res.t_value:.10g}", f"defined: {str(res.defined).lower()}"]
-    if not res.omega.well_defined:
-        payload["reason"] = res.omega.reason
-        lines.append(f"reason: {res.omega.reason}")
+    if not res.defined:  # why T = 0: the estimate's undefinedness, else its class
+        payload["reason"] = reason = res.omega.reason or res.omega.definiteness
+        lines.append(f"reason: {reason}")
     if critical_value is not None:
         check_finite("critical value", critical_value)
         payload["reject"] = reject = bool(res.t_value >= critical_value)

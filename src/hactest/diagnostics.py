@@ -177,21 +177,21 @@ def diagnose(
 ) -> DiagnosticsReport:
     """Classify the limiting behaviour of the test at this design and C.
 
-    Checks, in precedence order: trivial breakdown (statistic never found
-    defined, at the boundary directions or on Gaussian probes), the span
-    violation (a boundary direction inside span(X) with nonzero restriction
-    image), size-one and tie certificates at the boundary directions, the
-    power-zero certificate, and finally the benign case where both boundary
-    directions lie harmlessly inside the span.
+    Evaluates the boundary pair (mu0 + e+, mu0 + e-) once, e+ first, and
+    classifies and certifies each member in turn.  Checks, in precedence
+    order: trivial breakdown (statistic never found defined, at the pair or
+    on Gaussian probes), the span violation (a boundary direction inside
+    span(X) with nonzero restriction image), size-one and tie certificates
+    at the pair, the power-zero certificate, and finally the benign case
+    where both boundary directions lie harmlessly inside the span.
 
     Trivial breakdown is decided from the design's shape when it is a
     dimension trap (n < p(k+1) + q): the statistic is undefined for every
-    response there, so no probe runs and ``probes_used`` is 0.
-    Only a design outside the trap whose boundary evaluations are both
-    undefined spends up to ``probes`` Gaussian responses (drawn from
-    ``seed``) looking for a defined statistic.  Raises ValueError unless
-    ``probes`` is an integer >= 1 and ``seed`` a nonnegative integer,
-    whether or not a probe runs.
+    response there, so no probe runs and ``probes_used`` is 0.  Only a
+    design outside the trap whose pair is undefined at both members spends
+    up to ``probes`` Gaussian responses (drawn from ``seed``) looking for
+    a defined statistic.  Raises ValueError unless ``probes`` is an
+    integer >= 1 and ``seed`` a nonnegative integer, probe or not.
     """
     critical_value = float(check_finite("critical value", critical_value))
     if not critical_value > 0:
@@ -201,14 +201,12 @@ def diagnose(
     engine = TestEngine(problem, config)
     n, k, q, p = problem.n, problem.k, problem.q, config.p
     mu0 = problem.X @ null_point(problem)
-    e_plus = constant_vector(n)
-    e_minus = alternating_vector(n)
-    res_plus = engine.result(mu0 + e_plus)
-    res_minus = engine.result(mu0 + e_minus)
+    ys = [mu0 + constant_vector(n), mu0 + alternating_vector(n)]
+    results = [engine.result(y) for y in ys]
 
     geometry = _span_geometry(problem)
 
-    nontrivial = res_plus.defined or res_minus.defined
+    nontrivial = any(res.defined for res in results)
     dimension_trap = never_definite(n, k, q, p)
     probes_used = 0
     if not nontrivial and not dimension_trap:
@@ -219,22 +217,17 @@ def diagnose(
                 nontrivial = True
                 break
 
-    kind_plus = _classify(res_plus, critical_value)
-    kind_minus = _classify(res_minus, critical_value)
-
-    grad_plus = grad_minus = None
-    if res_plus.defined:
-        grad_plus = _gradient_exists_at(engine, mu0 + e_plus, res_plus, kind_plus == "tie")
-    if res_minus.defined:
-        grad_minus = _gradient_exists_at(engine, mu0 + e_minus, res_minus, kind_minus == "tie")
+    kinds = [_classify(res, critical_value) for res in results]
+    grads = [_gradient_exists_at(engine, y, res, kind == "tie") if res.defined else None
+             for y, res, kind in zip(ys, results, kinds)]
 
     evidence = {
         "plus_in_span": geometry.plus_in_span,
         "minus_in_span": geometry.minus_in_span,
         "image_plus": [float(v) for v in geometry.image_plus],
         "image_minus": [float(v) for v in geometry.image_minus],
-        "kind_plus": kind_plus,
-        "kind_minus": kind_minus,
+        "kind_plus": kinds[0],
+        "kind_minus": kinds[1],
         "nontrivial": nontrivial,
         "probes_used": probes_used,
         "dimension_trap": dimension_trap,
@@ -247,13 +240,11 @@ def diagnose(
         verdict = SIZE_ONE_SPAN_CASE
     elif geometry.reason == REASON_ADJUSTMENT_UNNECESSARY:
         verdict = POSITIVE_UNADJUSTED
-    elif kind_plus == "above" or kind_minus == "above":
+    elif "above" in kinds:
         verdict = SIZE_ONE
-    elif (kind_plus == "tie" and grad_plus is True) or (
-        kind_minus == "tie" and grad_minus is True
-    ):
+    elif ("tie", True) in zip(kinds, grads):
         verdict = SIZE_AT_LEAST_HALF
-    elif kind_plus == "below" or kind_minus == "below":
+    elif "below" in kinds:
         verdict = POWER_ZERO
     else:
         verdict = INCONCLUSIVE
@@ -261,10 +252,10 @@ def diagnose(
     return DiagnosticsReport(
         verdict=verdict,
         critical_value=critical_value,
-        t_plus=res_plus,
-        t_minus=res_minus,
-        gradient_exists_plus=grad_plus,
-        gradient_exists_minus=grad_minus,
+        t_plus=results[0],
+        t_minus=results[1],
+        gradient_exists_plus=grads[0],
+        gradient_exists_minus=grads[1],
         evidence=evidence,
     )
 

@@ -137,11 +137,6 @@ def _rho_label(rho: float) -> str:
     return label if float(label) == rho else repr(rho)
 
 
-def _family_members(family: AR1Grid):
-    """(label, rho) per family member; distinct members get distinct labels."""
-    return [(_rho_label(rho), rho) for rho in family.rhos]
-
-
 def _resolve_target(target, est_config: EstimatorConfig | None):
     """An engine to evaluate plus the problem whose model generates the data.
 
@@ -164,8 +159,8 @@ def _resolve_target(target, est_config: EstimatorConfig | None):
     raise ValueError(f"target must be a RegressionProblem or AdjustedProblem, got {type(target).__name__}")
 
 
-def _family_statistics(engine, sim_problem, mc: McConfig, betas):
-    """(label, rho, statistic rows per beta) for each family member.
+def _family_statistics(engine, sim_problem, mc: McConfig, betas) -> np.ndarray:
+    """Statistics indexed (member in ``mc.family.rhos``, beta, replication).
 
     Replication idx draws one z from ``default_rng(SeedSequence((seed,
     idx)))``.  Replications are drawn in blocks of up to BLOCK_ROWS; each
@@ -175,38 +170,46 @@ def _family_statistics(engine, sim_problem, mc: McConfig, betas):
     Every other beta shares that covariance estimate: its statistic is the
     quadratic form of the estimate at the engine's discrepancy shifted by
     R (beta - betas[0]), or 0 when the engine's result is not defined;
-    the forms of a block's defined responses are one stacked call.  For
-    an adjusted target the shift is the same, because X beta lies in the
-    augmented span and the padded restriction columns are zero.  Raises
-    ValueError, naming beta, when the mean X betas[0] overflows.
+    the forms of a block's defined responses are one stacked call, and a
+    form that overflows is +inf.  For an adjusted target the shift is the
+    same, because X beta lies in the augmented span and the padded
+    restriction columns are zero.  Raises ValueError, naming beta, when the
+    mean X betas[0] overflows, and naming distances when a shift R (beta -
+    betas[0]) is not finite.
     """
-    members = _family_members(mc.family)
     with np.errstate(all="ignore"):
         mu = sim_problem.X @ betas[0]
+        shifts = np.array([sim_problem.R @ (beta - betas[0]) for beta in betas[1:]])
     if not np.isfinite(mu).all():
         raise ValueError("beta: the mean X beta overflows on this design; rescale beta")
-    shifts = np.array([sim_problem.R @ (beta - betas[0]) for beta in betas[1:]])
-    out = np.zeros((len(members), len(betas), mc.replications))
+    if not np.isfinite(shifts).all():
+        raise ValueError("distances: an alternative's shift R (beta - beta0) overflows "
+                         "on this design; use smaller distances")
+    out = np.zeros((len(mc.family.rhos), len(betas), mc.replications))
     for start in range(0, mc.replications, BLOCK_ROWS):
         block = range(start, min(start + BLOCK_ROWS, mc.replications))
         z = np.empty((len(block), sim_problem.n))
         for row, idx in zip(z, block):
             rng = np.random.default_rng(np.random.SeedSequence((mc.seed, idx)))
             row[:] = rng.standard_normal(sim_problem.n)
-        for i, (_label, rho) in enumerate(members):
+        for rho, rows in zip(mc.family.rhos, out):
             # keep only what the shifted forms read, not every result
             omegas, discrepancies, defined = [], [], []
             for y, idx in zip(mu + _ar1_path(rho, z), block):
                 res = engine.result(y)
-                out[i, 0, idx] = res.t_value
+                rows[0, idx] = res.t_value
                 if res.defined and len(shifts):
                     omegas.append(res.omega.omega)
                     discrepancies.append(res.discrepancy)
                     defined.append(idx)
             if defined:
-                d = np.array(discrepancies)[None] + shifts[:, None, :]
-                out[i][1:, defined] = _quadratic_forms(np.array(omegas), d)
-    return [(label, rho, rows) for (label, rho), rows in zip(members, out)]
+                # T overflows far enough out, and the triangular solve can
+                # read inf - inf there: both are T = +inf
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d = np.array(discrepancies)[None] + shifts[:, None, :]
+                    t = _quadratic_forms(np.array(omegas), d)
+                rows[1:, defined] = np.where(np.isnan(t), np.inf, t)
+    return out
 
 
 def simulate_statistics(
@@ -230,8 +233,7 @@ def simulate_statistics(
     beta = check_finite("beta", beta)
     if beta.shape != (sim_problem.k,):
         raise ValueError(f"beta must have length {sim_problem.k}, got shape {beta.shape}")
-    ((_label, _rho, rows),) = _family_statistics(engine, sim_problem, mc, [beta])
-    return rows[0]
+    return _family_statistics(engine, sim_problem, mc, [beta])[0, 0]
 
 
 def _binomial_ci(rate: float, reps: int) -> float:
@@ -300,21 +302,19 @@ def calibrate_critical_value(
     if isinstance(target, RegressionProblem):
         _refuse_unadjusted(target, est_config)
     engine, sim_problem = _resolve_target(target, est_config)
-    # (label, rho, sorted null statistics) per member, in family order
-    members = [
-        (label, rho, np.sort(rows[0]))
-        for label, rho, rows in _family_statistics(engine, sim_problem, mc, [null_point(sim_problem)])
-    ]
+    rhos = mc.family.rhos
+    # sorted null statistics, one row per member in family order
+    null = np.sort(_family_statistics(engine, sim_problem, mc, [null_point(sim_problem)])[:, 0])
     reps = mc.replications
 
     def rate_at(arr: np.ndarray, c: float) -> float:
         return float(reps - np.searchsorted(arr, c, side="left")) / reps
 
     def size_at(c: float) -> float:
-        return max(rate_at(arr, c) for _label, _rho, arr in members)
+        return max(rate_at(arr, c) for arr in null)
 
     def rates_at(c: float) -> dict:
-        return {label: rate_at(arr, c) for label, _rho, arr in members}
+        return {_rho_label(rho): rate_at(arr, c) for rho, arr in zip(rhos, null)}
 
     if size_at(0.0) <= delta:
         return CalibrationResult(
@@ -323,7 +323,7 @@ def calibrate_critical_value(
         )
     # T = 0 wherever the statistic is undefined, so a C that only separates
     # positive statistics from zero is not calibrated by anything
-    positive = max(float(np.count_nonzero(arr > 0.0)) / reps for _label, _rho, arr in members)
+    positive = float(np.count_nonzero(null > 0.0, axis=1).max()) / reps
     if positive <= delta:
         raise CalibrationNotApplicableError(
             f"the statistic is positive in at most a {positive:g} share of any "
@@ -334,7 +334,7 @@ def calibrate_critical_value(
 
     # starting bracket: a high quantile under the white member (rho = 0),
     # or under the first member when the family has no white one
-    ref = next((arr for _label, rho, arr in members if rho == 0.0), members[0][2])
+    ref = null[rhos.index(0.0) if 0.0 in rhos else 0]
     with np.errstate(invalid="ignore"):  # inf - inf when the top statistics are infinite
         c_hi = float(np.quantile(ref, 1.0 - delta / 10.0))
     if not 0.0 < c_hi < np.inf:
@@ -387,6 +387,8 @@ def power_curve(
     equal-weight unit vector u = (1, ..., 1) / sqrt(q) in restriction space.
     0 reproduces the null, so the largest rate of a ``distances=(0.0,)``
     curve is the empirical size.  Each point's member is its rho's label.
+    A statistic that overflows rejects; an alternative whose shift R (beta
+    - beta0) is not finite is refused with ValueError naming distances.
     """
     check_finite("critical value", critical_value)
     _check_reported_reps(mc.replications)
@@ -396,14 +398,17 @@ def power_curve(
     u = np.ones(q) / np.sqrt(q)
     pull = sim_problem.R.T @ np.linalg.solve(sim_problem.R @ sim_problem.R.T, u)
     beta0 = null_point(sim_problem)
-    betas = [beta0 + d * pull for d in distances]
+    with np.errstate(over="ignore"):  # _family_statistics refuses a non-finite shift
+        betas = [beta0 + d * pull for d in distances]
 
     points = []
     # the engine evaluates at the null point, so a distance-0 statistic is
     # the quadratic form at a zero shift: exactly the engine's own value
-    for label, _rho, rows in _family_statistics(engine, sim_problem, mc, [beta0, *betas]):
-        for d, stats in zip(distances, rows[1:]):
-            rate = float(np.mean(stats >= critical_value))
+    stats = _family_statistics(engine, sim_problem, mc, [beta0, *betas])
+    for rho, rows in zip(mc.family.rhos, stats):
+        label = _rho_label(rho)
+        for d, row in zip(distances, rows[1:]):
+            rate = float(np.mean(row >= critical_value))
             points.append(
                 CurvePoint(label=label, distance=d, rate=rate,
                            ci=_binomial_ci(rate, mc.replications))

@@ -327,3 +327,13 @@ class TestDispatch:
     def test_rejects_unknown_rule_objects(self):
         with pytest.raises(TypeError):
             compute_bandwidth(object(), None, 10, 1)
+
+    @pytest.mark.parametrize("rule", ["andrews", "newey-west"])
+    def test_rejects_residuals_that_are_not_a_matrix(self, rule):
+        with pytest.raises(ValueError, match=r"Z must be a k x \(n-p\) matrix"):
+            compute_bandwidth(default_rule(rule, "bartlett"), np.ones(11), 12, 1)
+
+    def test_andrews_needs_two_residual_columns(self):
+        # the AR(1) plug-in fits each row on its own lag
+        with pytest.raises(ValueError, match="at least 2 residual columns, got 1"):
+            compute_bandwidth(default_rule("andrews", "bartlett"), np.ones((2, 1)), 12, 1)

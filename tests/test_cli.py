@@ -105,6 +105,33 @@ class TestEstimate:
         assert payload["status"] == "undefined"
         assert payload["reason"] == "VarRankDeficient"
 
+    @pytest.mark.parametrize("x, y, definiteness", [
+        ("1,0.3;0.2,1;0.5,-1;2,0.1", "0.3,-1,2,0.5", "SingularNonneg"),
+        ("-1,2;2,-2;-1,2;2,-2", "-1,1,-2,2", "Zero"),
+        (LOCATION_X, LOCATION_Y, "PositiveDefinite"),
+    ])
+    def test_a_well_defined_estimate_reports_its_definiteness(self, runner, x, y, definiteness):
+        # the class used to be left out, so a singular estimate read as usable
+        args = ["estimate", f"--x={x}", f"--y={y}", "--rule", "fixed-b", "--b", "0.5"]
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["status"] == "well-defined"
+        assert payload["definiteness"] == definiteness
+        assert f"definiteness: {definiteness}" in runner.invoke(main, args).output.splitlines()
+
+    def test_an_undefined_bandwidth_reports_its_reason(self, runner):
+        # the rho-undefined fixture of test_block_engine: the AR(1) plug-in
+        # divides by a zero lag sum
+        args = ["estimate", "--x", LOCATION_X, "--y", "2,0,0,0,0,0,0,-2", "--rule", "andrews"]
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {
+            "status": "undefined", "reason": "BandwidthUndefined",
+            "bandwidth_reason": "RhoUndefined"}
+        assert runner.invoke(main, args).output.splitlines() == [
+            "status: undefined", "reason: BandwidthUndefined", "bandwidth reason: RhoUndefined"]
+
     def test_human_output_mentions_status(self, runner):
         result = runner.invoke(main, [
             "estimate", "--x", LOCATION_X, "--y", LOCATION_Y, "--rule", "fixed-b",
@@ -237,6 +264,11 @@ class TestTest:
         ])
         assert result.exit_code == 2
 
+    def test_an_empty_matrix_literal_exits_two(self, runner):
+        result = runner.invoke(main, ["test", "--x", ";", "--y", "1", "--R", "1"])
+        assert result.exit_code == 2
+        assert "empty matrix literal: ';'" in result.output
+
     def test_missing_file_exits_two(self, runner):
         result = runner.invoke(main, [
             "test", "--x", "no-such-file.csv", "--y", "1,2", "--R", "1",
@@ -276,6 +308,20 @@ class TestTest:
         payload = json.loads(result.output)
         assert payload["defined"] is False
         assert payload["reason"] == "VarRankDeficient"
+
+    @pytest.mark.parametrize("x, y, reason", [
+        ("1,0.3;0.2,1;0.5,-1;2,0.1", "0.3,-1,2,0.5", "SingularNonneg"),
+        ("-1,2;2,-2;-1,2;2,-2", "-1,1,-2,2", "Zero"),
+    ])
+    def test_a_well_defined_but_singular_estimate_is_the_reason(self, runner, x, y, reason):
+        # T = 0 with a well-defined estimate used to print no reason at all
+        args = ["test", f"--x={x}", f"--y={y}", "--R", "1,0;0,1", "--rule", "fixed-b"]
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {
+            "t": 0.0, "defined": False, "reject": None, "C": None, "reason": reason}
+        assert runner.invoke(main, args).output.splitlines() == [
+            "t: 0", "defined: false", f"reason: {reason}"]
 
     @pytest.mark.parametrize("rule, flags", [
         ("fixed-b", ["--b", "1", "--m", "3"]),
@@ -344,6 +390,18 @@ class TestAdjust:
         lines = result.output.splitlines()
         assert [line for line in lines if line.startswith("scenario:")] == ["scenario: 1"]
         assert "reject: false" in lines
+
+    def test_a_zero_adjusted_estimate_is_the_reason(self, runner):
+        # scenario 1, n = 5: the adjusted estimate is well-defined and 0
+        args = ["adjust", "--x", "1,0;1,1;1,2;1,-1;1,-2", "--R", "0,1", "--y", "1,1,-1,-1,0",
+                "--rule", "fixed-b", "--b", "0.5", "--C", "1"]
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert (payload["scenario"], payload["defined"], payload["reason"]) == (1, False, "Zero")
+        assert payload["reject"] is False
+        assert runner.invoke(main, args).output.splitlines()[-3:] == [
+            "reason: Zero", "C: 1", "reject: false"]
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize("c", ["2.5", "nan"])
@@ -568,6 +626,16 @@ class TestStudy:
             "--distances", distances, "--rule", "fixed-b",
         ])
         assert result.exit_code == 2
+
+    def test_an_alternative_that_overflows_exits_two(self, runner, calibratable_files):
+        # R = 1e-3 e3 puts the alternative at beta0 + 1e309 e3, which overflows
+        result = runner.invoke(main, [
+            "study", "--x", calibratable_files["x"], "--R", "0,0,0.001",
+            "--C", "3.0", "--reps", "120", "--rho-grid", "0",
+            "--distances", "0,1e306", "--rule", "fixed-b",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "distances: an alternative's shift" in result.output
 
     def test_delta_calibrates_first(self, runner, calibratable_files):
         result = runner.invoke(main, [

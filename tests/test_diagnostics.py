@@ -277,6 +277,17 @@ class TestGradientExists:
         assert evaluate(problem, y, config).defined
         assert gradient_exists(problem, y, config) is True
 
+    def test_a_bandwidth_on_a_kink_is_uncertified(self, rng):
+        # cbar3 = 1e-300 makes M = cbar2 = 3 exactly, so lag 3 of the
+        # Bartlett lag sum sits on its kink at |x| = 1
+        problem = RegressionProblem(rng.standard_normal((30, 2)), [[1.0, 0.0]], [0.0])
+        rule = NeweyWestRule(cbar1=1, cbar2=3.0, cbar3=1e-300)
+        report = diagnose(problem, EstimatorConfig(BARTLETT, rule, p=1), 3.0)
+        for result, grad in ((report.t_plus, report.gradient_exists_plus),
+                             (report.t_minus, report.gradient_exists_minus)):
+            assert result.defined and result.omega.bandwidth.m == 3.0
+            assert grad is None
+
     def test_kink_detection(self):
         # bartlett is nondifferentiable at |x| = 1: lag 2 over M = 2 hits it
         assert _kernel_hits_kink(BARTLETT, 2.0, 5) is True

@@ -122,6 +122,21 @@ class TestSimulateStatistics:
 
     @pytest.mark.parametrize("entry", ["simulate_statistics", "calibrate_critical_value",
                                        "power_curve"])
+    def test_a_target_that_is_not_a_problem_is_refused(self, entry):
+        mc = McConfig(replications=100, seed=0, family=AR1Grid((0.0,)))
+        call = {
+            "simulate_statistics": lambda t: simulate_statistics(
+                t, cov=0.0, beta=np.zeros(2), reps=5, seed=0, est_config=CONFIG),
+            "calibrate_critical_value": lambda t: calibrate_critical_value(
+                t, mc, 0.2, est_config=CONFIG),
+            "power_curve": lambda t: power_curve(t, mc, 3.0, (0.0,), est_config=CONFIG),
+        }[entry]
+        with pytest.raises(ValueError, match="target must be a RegressionProblem or "
+                                             "AdjustedProblem, got ndarray"):
+            call(np.ones((12, 2)))
+
+    @pytest.mark.parametrize("entry", ["simulate_statistics", "calibrate_critical_value",
+                                       "power_curve"])
     def test_est_config_beside_an_adjusted_target_is_refused(self, rng, monkeypatch, entry):
         # an adjusted problem carries the config it was built with; another
         # one beside it used to be dropped without a word
@@ -244,20 +259,18 @@ class TestCalibration:
         assert max(cal.rates.values()) == cal.size
 
     def test_default_grid_labels_are_short_and_round_trip(self):
-        members = hactest.montecarlo._family_members(AR1Grid(DEFAULT_RHO_GRID))
-        assert [label for label, _rho in members] == [f"{r:g}" for r in DEFAULT_RHO_GRID]
+        labels = [hactest.montecarlo._rho_label(rho) for rho in AR1Grid(DEFAULT_RHO_GRID).rhos]
+        assert labels == [f"{r:g}" for r in DEFAULT_RHO_GRID]
 
     @staticmethod
     def _fake_statistics(infinite_share):
         """Statistics 1, 2, ..., reps per member, the top share of each set to +inf."""
         def fake(engine, sim_problem, mc, betas):
             reps = mc.replications
-            members = []
-            for label, rho in hactest.montecarlo._family_members(mc.family):
-                rows = np.tile(np.arange(1.0, reps + 1.0), (len(betas), 1))
+            stats = np.tile(np.arange(1.0, reps + 1.0), (len(mc.family.rhos), len(betas), 1))
+            for rows, rho in zip(stats, mc.family.rhos):
                 rows[:, reps - round(infinite_share[rho] * reps):] = np.inf
-                members.append((label, rho, rows))
-            return members
+            return stats
         return fake
 
     @pytest.mark.parametrize("white_share", [1.0, 0.0])
@@ -281,6 +294,21 @@ class TestCalibration:
         cal = calibrate_critical_value(problem, mc, 0.2, est_config=CONFIG)
         assert np.isfinite(cal.critical_value) and np.isfinite(cal.c_hi)
         assert 0.2 - 0.2 / 10.0 <= cal.size <= 0.2
+
+    def test_a_size_that_jumps_over_the_window_returns_the_conservative_end(
+        self, rng, monkeypatch
+    ):
+        # every statistic is 5: the size is 1 below C = 5 and 0 above it, so
+        # the bisection narrows onto 5 from above and stops at its floor
+        def fake(engine, sim_problem, mc, betas):
+            return np.full((len(mc.family.rhos), len(betas), mc.replications), 5.0)
+
+        monkeypatch.setattr(hactest.montecarlo, "_family_statistics", fake)
+        problem = calibratable_problem(rng)
+        mc = McConfig(replications=100, seed=0, family=AR1Grid((0.0, 0.5)))
+        cal = calibrate_critical_value(problem, mc, 0.05, est_config=CONFIG)
+        assert (cal.critical_value, cal.size, cal.c_hi) == (5.000000000009095, 0.0, 10.0)
+        assert cal.rates == {"0": 0.0, "0.5": 0.0}
 
     def test_trivial_level_calibrates_to_zero(self, rng):
         problem = calibratable_problem(rng)
@@ -406,16 +434,16 @@ class TestPowerCurve:
 
         monkeypatch.setattr(hactest.montecarlo, "_family_statistics", spy)
         curve = power_curve(problem, mc, 2.0, (0.0, 1.5), est_config=CONFIG)
-        (members,) = calls
+        (stats,) = calls
+        assert stats.shape == (2, 3, mc.replications)
         engine = hactest.testing.TestEngine(problem, CONFIG)
         mu = problem.X @ null_point(problem)
-        for _label, rho, rows in members:
+        for rho, rows in zip(mc.family.rhos, stats):
             for idx in range(mc.replications):
                 z = np.random.default_rng(np.random.SeedSequence((mc.seed, idx))).standard_normal(n)
                 want = engine.result(mu + ar1_path_oracle(rho, z)).t_value
                 assert rows[0][idx] == want and rows[1][idx] == want
-        assert [p.rate for p in curve.points[::2]] == [
-            np.mean(rows[1] >= 2.0) for _label, _rho, rows in members]
+        assert [p.rate for p in curve.points[::2]] == [np.mean(rows[1] >= 2.0) for rows in stats]
 
     def test_each_replication_is_seeded_once_per_call(self, rng, monkeypatch):
         # one generator per replication, shared by every member and distance
@@ -510,6 +538,40 @@ class TestPowerCurve:
         with pytest.raises(ValueError, match="distances must be finite"):
             power_curve(problem, mc, 3.0, (0.0, bad), est_config=CONFIG)
 
+    #: restrictions on the 12 x 3 design of huge_alternative_target
+    HUGE_R = {"q2": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "q1": [[1.0, 0.0, 0.0]],
+              "q2-small": [[1e-3, 0.0, 0.0], [0.0, 1e-3, 0.0]]}
+
+    @staticmethod
+    def huge_alternative_target(R):
+        X = np.random.default_rng(11).standard_normal((12, 3))
+        problem = RegressionProblem(X, np.array(R), np.zeros(len(R)))
+        return build_adjusted(problem, CONFIG)
+
+    @pytest.mark.parametrize("name, d", [
+        *((name, d) for name in ("q2", "q1") for d in (1e300, 1e306, 1e308, 1.7e308)),
+        ("q2-small", 1e300),
+    ])
+    def test_an_alternative_whose_statistic_overflows_rejects(self, name, d):
+        # T overflows out there: the solve used to read inf - inf and count
+        # NaN >= C as not rejected (rate 0.37 at d = 1e308 with q = 2), or
+        # warn "overflow encountered in vecdot"
+        adjusted = self.huge_alternative_target(self.HUGE_R[name])
+        mc = McConfig(100, family=AR1Grid((0.3,)))
+        at_1e300 = power_curve(adjusted, mc, 3.0, (0.0, 1e300))
+        curve = power_curve(adjusted, mc, 3.0, (0.0, d))
+        assert at_1e300.points[1].rate == 1.0
+        assert [p.rate for p in curve.points] == [p.rate for p in at_1e300.points]
+
+    @pytest.mark.parametrize("d", [1e306, 1e308, 1.7e308])
+    def test_an_alternative_whose_shift_overflows_is_refused(self, d):
+        # with R scaled by 1e-3, beta0 + d pull overflows; its shift used to
+        # be NaN and read rate 0.0 after an overflow warning
+        adjusted = self.huge_alternative_target(self.HUGE_R["q2-small"])
+        mc = McConfig(100, family=AR1Grid((0.3,)))
+        with pytest.raises(ValueError, match="^distances: an alternative's shift"):
+            power_curve(adjusted, mc, 3.0, (0.0, d))
+
     def test_near_unit_root_members_keep_distinct_labels(self, rng):
         problem = calibratable_problem(rng)
         mc = McConfig(replications=100, seed=15, family=AR1Grid((0.9999991, 0.9999992)))
@@ -533,19 +595,19 @@ def assert_curve_matches_oracle(monkeypatch, target, mc, distances, est_config=N
     family_statistics = hactest.montecarlo._family_statistics
 
     def spy(engine, sim_problem, mc_, betas):
-        members = family_statistics(engine, sim_problem, mc_, betas)
-        calls.append((betas, members))
-        return members
+        stats = family_statistics(engine, sim_problem, mc_, betas)
+        calls.append((betas, stats))
+        return stats
 
     monkeypatch.setattr(hactest.montecarlo, "_family_statistics", spy)
     curve = power_curve(target, mc, 1.0, distances, est_config=est_config)
-    ((betas, members),) = calls
+    ((betas, stats),) = calls
     if isinstance(target, AdjustedProblem):
         sim_problem, oracle = target.original, lambda y: adjusted_statistic(target, y)
     else:
         sim_problem, oracle = target, lambda y: evaluate(target, y, est_config)
     wants = []
-    for _label, rho, rows in members:
+    for rho, rows in zip(mc.family.rhos, stats):
         for beta, row in zip(betas, rows):
             for idx in range(mc.replications):
                 z = np.random.default_rng(np.random.SeedSequence((mc.seed, idx))).standard_normal(
@@ -559,7 +621,7 @@ def assert_curve_matches_oracle(monkeypatch, target, mc, distances, est_config=N
     beta0 = null_point(sim_problem)
     pull = sim_problem.R.T @ np.linalg.solve(sim_problem.R @ sim_problem.R.T,
                                              np.ones(sim_problem.q) / np.sqrt(sim_problem.q))
-    by_label = {label: rows for label, _rho, rows in members}
+    by_label = {hactest.montecarlo._rho_label(rho): rows for rho, rows in zip(mc.family.rhos, stats)}
     for point in curve.points:
         beta = beta0 + point.distance * pull
         j = next(j for j, b in enumerate(betas) if np.allclose(b, beta, rtol=0, atol=1e-12))
