@@ -14,7 +14,6 @@ from .bandwidth import (
     BandwidthOutcome,
     FixedBRule,
     NeweyWestRule,
-    compute_bandwidth,
     default_rule,
 )
 from .diagnostics import (
@@ -131,7 +130,6 @@ __all__ = [
     "assemble_omega",
     "build_adjusted",
     "calibrate_critical_value",
-    "compute_bandwidth",
     "constant_vector",
     "default_rule",
     "diagnose",

@@ -20,7 +20,7 @@ the estimator at specific response vectors is part of the object under study.
 Zero-denominator detection is exact-zero on the computed floating-point sums,
 not tolerance-based: the degenerate set has Lebesgue measure zero and is only
 hit by constructed inputs, and a tolerance would spuriously flag
-near-degenerate but valid data.
+near-degenerate but valid data.  :func:`compute_bandwidth` is the engine's entry.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from ._linalg import readonly
 from .kernels import BARTLETT_NAME, PARZEN_NAME, QS_NAME, KernelSpec
+from .model import is_integer
 
 #: reasons a data-driven bandwidth can be undefined
 RHO_UNDEFINED = "RhoUndefined"
@@ -46,20 +47,10 @@ OMEGA_PRESETS = ("ones", "zero-first")
 
 @dataclass(frozen=True)
 class BandwidthOutcome:
-    """Either a defined bandwidth value or a typed reason it is undefined."""
+    """A defined bandwidth m or why it is undefined; unchecked, as its producers guarantee both."""
 
     m: float | None
     reason: str | None = None
-
-    @classmethod
-    def of(cls, m: float) -> "BandwidthOutcome":
-        if not (math.isfinite(m) and m >= 0.0):
-            raise ValueError(f"defined bandwidth must be finite and >= 0, got {m}")
-        return cls(m=float(m))
-
-    @classmethod
-    def undefined(cls, reason: str) -> "BandwidthOutcome":
-        return cls(m=None, reason=reason)
 
     @property
     def is_defined(self) -> bool:
@@ -67,8 +58,7 @@ class BandwidthOutcome:
 
 
 def resolve_omega(omega, k: int) -> np.ndarray:
-    """Materialize an omega spec ("ones", "zero-first", or explicit) for k rows."""
-    omega = _validate_omega_field(omega)
+    """Materialize a rule's checked omega for k rows; ValueError where it does not fit k."""
     if omega == "ones":
         return np.ones(k)
     if omega == "zero-first":
@@ -115,7 +105,7 @@ class AndrewsRule:
         (1991) per-kernel values.
     omega : "ones", "zero-first", or sequence of float
         Nonnegative finite row weights (not all zero), resolved against the
-        row count of Z when the bandwidth is computed.
+        design's k when an engine is built.
 
     A constant or weight out of range raises ValueError naming it.
     """
@@ -126,7 +116,7 @@ class AndrewsRule:
     omega: str | tuple[float, ...] = "ones"
 
     def __post_init__(self):
-        if self.j not in (1, 2):
+        if isinstance(self.j, (bool, np.bool_)) or self.j not in (1, 2):
             raise ValueError(f"j must be 1 or 2, got {self.j}")
         _check_positive("c1", self.c1)
         _check_positive("c2", self.c2)
@@ -155,7 +145,7 @@ class NeweyWestRule:
     omega: str | tuple[float, ...] = "ones"
 
     def __post_init__(self):
-        if not (isinstance(self.cbar1, (int, np.integer)) and self.cbar1 >= 1):
+        if not (is_integer(self.cbar1) and self.cbar1 >= 1):
             raise ValueError(f"cbar1 must be a positive integer, got {self.cbar1}")
         _check_positive("cbar2", self.cbar2)
         _check_positive("cbar3", self.cbar3)
@@ -199,18 +189,18 @@ _PLUG_IN_DEFAULTS = {
 def default_rule(kind: str, kernel) -> BandwidthRule:
     """Build a rule of the given kind with the standard constants for ``kernel``.
 
-    ``kernel`` may be a :class:`~hactest.kernels.KernelSpec` or its name.
-    Both data-driven rules take their constants from Andrews (1991); the
-    fixed-b rule is b = 1.
+    ``kernel`` may be a :class:`~hactest.kernels.KernelSpec` or its name, a
+    known kernel for every kind.  Both data-driven rules take their
+    constants from Andrews (1991); the fixed-b rule is b = 1.
     """
     if kind not in RULE_NAMES:
         raise ValueError(f"unknown bandwidth rule {kind!r}; rules: {RULE_NAMES}")
+    if isinstance(kernel, KernelSpec):
+        kernel = kernel.name
+    if not (isinstance(kernel, str) and kernel in _PLUG_IN_DEFAULTS):
+        raise ValueError(f"unknown kernel {kernel!r}; kernels: {tuple(_PLUG_IN_DEFAULTS)}")
     if kind == "fixed-b":
         return FixedBRule(b=1.0)
-    if not isinstance(kernel, str):
-        kernel = kernel.name
-    if kernel not in _PLUG_IN_DEFAULTS:
-        raise ValueError(f"unknown kernel {kernel!r}; kernels: {tuple(_PLUG_IN_DEFAULTS)}")
     exponent, constant, rate = _PLUG_IN_DEFAULTS[kernel]
     if kind == "andrews":
         return AndrewsRule(j=exponent, c1=constant, c2=rate)
@@ -226,21 +216,16 @@ def bandwidth_am(Z: np.ndarray, rule: AndrewsRule, n: int) -> BandwidthOutcome:
     where m is the number of columns; the weighted ratios alpha_1/alpha_2
     combine them across rows.
     """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2:
-        raise ValueError("Z must be a k x (n-p) matrix")
     k, m = Z.shape
-    if m < 2:
-        raise ValueError(f"need at least 2 residual columns, got {m}")
     omega = _row_weights(rule.omega, k)
 
     lead, lag = Z[:, 1:], Z[:, :-1]
     den_rho = np.einsum("ij,ij->i", lag, lag)
     if np.any(den_rho == 0.0):
-        return BandwidthOutcome.undefined(RHO_UNDEFINED)
+        return BandwidthOutcome(None, RHO_UNDEFINED)
     rho = np.einsum("ij,ij->i", lead, lag) / den_rho
     if np.any(rho * rho == 1.0):
-        return BandwidthOutcome.undefined(RHO_UNIT)
+        return BandwidthOutcome(None, RHO_UNIT)
     resid = lead - rho[:, None] * lag
     sigma2 = np.einsum("ij,ij->i", resid, resid) / (m - 1)
 
@@ -248,7 +233,7 @@ def bandwidth_am(Z: np.ndarray, rule: AndrewsRule, n: int) -> BandwidthOutcome:
     s4 = sigma2 * sigma2
     den_alpha = float(omega @ (s4 / one_minus**4))
     if den_alpha == 0.0:
-        return BandwidthOutcome.undefined(SIGMA_ALL_ZERO)
+        return BandwidthOutcome(None, SIGMA_ALL_ZERO)
     if rule.j == 1:
         num_alpha = float(omega @ (4.0 * rho**2 * s4 / (one_minus**6 * (1.0 + rho) ** 2)))
     else:
@@ -298,9 +283,6 @@ def bandwidth_nw(Z: np.ndarray, rule: NeweyWestRule, n: int) -> BandwidthOutcome
     rectangular weights ``w(i) = 1`` up to ``rectangular_cutoff(n)`` and 0
     past it.
     """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2:
-        raise ValueError("Z must be a k x (n-p) matrix")
     k, m = Z.shape
     omega, lags, w, lag_w = _nw_constants(rule, k, m, n)
 
@@ -313,7 +295,7 @@ def bandwidth_nw(Z: np.ndarray, rule: NeweyWestRule, n: int) -> BandwidthOutcome
     # the |i| sums run over negative and positive lags; sbar is even in the lag
     den = float(w[0] * sbar[0] + 2.0 * (w[1:] @ sbar[1:]))
     if den == 0.0:
-        return BandwidthOutcome.undefined(DENOMINATOR_ZERO)
+        return BandwidthOutcome(None, DENOMINATOR_ZERO)
     num = float(2.0 * (lag_w @ sbar[1:]))
     return _plug_in(rule.cbar2 * ((num / den) ** 2 * n) ** rule.cbar3)
 
@@ -321,25 +303,21 @@ def bandwidth_nw(Z: np.ndarray, rule: NeweyWestRule, n: int) -> BandwidthOutcome
 def _plug_in(m: float) -> BandwidthOutcome:
     """A plug-in bandwidth, or PlugInNotFinite when its sums over- or underflowed."""
     if not math.isfinite(m):
-        return BandwidthOutcome.undefined(PLUG_IN_NOT_FINITE)
-    return BandwidthOutcome.of(m)
+        return BandwidthOutcome(None, PLUG_IN_NOT_FINITE)
+    return BandwidthOutcome(float(m))
 
 
 def bandwidth_kv(rule: FixedBRule, n: int, p: int) -> BandwidthOutcome:
     """Fixed bandwidth: b * (n - p), or the explicit constant; never undefined."""
-    if not 1 <= p < n:
-        raise ValueError(f"need 1 <= p < n, got p = {p}, n = {n}")
     if rule.m is not None:
-        return BandwidthOutcome.of(rule.m)
-    return BandwidthOutcome.of(rule.b * (n - p))
+        return BandwidthOutcome(float(rule.m))
+    return BandwidthOutcome(float(rule.b * (n - p)))
 
 
 def compute_bandwidth(rule: BandwidthRule, Z: np.ndarray | None, n: int, p: int) -> BandwidthOutcome:
-    """Dispatch to the rule-specific bandwidth computation."""
+    """Dispatch to the rule; the engine's build guarantees Z is k x (n - p), n - p >= 2."""
     if isinstance(rule, AndrewsRule):
         return bandwidth_am(Z, rule, n)
     if isinstance(rule, NeweyWestRule):
         return bandwidth_nw(Z, rule, n)
-    if isinstance(rule, FixedBRule):
-        return bandwidth_kv(rule, n, p)
-    raise TypeError(f"unknown bandwidth rule type {type(rule).__name__}")
+    return bandwidth_kv(rule, n, p)

@@ -133,14 +133,10 @@ def lag_weights(kernel: KernelSpec, m: int, bandwidths) -> np.ndarray:
     whose M > _TINY; lag 0 weighs exactly 1.0.  A zero bandwidth means
     "keep only lag zero": every other weight of its row is 0, and the row is
     not evaluated.  A bandwidth at or below _TINY is taken as zero: every
-    kernel weighs its ratios i/M >= 1e300 zero anyway.
+    kernel weighs its ratios i/M >= 1e300 zero anyway.  Nothing is checked:
+    m >= 1, and the rules' defined outcomes are floats >= 0.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"matrix order must be >= 1, got {m}")
     lowest = min(bandwidths, default=0.0)
-    if lowest < 0:
-        raise ValueError(f"bandwidth must be >= 0, got {lowest}")
     w = np.zeros((len(bandwidths), m))
     w[:, 0] = 1.0
     if lowest > _TINY:

@@ -29,16 +29,21 @@ def check_finite(name: str, a) -> np.ndarray:
     return a
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> int:
     """``seed`` as an int; ValueError unless it is a nonnegative integer."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     return int(seed)
 
 
 def check_count(name: str, count) -> int:
     """``count`` as an int; ValueError unless it is an integer >= 1."""
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
+    if not (is_integer(count) and count >= 1):
         raise ValueError(f"{name} must be >= 1 and an integer, got {count}")
     return int(count)
 

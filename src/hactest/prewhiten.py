@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import EPS, numeric_rank, solve_well_conditioned, symmetrize
-from .bandwidth import BandwidthOutcome, BandwidthRule, compute_bandwidth
+from .bandwidth import BandwidthOutcome, BandwidthRule, FixedBRule, _row_weights, compute_bandwidth
 from .kernels import KernelSpec, lag_weights
 from .model import RegressionProblem, check_count, check_finite
 
@@ -78,14 +78,19 @@ BLOCK_ROWS = 128
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Kernel, bandwidth rule, and VAR order p >= 1 of the covariance
-    estimator; OmegaEngine checks p against a design."""
+    """Kernel, bandwidth rule and VAR order p >= 1 of the covariance estimator, each
+    checked here; OmegaEngine checks p and the rule's score weights against X."""
 
     kernel: KernelSpec
     rule: BandwidthRule
     p: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.kernel, KernelSpec):
+            raise ValueError(f"kernel must be a KernelSpec, got {self.kernel!r}")
+        if not isinstance(self.rule, BandwidthRule):
+            raise ValueError("rule must be an AndrewsRule, NeweyWestRule or FixedBRule, "
+                             f"got {self.rule!r}")
         object.__setattr__(self, "p", check_count("VAR order p", self.p))
 
 
@@ -154,8 +159,9 @@ class OmegaEngine:
     """Assembles the covariance estimate repeatedly for one (problem, config).
 
     Building it is where the pair is accepted or refused, with ValueError:
-    unless 1 <= p <= n/(k+1), and unless the normal equations ``X'X`` give
-    finite operators ``(X'X)^{-1} X'``, the annihilator and
+    unless 1 <= p <= n/(k+1) (so every Z has n - p >= 2 columns), unless a
+    data-driven rule's ``omega`` fits k, and unless the normal equations
+    ``X'X`` give finite operators ``(X'X)^{-1} X'``, the annihilator and
     ``R (X'X)^{-1}`` (they under- or overflow when X is scaled far from 1).
     It precomputes everything that depends only on the design, so Monte
     Carlo loops pay per response vector only for the data-dependent steps.
@@ -173,6 +179,8 @@ class OmegaEngine:
             raise ValueError(
                 f"p must satisfy 1 <= p <= n/(k+1); got p = {p} with n = {n}, k = {k}"
             )
+        if not isinstance(config.rule, FixedBRule):
+            _row_weights(config.rule.omega, k)
         self.problem = problem
         self.config = config
         with np.errstate(all="ignore"):

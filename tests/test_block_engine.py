@@ -6,10 +6,14 @@ Each response must get exactly what the scalar pipeline in
 (undefinedness reason, or definiteness class) and a bitwise-equal T, in
 blocks of 1, of 7 and of the whole batch.
 """
+import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hactest import (
     BARTLETT,
@@ -22,16 +26,20 @@ from hactest import (
     constant_vector,
     default_rule,
     get_kernel,
+    kernel_names,
     null_point,
 )
 from hactest import TestEngine as Engine
 from hactest import test_statistic as evaluate
+from hactest import prewhiten
 from hactest._linalg import numeric_rank
 from hactest.bandwidth import (
     DENOMINATOR_ZERO,
+    OMEGA_PRESETS,
     PLUG_IN_NOT_FINITE,
     RHO_UNDEFINED,
     RHO_UNIT,
+    RULE_NAMES,
     SIGMA_ALL_ZERO,
 )
 from hactest.diagnostics import _fd_gradients_agree
@@ -97,6 +105,56 @@ def responses(rng, problem, rows=9):
     extra = [mu0 + constant_vector(n), mu0 + alternating_vector(n),
              problem.X @ rng.standard_normal(problem.k)]
     return np.vstack([Y, extra])
+
+
+def score_weights(k):
+    """A preset, or an explicit nonnegative, not-all-zero tuple of 1 .. k+1
+    weights: of the length k that fits, or of one that does not."""
+    explicit = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=k + 1)
+    return st.one_of(st.sampled_from(OMEGA_PRESETS),
+                     explicit.filter(any).map(tuple))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.integers(1, 4), p=st.integers(1, 3), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_built_engine_never_raises_on_a_finite_response(k, p, data, seed):
+    # building refuses exactly the pairs no response could use: p > n/(k+1),
+    # and score weights that do not fit k.  A built engine returns a value
+    # or a typed outcome at every finite response, and its rule only ever
+    # sees a k x (n - p) residual matrix with at least 2 columns
+    n = data.draw(st.integers(max(3, k + 1), 30), label="n")
+    q = data.draw(st.integers(1, k), label="q")
+    kernel = data.draw(st.sampled_from(kernel_names()), label="kernel")
+    kind = data.draw(st.sampled_from(RULE_NAMES), label="rule")
+    rule = default_rule(kind, kernel)
+    fits = True
+    if kind != "fixed-b":
+        omega = data.draw(score_weights(k), label="omega")
+        rule = dataclasses.replace(rule, omega=omega)
+        fits = k >= 2 if omega == "zero-first" else (omega == "ones" or len(omega) == k)
+    rng = np.random.default_rng(seed)
+    problem, _ = random_problem(rng, n=n, k=k, q=q)
+    config = EstimatorConfig(get_kernel(kernel), rule, p=p)
+    if not (fits and p * (k + 1) <= n):
+        with pytest.raises(ValueError, match="omega|p must satisfy"):
+            Engine(problem, config)
+        return
+    engine = Engine(problem, config)
+    Y = responses(rng, problem, rows=3)
+    shapes = []
+    real = prewhiten.compute_bandwidth
+
+    def compute_bandwidth(rule, Z, n, p):
+        shapes.append(Z.shape)
+        return real(rule, Z, n, p)
+
+    with mock.patch.object(prewhiten, "compute_bandwidth", compute_bandwidth):
+        t = engine.t_values(Y)
+        results = [engine.result(y) for y in Y]
+    assert np.isfinite(t).all() and (t >= 0.0).all()
+    assert [res.t_value for res in results] == t.tolist()
+    assert n - p >= 2 and set(shapes) <= {(k, n - p)}
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -3,9 +3,12 @@ import pytest
 
 from hactest import (
     BARTLETT,
+    AndrewsRule,
     AR1Grid,
     EstimatorConfig,
     FixedBRule,
+    McConfig,
+    NeweyWestRule,
     OmegaEngine,
     RegressionProblem,
     alternating_vector,
@@ -232,3 +235,18 @@ class TestCovarianceFamilies:
         assert grid.rhos == (0.0, 0.5, -0.25)
         assert all(type(v) is float for v in grid.rhos)
         assert hash(grid) == hash(AR1Grid((0.0, 0.5, -0.25)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda v: McConfig(replications=v), "replications must be >= 1 and an integer"),
+    (lambda v: McConfig(replications=10, seed=v), "seed must be a nonnegative integer"),
+    (lambda v: EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=v),
+     "VAR order p must be >= 1 and an integer"),
+    (lambda v: NeweyWestRule(cbar1=v, cbar2=1.0, cbar3=0.2), "cbar1 must be a positive integer"),
+    (lambda v: AndrewsRule(j=v, c1=1.0, c2=0.3), "j must be 1 or 2"),
+], ids=["replications", "seed", "p", "cbar1", "j"])
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_a_bool_is_not_an_integer(make, message, flag):
+    # bool subclasses int, but True is not a count of 1 nor False a seed of 0
+    with pytest.raises(ValueError, match=message):
+        make(flag)

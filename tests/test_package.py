@@ -21,21 +21,23 @@ def test_single_path_names_and_dead_fields_stay_gone():
     # the empirical size is the largest rate of power_curve(..., (0.0,));
     # null_point returns beta0; the AR(1) sampler, Gamma_i, the MA(d) correlation
     # matrix, the scalar kernel evaluation and the stand-alone gradient
-    # check live in tests/oracles.py; the bandwidth rules stay behind
-    # compute_bandwidth in hactest.bandwidth; an outcome holds the two
-    # step-1 arrays psi reads, with no fit record beside them
+    # check live in tests/oracles.py; the bandwidth rules, and
+    # compute_bandwidth, the engine's entry to them, stay in
+    # hactest.bandwidth; an outcome holds the two step-1 arrays psi reads,
+    # with no fit record beside them
     for name in ("rejection_probability", "empirical_size", "SizeReport",
                  "NullPoint", "sample_gaussian_ar1", "compute_gamma",
                  "ma_closure_matrix", "kernel_eval", "bandwidth_am", "bandwidth_nw",
                  "bandwidth_kv", "rectangular_cutoff", "toeplitz_weights",
-                 "gradient_exists", "PrewhitenFit"):
+                 "gradient_exists", "PrewhitenFit", "compute_bandwidth"):
         assert not hasattr(hactest, name), name
         assert name not in hactest.__all__, name
     assert not hasattr(hactest.model, "ma_closure_matrix")
     assert not hasattr(hactest.kernels, "kernel_eval")
     assert not hasattr(hactest.diagnostics, "gradient_exists")
     assert not hasattr(hactest.prewhiten, "PrewhitenFit")
-    assert len(hactest.__all__) == 58
+    assert callable(hactest.bandwidth.compute_bandwidth)
+    assert len(hactest.__all__) == 57
 
     def field_names(cls):
         return {f.name for f in dataclasses.fields(cls)}

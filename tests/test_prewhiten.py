@@ -10,6 +10,7 @@ from hactest import (
     AndrewsRule,
     EstimatorConfig,
     FixedBRule,
+    NeweyWestRule,
     OmegaEngine,
     RegressionProblem,
     assemble_omega,
@@ -85,6 +86,35 @@ class TestConfig:
         OmegaEngine(problem, EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=2))
         with pytest.raises(ValueError, match="p must satisfy"):
             OmegaEngine(problem, EstimatorConfig(BARTLETT, FixedBRule(b=1.0), p=3))
+
+    @pytest.mark.parametrize("kernel, rule, field", [
+        ("bartlett", FixedBRule(b=1.0), "kernel"),
+        (BARTLETT, "andrews", "rule"),
+        (BARTLETT, object(), "rule"),
+    ], ids=["str-kernel", "str-rule", "object-rule"])
+    def test_refuses_a_kernel_or_rule_of_the_wrong_type(self, kernel, rule, field):
+        # refused at construction, not as AttributeError or TypeError at
+        # every statistic
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EstimatorConfig(kernel, rule)
+
+    @pytest.mark.parametrize("make", [
+        lambda omega: AndrewsRule(j=1, c1=1.0, c2=0.3, omega=omega),
+        lambda omega: NeweyWestRule(cbar1=1, cbar2=1.0, cbar3=0.2, omega=omega),
+    ], ids=["andrews", "newey-west"])
+    def test_engine_refuses_score_weights_that_do_not_fit_k(self, rng, make):
+        # refused at build, so a response in span(X), whose fit fails first,
+        # cannot hide the error behind VarRankDeficient
+        X = rng.standard_normal((20, 2))
+        problem = RegressionProblem(X, np.array([[1.0, 0.0]]), np.zeros(1))
+        for omega in ((1.0,), (1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match=f"omega has length {len(omega)}, expected k = 2"):
+                Engine(problem, EstimatorConfig(BARTLETT, make(omega)))
+        engine = Engine(problem, EstimatorConfig(BARTLETT, make((1.0, 1.0))))
+        assert engine.result(X @ np.array([1.0, 2.0])).omega.reason == VAR_RANK_DEFICIENT
+        one, _ = random_problem(rng, n=10, k=1)
+        with pytest.raises(ValueError, match="zero-first"):
+            Engine(one, EstimatorConfig(BARTLETT, make("zero-first")))
 
 
 class TestVarFit:

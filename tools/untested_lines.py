@@ -1,4 +1,4 @@
-"""List the library lines that no test runs.
+"""List the library lines that no test runs, and fail if there are any.
 
     python3 tools/untested_lines.py [pytest args]
 
@@ -7,10 +7,12 @@ Runs pytest in this process, from the repository root and with
 every line executed in ``src/hactest``.  It then prints ``file:line: source``
 for each executable line that no test ran, and a count.  The executable
 lines are those of every code object compiled from a module (``co_lines``),
-less docstrings and ``def``/``class`` header lines, which hold no statement
-a test could run.  The pytest args pass through unchanged, so
-``--deselect`` drops a slow test from the run.  Only the standard library and
-pytest are used.  Exits with pytest's status.
+less docstrings, ``def``/``class`` header lines and the body of an
+``if __name__ == "__main__":`` block, which hold no statement a test could
+run.  The pytest args pass through unchanged, so ``--deselect`` drops a
+slow test from the run.  Only the standard library and pytest are used.
+Exits with pytest's status when tests fail, else 1 when any line ran in no
+test, else 0.
 """
 from __future__ import annotations
 
@@ -35,10 +37,23 @@ def code_lines(code) -> set[int]:
     return lines
 
 
+def is_main_guard(node) -> bool:
+    """Whether ``node`` is ``if __name__ == "__main__":``."""
+    test = node.test if isinstance(node, ast.If) else None
+    return (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and test.left.id == "__name__" and len(test.comparators) == 1
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value == "__main__")
+
+
 def unrunnable_lines(tree: ast.Module) -> set[int]:
-    """Docstring lines, and def/class headers from the first decorator to the
-    line before the body."""
+    """Docstring lines, def/class headers from the first decorator to the
+    line before the body, and the body of a module's ``__main__`` guard,
+    which runs only when the module is a script."""
     lines = set()
+    for node in tree.body:
+        if is_main_guard(node):
+            lines |= set(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -94,7 +109,7 @@ def main(argv: list[str]) -> int:
             missed += 1
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
     print(f"{missed} executable lines of src/hactest ran in no test")
-    return status
+    return status or int(missed > 0)
 
 
 if __name__ == "__main__":
