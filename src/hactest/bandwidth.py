@@ -20,7 +20,11 @@ the estimator at specific response vectors is part of the object under study.
 Zero-denominator detection is exact-zero on the computed floating-point sums,
 not tolerance-based: the degenerate set has Lebesgue measure zero and is only
 hit by constructed inputs, and a tolerance would spuriously flag
-near-degenerate but valid data.  :func:`compute_bandwidth` is the engine's entry.
+near-degenerate but valid data.
+
+The engine enters in two steps: :func:`bandwidth_sums`, one stacked call
+over a block's residuals, and :func:`compute_bandwidth`, which decides each
+response from its own sums.
 """
 from __future__ import annotations
 
@@ -207,47 +211,12 @@ def default_rule(kind: str, kernel) -> BandwidthRule:
     return NeweyWestRule(cbar1=exponent, cbar2=constant, cbar3=rate)
 
 
-def bandwidth_am(Z: np.ndarray, rule: AndrewsRule, n: int) -> BandwidthOutcome:
-    """Andrews-style AR(1) plug-in bandwidth from the residual matrix Z.
-
-    Row i of Z gets a fitted AR(1) coefficient
-    ``rho_i = sum_{j>=2} Z_ij Z_i(j-1) / sum_{j<=m-1} Z_ij^2`` and innovation
-    variance ``sigma_i^2 = (m-1)^{-1} sum_{j>=2} (Z_ij - rho_i Z_i(j-1))^2``
-    where m is the number of columns; the weighted ratios alpha_1/alpha_2
-    combine them across rows.
-    """
-    k, m = Z.shape
-    omega = _row_weights(rule.omega, k)
-
-    lead, lag = Z[:, 1:], Z[:, :-1]
-    den_rho = np.einsum("ij,ij->i", lag, lag)
-    if np.any(den_rho == 0.0):
-        return BandwidthOutcome(None, RHO_UNDEFINED)
-    rho = np.einsum("ij,ij->i", lead, lag) / den_rho
-    if np.any(rho * rho == 1.0):
-        return BandwidthOutcome(None, RHO_UNIT)
-    resid = lead - rho[:, None] * lag
-    sigma2 = np.einsum("ij,ij->i", resid, resid) / (m - 1)
-
-    one_minus = 1.0 - rho
-    s4 = sigma2 * sigma2
-    den_alpha = float(omega @ (s4 / one_minus**4))
-    if den_alpha == 0.0:
-        return BandwidthOutcome(None, SIGMA_ALL_ZERO)
-    if rule.j == 1:
-        num_alpha = float(omega @ (4.0 * rho**2 * s4 / (one_minus**6 * (1.0 + rho) ** 2)))
-    else:
-        num_alpha = float(omega @ (4.0 * rho**2 * s4 / one_minus**8))
-    alpha = num_alpha / den_alpha
-    return _plug_in(rule.c1 * (alpha * n) ** rule.c2)
-
-
 def rectangular_cutoff(n: int) -> int:
     """The conventional rectangular lag-weight cutoff floor(4 (n/100)^{2/9})."""
     return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
 
 
-#: entries each constants cache keeps; one per distinct (rule, k, m, n)
+#: entries each constants cache keeps; one per distinct weights and shape
 _CACHED_SHAPES = 256
 
 
@@ -258,46 +227,92 @@ def _row_weights(omega, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_CACHED_SHAPES)
-def _nw_constants(rule: NeweyWestRule, k: int, m: int, n: int):
-    """What bandwidth_nw needs besides Z, computed once per (rule, k, m, n).
+def _nw_constants(cbar1: int, omega, k: int, m: int, n: int):
+    """What the Newey-West sums need besides Z, computed once per (cbar1, omega, k, m, n).
 
     Returns the row weights omega, the number of weighted lags (0 up to the
-    rectangular cutoff, at most m), the lag weights w over lags 0 .. m-1,
-    and ``|i|**cbar1 * w_i`` over lags 1 .. m-1; the arrays are read-only,
-    since every call shares them.
+    rectangular cutoff, at most m), and a 2 x (m - 1) array whose rows
+    weigh the lags 1 .. m-1: the rectangular weights w_i, and
+    ``|i|**cbar1 * w_i``.  The arrays are read-only, since every call
+    shares them.
     """
     lags = min(rectangular_cutoff(n) + 1, m)
     w = np.zeros(m)
     w[:lags] = 1.0
-    lag_w = np.arange(m)[1:] ** rule.cbar1 * w[1:]
-    return _row_weights(rule.omega, k), lags, readonly(w), readonly(lag_w)
+    lag_w = np.arange(m)[1:] ** cbar1 * w[1:]
+    return _row_weights(omega, k), lags, readonly(np.stack((w[1:], lag_w)))
 
 
-def bandwidth_nw(Z: np.ndarray, rule: NeweyWestRule, n: int) -> BandwidthOutcome:
-    """Newey-West style real-bandwidth rule from the residual matrix Z.
+@np.errstate(all="ignore")
+def _am_sums(Z: np.ndarray, rule: AndrewsRule) -> list:
+    """Per response, ``(rho undefined, rho unit, alpha denominator, alpha numerator)``.
 
-    With ``s = omega' Z`` and autocovariances
-    ``sbar_i = m^{-1} sum_{j>|i|} s_j s_{j-|i|}``, the bandwidth is
-    ``cbar2 * ((num/den)**2 * n)**cbar3`` where ``den = sum_i w(i) sbar_i``
-    and ``num = sum_i |i|**cbar1 w(i) sbar_i`` over |i| < m, with the
-    rectangular weights ``w(i) = 1`` up to ``rectangular_cutoff(n)`` and 0
-    past it.
+    Row i of a response's Z gets a fitted AR(1) coefficient
+    ``rho_i = sum_{j>=2} Z_ij Z_i(j-1) / sum_{j<=m-1} Z_ij^2`` and innovation
+    variance ``sigma_i^2 = (m-1)^{-1} sum_{j>=2} (Z_ij - rho_i Z_i(j-1))^2``;
+    the flags say whether some lag denominator is exactly 0 and whether
+    some ``rho_i**2`` is exactly 1, and the sums weigh the rows' ratios
+    into alpha_1 or alpha_2.
     """
-    k, m = Z.shape
-    omega, lags, w, lag_w = _nw_constants(rule, k, m, n)
+    k, m = Z.shape[1:]
+    omega = _row_weights(rule.omega, k)
+    lead, lag = Z[:, :, 1:], Z[:, :, :-1]
+    den_rho = np.einsum("bij,bij->bi", lag, lag)
+    rho = np.einsum("bij,bij->bi", lead, lag) / den_rho
+    resid = lead - rho[:, :, None] * lag
+    sigma2 = np.einsum("bij,bij->bi", resid, resid) / (m - 1)
+    one_minus = 1.0 - rho
+    s4 = sigma2 * sigma2
+    # the weight dots are one BLAS dot per response, as a 1-D ``omega @``
+    # is; an einsum sums in another order
+    den_alpha = np.vecdot(s4 / one_minus**4, omega)
+    if rule.j == 1:
+        num_alpha = np.vecdot(4.0 * rho**2 * s4 / (one_minus**6 * (1.0 + rho) ** 2), omega)
+    else:
+        num_alpha = np.vecdot(4.0 * rho**2 * s4 / one_minus**8, omega)
+    rho_undefined = (den_rho == 0.0).any(axis=1).tolist()
+    rho_unit = (rho * rho == 1.0).any(axis=1).tolist()
+    return list(zip(rho_undefined, rho_unit, den_alpha.tolist(), num_alpha.tolist()))
 
+
+@np.errstate(all="ignore")
+def _nw_sums(Z: np.ndarray, rule: NeweyWestRule, n: int) -> list:
+    """Per response, ``(sbar_0, [sum_i w_i sbar_i, sum_i |i|**cbar1 w_i sbar_i])``.
+
+    The sums run over the lags 1 .. m-1, with ``s = omega' Z``, the
+    autocovariances ``sbar_i = m^{-1} sum_{j>i} s_j s_{j-i}`` and the
+    rectangular weights ``w_i = 1`` up to ``rectangular_cutoff(n)`` and 0
+    past it.  Each autocovariance and each weighted sum is one BLAS dot per
+    response, as the 1-D ``@`` is, so every response gets the bits it gets
+    alone.  Only weighted lags are formed; the rest stay exact zeros, which
+    leave both weighted sums bitwise unchanged.
+    """
+    b, k, m = Z.shape
+    omega, lags, weights = _nw_constants(rule.cbar1, rule.omega, k, m, n)
     s = omega @ Z
-    # only weighted lags contribute; the rest stay exact zeros, which leave
-    # both dot products below bitwise unchanged
-    sbar = np.zeros(m)
+    sbar = np.zeros((b, m))
     for i in range(lags):
-        sbar[i] = s[i:] @ s[: m - i] / m
-    # the |i| sums run over negative and positive lags; sbar is even in the lag
-    den = float(w[0] * sbar[0] + 2.0 * (w[1:] @ sbar[1:]))
-    if den == 0.0:
-        return BandwidthOutcome(None, DENOMINATOR_ZERO)
-    num = float(2.0 * (lag_w @ sbar[1:]))
-    return _plug_in(rule.cbar2 * ((num / den) ** 2 * n) ** rule.cbar3)
+        np.vecdot(s[..., i:], s[..., : m - i], sbar[..., i])
+    sbar /= m
+    return list(zip(sbar[:, 0].tolist(), np.vecdot(sbar[:, None, 1:], weights).tolist()))
+
+
+def bandwidth_sums(rule: BandwidthRule, Z: np.ndarray, n: int) -> list:
+    """What :func:`compute_bandwidth` reads at each response of a (b, k, m) residual stack.
+
+    One stacked computation for the block; the entries are Python floats
+    and flags, None for the fixed rule, which reads no residuals.  The
+    stack divides by zero on the responses whose decision returns at an
+    exact-zero check, and its sums overflow or meet an inf at extreme
+    scales; the arithmetic runs with floating-point warnings off, since the
+    decision reads the flags first and reports a non-finite plug-in as
+    PlugInNotFinite.
+    """
+    if isinstance(rule, AndrewsRule):
+        return _am_sums(Z, rule)
+    if isinstance(rule, NeweyWestRule):
+        return _nw_sums(Z, rule, n)
+    return [None] * len(Z)
 
 
 def _plug_in(m: float) -> BandwidthOutcome:
@@ -307,17 +322,35 @@ def _plug_in(m: float) -> BandwidthOutcome:
     return BandwidthOutcome(float(m))
 
 
-def bandwidth_kv(rule: FixedBRule, n: int, p: int) -> BandwidthOutcome:
-    """Fixed bandwidth: b * (n - p), or the explicit constant; never undefined."""
+def compute_bandwidth(rule: BandwidthRule, sums, n: int, p: int) -> BandwidthOutcome:
+    """One response's bandwidth, from its entry of :func:`bandwidth_sums`.
+
+    The exact-zero and unit-root checks come first, in that order, then the
+    plug-in in Python floats: ``M = c1 * (alpha_j * n)**c2`` for
+    :class:`AndrewsRule`, ``M = cbar2 * ((num/den)**2 * n)**cbar3`` for
+    :class:`NeweyWestRule`, with ``den = sbar_0 + 2 sum_i w_i sbar_i`` and
+    ``num = 2 sum_i |i|**cbar1 w_i sbar_i`` (the autocovariances are even in
+    the lag); :class:`FixedBRule` gives ``b * (n - p)`` or its explicit m.
+    The engine's build guarantees that ``sums`` came from a k x (n - p)
+    residual matrix with n - p >= 2.
+    """
+    if isinstance(rule, AndrewsRule):
+        rho_undefined, rho_unit, den_alpha, num_alpha = sums
+        if rho_undefined:
+            return BandwidthOutcome(None, RHO_UNDEFINED)
+        if rho_unit:
+            return BandwidthOutcome(None, RHO_UNIT)
+        if den_alpha == 0.0:
+            return BandwidthOutcome(None, SIGMA_ALL_ZERO)
+        alpha = num_alpha / den_alpha
+        return _plug_in(rule.c1 * (alpha * n) ** rule.c2)
+    if isinstance(rule, NeweyWestRule):
+        sbar0, (weighted, lag_weighted) = sums
+        den = sbar0 + 2.0 * weighted
+        if den == 0.0:
+            return BandwidthOutcome(None, DENOMINATOR_ZERO)
+        num = 2.0 * lag_weighted
+        return _plug_in(rule.cbar2 * ((num / den) ** 2 * n) ** rule.cbar3)
     if rule.m is not None:
         return BandwidthOutcome(float(rule.m))
     return BandwidthOutcome(float(rule.b * (n - p)))
-
-
-def compute_bandwidth(rule: BandwidthRule, Z: np.ndarray | None, n: int, p: int) -> BandwidthOutcome:
-    """Dispatch to the rule; the engine's build guarantees Z is k x (n - p), n - p >= 2."""
-    if isinstance(rule, AndrewsRule):
-        return bandwidth_am(Z, rule, n)
-    if isinstance(rule, NeweyWestRule):
-        return bandwidth_nw(Z, rule, n)
-    return bandwidth_kv(rule, n, p)

@@ -38,9 +38,11 @@ bits it would get alone; a step that leaves no response runs the later ones
 on empty stacks.  The lag sum weighs the whole block in one kernel
 evaluation and multiplies by ``B'`` in one stacked product; only its
 convolution runs row by row, as no stacked form found keeps its bits.  The
-bandwidth rule sees one response at a time: perfbench's per-layer counters
-read one rule outcome per ``compute_bandwidth`` call.  One response is a
-block of one, so a value never depends on the block it was evaluated in.
+bandwidth rule's sums are one ``bandwidth_sums`` call over the block's
+residual stack, and ``compute_bandwidth`` decides each response from its
+own sums, one call per response, which perfbench's per-layer counters
+read.  One response is a block of one, so a value never depends on the
+block it was evaluated in.
 """
 from __future__ import annotations
 
@@ -53,7 +55,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import EPS, numeric_rank, solve_well_conditioned, symmetrize
-from .bandwidth import BandwidthOutcome, BandwidthRule, FixedBRule, _row_weights, compute_bandwidth
+from .bandwidth import (BandwidthOutcome, BandwidthRule, FixedBRule, _row_weights, bandwidth_sums,
+                        compute_bandwidth)
 from .kernels import KernelSpec, lag_weights
 from .model import RegressionProblem, check_count, check_finite
 
@@ -167,9 +170,10 @@ class OmegaEngine:
     Carlo loops pay per response vector only for the data-dependent steps.
     The steps run on a block of responses at once (:meth:`outcomes`), as
     stacked numpy calls that give every response the values it would get
-    alone; one response is a block of one.  Only the bandwidth rule runs
-    response by response, and the lag sum's convolution row by row.
-    TestEngine is this engine with the statistic added.
+    alone; one response is a block of one.  Only the bandwidth rule's
+    decision runs response by response, on its stacked sums, and the lag
+    sum's convolution row by row.  TestEngine is this engine with the
+    statistic added.
     """
 
     def __init__(self, problem: RegressionProblem, config: EstimatorConfig):
@@ -251,7 +255,8 @@ class OmegaEngine:
         """Run the three steps at every row of a (b x n) response block, the
         one place a response is checked: ValueError, naming y, unless Y is
         finite and b x n.  Undefinedness keeps its precedence (I) -> (II) ->
-        (III) row by row, and the bandwidth rule sees each response alone.
+        (III) row by row; the bandwidth rule's sums are one stacked call, and
+        its decision reads each response's own.
         """
         config = self.config
         n, p = self.problem.n, config.p
@@ -264,11 +269,12 @@ class OmegaEngine:
         reasons = [VAR_RANK_DEFICIENT] * len(Y)
         bandwidths = [None] * len(Y)
         keep, ms = [], []
+        sums = bandwidth_sums(config.rule, Z, n)
         for j, (i, ok) in enumerate(zip(rows, regular)):
             if not ok:
                 reasons[i] = RECOLOR_SINGULAR
                 continue
-            bw = compute_bandwidth(config.rule, Z[j], n, p)
+            bw = compute_bandwidth(config.rule, sums[j], n, p)
             bandwidths[i] = bw
             if bw.is_defined:
                 reasons[i] = None

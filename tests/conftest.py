@@ -8,6 +8,7 @@ from hactest import (
     default_rule,
     get_kernel,
 )
+from hactest.bandwidth import bandwidth_sums, compute_bandwidth
 
 
 def random_problem(rng, n=None, k=None, q=None, r_zero=False):
@@ -45,3 +46,9 @@ def config_grid(p=1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+def rule_outcome(rule, Z, n, p=1):
+    """The library's bandwidth at one k x m residual matrix: a stack of one
+    through ``bandwidth_sums``, then the decision ``compute_bandwidth``."""
+    return compute_bandwidth(rule, bandwidth_sums(rule, np.asarray(Z)[None], n)[0], n, p)

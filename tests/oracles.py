@@ -4,7 +4,9 @@ Everything here is deliberately written with explicit Python loops over
 scalars (plus `math`), independent of the package's vectorized numpy
 routines, so that agreement between the two is evidence of correctness
 rather than shared code.  The exceptions are the full-lag Newey-West
-bandwidth, the scalar AR(1) recursion and the per-response convolved lag
+bandwidth, the per-response bandwidth rules ``bandwidth_am`` and
+``bandwidth_nw`` (the library's rules before it stacked their sums over a
+block), the scalar AR(1) recursion and the per-response convolved lag
 sum, which pin bitwise equalities and so keep numpy's arithmetic, and the
 scalar kernel evaluation, the kernel Toeplitz matrix, the AR(1) correlation
 matrix, the witness design and the stand-alone gradient check at the end,
@@ -17,7 +19,18 @@ import math
 import numpy as np
 
 from hactest import TestEngine
-from hactest.bandwidth import RULE_NAMES, compute_bandwidth
+from hactest.bandwidth import (
+    DENOMINATOR_ZERO,
+    PLUG_IN_NOT_FINITE,
+    RHO_UNDEFINED,
+    RHO_UNIT,
+    RULE_NAMES,
+    SIGMA_ALL_ZERO,
+    AndrewsRule,
+    BandwidthOutcome,
+    NeweyWestRule,
+    resolve_omega,
+)
 from hactest.diagnostics import FD_AGREEMENT, FD_STEPS, _gradient_exists_at
 from hactest.kernels import lag_weights
 from hactest.prewhiten import (
@@ -152,6 +165,75 @@ def nw_bandwidth_full_lag_oracle(Z, omega, weights, cbar1, cbar2, cbar3, n):
 
 def rectangular_cutoff_oracle(n):
     return math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0))
+
+
+def _plug_in(m):
+    if not math.isfinite(m):
+        return BandwidthOutcome(None, PLUG_IN_NOT_FINITE)
+    return BandwidthOutcome(float(m))
+
+
+def bandwidth_am(Z, rule, n):
+    """The Andrews rule at one k x m residual matrix, as the library ran it
+    per response before its engine stacked the rule's sums.
+
+    Keeps the library's numpy calls (a 2-D einsum per row sum, a 1-D
+    ``omega @`` per weighted sum) and returns early at each exact-zero
+    check, so the stacked sums must reproduce it bitwise.
+    """
+    k, m = Z.shape
+    omega = resolve_omega(rule.omega, k)
+    lead, lag = Z[:, 1:], Z[:, :-1]
+    den_rho = np.einsum("ij,ij->i", lag, lag)
+    if np.any(den_rho == 0.0):
+        return BandwidthOutcome(None, RHO_UNDEFINED)
+    rho = np.einsum("ij,ij->i", lead, lag) / den_rho
+    if np.any(rho * rho == 1.0):
+        return BandwidthOutcome(None, RHO_UNIT)
+    resid = lead - rho[:, None] * lag
+    sigma2 = np.einsum("ij,ij->i", resid, resid) / (m - 1)
+    one_minus = 1.0 - rho
+    s4 = sigma2 * sigma2
+    den_alpha = float(omega @ (s4 / one_minus**4))
+    if den_alpha == 0.0:
+        return BandwidthOutcome(None, SIGMA_ALL_ZERO)
+    if rule.j == 1:
+        num_alpha = float(omega @ (4.0 * rho**2 * s4 / (one_minus**6 * (1.0 + rho) ** 2)))
+    else:
+        num_alpha = float(omega @ (4.0 * rho**2 * s4 / one_minus**8))
+    alpha = num_alpha / den_alpha
+    return _plug_in(rule.c1 * (alpha * n) ** rule.c2)
+
+
+def bandwidth_nw(Z, rule, n):
+    """The Newey-West rule at one k x m residual matrix, as the library ran
+    it per response: a 1-D ``@`` per autocovariance at the weighted lags
+    and per weighted sum over lags 1 .. m-1, the rest exact zeros.
+    """
+    k, m = Z.shape
+    omega = resolve_omega(rule.omega, k)
+    lags = min(rectangular_cutoff_oracle(n) + 1, m)
+    w = np.zeros(m)
+    w[:lags] = 1.0
+    lag_w = np.arange(m)[1:] ** rule.cbar1 * w[1:]
+    s = omega @ Z
+    sbar = np.zeros(m)
+    for i in range(lags):
+        sbar[i] = s[i:] @ s[: m - i] / m
+    den = float(w[0] * sbar[0] + 2.0 * (w[1:] @ sbar[1:]))
+    if den == 0.0:
+        return BandwidthOutcome(None, DENOMINATOR_ZERO)
+    num = float(2.0 * (lag_w @ sbar[1:]))
+    return _plug_in(rule.cbar2 * ((num / den) ** 2 * n) ** rule.cbar3)
+
+
+def bandwidth_oracle(rule, Z, n, p):
+    """The rule's outcome at one k x (n - p) residual matrix, response by response."""
+    if isinstance(rule, AndrewsRule):
+        return bandwidth_am(Z, rule, n)
+    if isinstance(rule, NeweyWestRule):
+        return bandwidth_nw(Z, rule, n)
+    return BandwidthOutcome(float(rule.m) if rule.m is not None else float(rule.b * (n - p)))
 
 
 def gamma_oracle(Z, lag):
@@ -420,8 +502,8 @@ class ScalarStatistic:
     before its engine took blocks: the same numpy calls on 1-D and 2-D
     arrays, with no leading axis anywhere.  The kernel lag sum is
     ``convolved_lag_sum`` above, the per-response form the engine's stacked
-    one replaced.  The bandwidth rule is the library's own, which runs per
-    response on both paths and has oracles of its own above.
+    one replaced, and the bandwidth rule is ``bandwidth_oracle`` above,
+    the per-response rules the engine's stacked sums replaced.
 
     ``evaluate(y)`` returns ``(kind, t, omega, bandwidth)``: ``kind`` is the
     undefinedness reason, or the definiteness class of a well-defined
@@ -476,7 +558,7 @@ class ScalarStatistic:
         V1, _A, Z, recolor = fit
         if recolor is None:
             return RECOLOR_SINGULAR, 0.0, None, None
-        bw = compute_bandwidth(config.rule, Z, n, p)
+        bw = bandwidth_oracle(config.rule, Z, n, p)
         if not bw.is_defined:
             return BANDWIDTH_UNDEFINED, 0.0, None, bw
         B = (self.g @ recolor) @ Z

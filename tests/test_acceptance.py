@@ -47,12 +47,10 @@ from hactest.bandwidth import (
     RHO_UNDEFINED,
     RHO_UNIT,
     SIGMA_ALL_ZERO,
-    bandwidth_am,
-    bandwidth_nw,
 )
 from hactest.prewhiten import WELL_DEFINED
 
-from .conftest import config_grid, random_problem
+from .conftest import config_grid, random_problem, rule_outcome
 from .oracles import (
     am_bandwidth_oracle,
     kernel_eval,
@@ -436,7 +434,7 @@ def test_plugin_bandwidths_match_direct_summation():
         Z = rng.standard_normal((k, m))
         n = m + 1
         rule = am_rules[trial % 2]
-        got = bandwidth_am(Z, rule, n)
+        got = rule_outcome(rule, Z, n)
         status, want = am_bandwidth_oracle(Z, [1.0] * k, rule.j, rule.c1, rule.c2, n)
         assert status == "ok" and got.is_defined
         worst = max(worst, abs(got.m - want) / want)
@@ -446,7 +444,7 @@ def test_plugin_bandwidths_match_direct_summation():
         m = int(rng.integers(3, 30))
         Z = rng.standard_normal((k, m))
         n = m + int(rng.integers(1, 3))
-        got = bandwidth_nw(Z, nw_rule, n)
+        got = rule_outcome(nw_rule, Z, n)
         weights = [1.0] * (rectangular_cutoff_oracle(n) + 1)
         status, want = nw_bandwidth_oracle(
             Z, [1.0] * k, nw_rule.cbar1, nw_rule.cbar2, nw_rule.cbar3, weights, n
@@ -463,13 +461,13 @@ def test_plugin_bandwidths_match_direct_summation():
     )
     for Z, reason in am_cases:
         n = Z.shape[1] + 1
-        out = bandwidth_am(Z, am_rule, n)
+        out = rule_outcome(am_rule, Z, n)
         assert not out.is_defined and out.reason == reason
         status, value = am_bandwidth_oracle(
             Z, [1.0] * Z.shape[0], am_rule.j, am_rule.c1, am_rule.c2, n
         )
         assert status == reason and value is None
-    out = bandwidth_nw(np.zeros((1, 3)), default_rule("newey-west", "bartlett"), 4)
+    out = rule_outcome(default_rule("newey-west", "bartlett"), np.zeros((1, 3)), 4)
     assert not out.is_defined and out.reason == DENOMINATOR_ZERO
     status, value = nw_bandwidth_oracle(
         np.zeros((1, 3)), [1.0], 1, 1.1447, 1.0 / 3.0, [1.0, 1.0], 4

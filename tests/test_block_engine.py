@@ -122,7 +122,7 @@ def test_a_built_engine_never_raises_on_a_finite_response(k, p, data, seed):
     # building refuses exactly the pairs no response could use: p > n/(k+1),
     # and score weights that do not fit k.  A built engine returns a value
     # or a typed outcome at every finite response, and its rule only ever
-    # sees a k x (n - p) residual matrix with at least 2 columns
+    # sees a stack of k x (n - p) residual matrices with at least 2 columns
     n = data.draw(st.integers(max(3, k + 1), 30), label="n")
     q = data.draw(st.integers(1, k), label="q")
     kernel = data.draw(st.sampled_from(kernel_names()), label="kernel")
@@ -143,18 +143,19 @@ def test_a_built_engine_never_raises_on_a_finite_response(k, p, data, seed):
     engine = Engine(problem, config)
     Y = responses(rng, problem, rows=3)
     shapes = []
-    real = prewhiten.compute_bandwidth
+    real = prewhiten.bandwidth_sums
 
-    def compute_bandwidth(rule, Z, n, p):
+    def bandwidth_sums(rule, Z, n):
         shapes.append(Z.shape)
-        return real(rule, Z, n, p)
+        return real(rule, Z, n)
 
-    with mock.patch.object(prewhiten, "compute_bandwidth", compute_bandwidth):
+    with mock.patch.object(prewhiten, "bandwidth_sums", bandwidth_sums):
         t = engine.t_values(Y)
         results = [engine.result(y) for y in Y]
     assert np.isfinite(t).all() and (t >= 0.0).all()
     assert [res.t_value for res in results] == t.tolist()
-    assert n - p >= 2 and set(shapes) <= {(k, n - p)}
+    assert n - p >= 2 and len(shapes) == 1 + len(Y)
+    assert all(shape[1:] == (k, n - p) for shape in shapes)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -368,12 +369,11 @@ def test_no_scale_near_the_underflow_raises():
 
 
 # ROADMAP item 2: at an accepted scale far from 1, result still overflows in
-# the VAR fit's normal equations, in the estimate's symmetrization and in the
-# Andrews rule; those warnings are known, and any other fails
+# the VAR fit's normal equations and in the estimate's symmetrization; those
+# warnings are known, and any other fails
 @pytest.mark.filterwarnings(
     "ignore:overflow encountered in matmul:RuntimeWarning:hactest.prewhiten")
 @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning:hactest._linalg")
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning:hactest.bandwidth")
 @pytest.mark.parametrize("rule, kernel", [("newey-west", "bartlett"), ("andrews", "qs"),
                                           ("fixed-b", "bartlett")])
 def test_a_design_whose_normal_equations_under_or_overflow_is_refused_when_built(rule, kernel):
@@ -421,13 +421,10 @@ def integer_designs():
     return designs
 
 
-# ROADMAP item 2: at large scales the span test's norms overflow, and so
-# does the Andrews rule's sigma^4, whose inf then meets a zero weight; those
-# warnings are known, and any other fails
+# ROADMAP item 2: at large scales the span test's norms overflow; that
+# warning is known, and any other fails
 @pytest.mark.filterwarnings(
     "ignore:overflow encountered in vecdot:RuntimeWarning:hactest.prewhiten")
-@pytest.mark.filterwarnings(
-    "ignore:(overflow|invalid value) encountered:RuntimeWarning:hactest.bandwidth")
 def test_no_scale_of_a_small_integer_design_raises():
     # a bounded search over dense power-of-two scales, every rule, kernel and
     # p, bare and adjusted: the block engine returns a finite T >= 0 at every

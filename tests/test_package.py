@@ -21,9 +21,11 @@ def test_single_path_names_and_dead_fields_stay_gone():
     # the empirical size is the largest rate of power_curve(..., (0.0,));
     # null_point returns beta0; the AR(1) sampler, Gamma_i, the MA(d) correlation
     # matrix, the scalar kernel evaluation and the stand-alone gradient
-    # check live in tests/oracles.py; the bandwidth rules, and
-    # compute_bandwidth, the engine's entry to them, stay in
-    # hactest.bandwidth; an outcome holds the two step-1 arrays psi reads,
+    # check live in tests/oracles.py; the engine's entries to the bandwidth
+    # rules, bandwidth_sums (one stacked call per block) and
+    # compute_bandwidth (each response's decision), stay in
+    # hactest.bandwidth, and the per-row rules they replaced live in
+    # tests/oracles.py; an outcome holds the two step-1 arrays psi reads,
     # with no fit record beside them
     for name in ("rejection_probability", "empirical_size", "SizeReport",
                  "NullPoint", "sample_gaussian_ar1", "compute_gamma",
@@ -37,6 +39,9 @@ def test_single_path_names_and_dead_fields_stay_gone():
     assert not hasattr(hactest.diagnostics, "gradient_exists")
     assert not hasattr(hactest.prewhiten, "PrewhitenFit")
     assert callable(hactest.bandwidth.compute_bandwidth)
+    assert callable(hactest.bandwidth.bandwidth_sums)
+    for name in ("bandwidth_am", "bandwidth_nw", "bandwidth_kv"):
+        assert not hasattr(hactest.bandwidth, name), name
     assert len(hactest.__all__) == 57
 
     def field_names(cls):
